@@ -51,10 +51,7 @@ from .scheduler import (
     SchedulingError,
     demanded_for_schedule,
     demanded_subfiles,
-    schedule_caseII,
-    schedule_theorem1,
-    schedule_theorem2_ordered,
-    schedule_theorem2_partition,
+    make_schedule,
     verify_schedule_partition,
     worst_case_demand,
 )

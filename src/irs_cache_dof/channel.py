@@ -144,12 +144,3 @@ def realization_to_jsonable(ch: ChannelRealization) -> dict:
         "tx_to_irs": encode(ch.tx_to_irs),
         "irs_to_rx": encode(ch.irs_to_rx),
     }
-
-
-def dump_realization(ch: ChannelRealization, path) -> None:
-    """Write a realization as JSON for cross-language fixture tests."""
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(realization_to_jsonable(ch), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -286,23 +286,15 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         l_size=cfg.l_size,
     )
     report = run_episode(cfg.params, cfg.regime, cfg.seed, options)
-    _write_json(episode_to_jsonable(report), cfg.out)
+    payload = episode_to_jsonable(report)
+    _write_json(payload, cfg.out)
     if cfg.block_csv:
+        records = payload["blocks"]  # every schedule has at least one block
         with open(cfg.block_csv, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["block", "n_nulls", "q_elements", "irs_status", "irs_residual", "max_decode_error", "delivered"])
-            for r in report.blocks:
-                writer.writerow(
-                    [
-                        r.block_index,
-                        r.n_nulls,
-                        r.q_elements,
-                        r.irs_status,
-                        f"{r.irs_residual:.6e}",
-                        f"{max((e for _, e in r.decode_errors), default=0.0):.6e}",
-                        r.delivered,
-                    ]
-                )
+            writer.writerow(records[0].keys())
+            for record in records:
+                writer.writerow(f"{v:.6e}" if isinstance(v, float) else v for v in record.values())
     if report.all_passed:
         return EXIT_OK
     return EXIT_INFEASIBLE if report.infeasible_blocks else EXIT_VERIFICATION

@@ -59,10 +59,6 @@ class SubsetPartitionSystem:
     classes: tuple[tuple[Subset, ...], ...]
 
     @property
-    def ground_size(self) -> int:
-        return self.m * self.mu_t
-
-    @property
     def num_subsets(self) -> int:
         return self.m * len(self.classes)
 

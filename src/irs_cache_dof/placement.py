@@ -49,9 +49,6 @@ class SubfileId:
         if len(groups[0] | groups[1] | groups[2]) != sum(len(g) for g in groups):
             raise ValueError(f"receiver index groups must be disjoint: {self}")
 
-    def cached_at_rx(self, j: int) -> bool:
-        return j in self.rx_set
-
 
 @dataclass(frozen=True)
 class SubfileUniverse:

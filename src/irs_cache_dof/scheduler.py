@@ -16,17 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
 
 from .combinatorics import OrderedPartitionSystem, Subset, SubsetPartitionSystem, cyclic_shift, verify_subset_partition
 from .params import SystemParams
 from .placement import ORDERED_MODE, SUBSET_MODE, SubfileId, SubfileUniverse, refine_subfiles
-
-REGIME_T1_CASE1 = "T1-I"
-REGIME_T1_CASE2 = "T1-II"
-REGIME_T2_SUBSET_CASE1 = "T2-IA"
-REGIME_T2_ORDERED_CASE1 = "T2-IB"
-REGIME_T2_CASE2 = "T2-II"
 
 
 class SchedulingError(ValueError):
@@ -111,10 +104,6 @@ class Schedule:
     def h_blocks(self) -> int:
         return len(self.blocks)
 
-    @property
-    def deliveries_per_block(self) -> int:
-        return len(self.blocks[0].deliveries) if self.blocks else 0
-
 
 def demanded_subfiles(universe: SubfileUniverse, demand: DemandVector) -> frozenset[tuple[SubfileId, int]]:
     """Every (subfile, intended receiver) pair the transmitters must deliver:
@@ -130,37 +119,28 @@ def demanded_subfiles(universe: SubfileUniverse, demand: DemandVector) -> frozen
 
 
 def demanded_for_schedule(universe: SubfileUniverse, schedule: Schedule) -> frozenset[tuple[SubfileId, int]]:
-    """The refined demanded set matching a schedule's regime (zero-forcing
-    split for cooperative transmission, surface split for partial-activity
-    blocks)."""
+    """The refined demanded set matching a schedule (zero-forcing split for
+    cooperative transmission, surface split for partial-activity blocks)."""
     base = demanded_subfiles(universe, schedule.demand)
     t_split = universe.params.mu_t >= 2
-    l_size = schedule.l_size if schedule.regime in (REGIME_T1_CASE2, REGIME_T2_CASE2) else 0
+    p = schedule.params
+    partial = p.mu_r + p.mu_t + schedule.l_size < p.k_r
+    l_size = schedule.l_size if partial else 0
     if not t_split and l_size == 0:
         return base
     refined, _ = refine_subfiles(sorted(base), universe.params, t_split, l_size)
     return frozenset(refined)
 
 
-class _ServingRotator:
-    """Maps a slot number (1 = lead group, 2.. = idle-receiver groups) and a
-    rotation coordinate tuple to a transmitter-side index and its group."""
-
-    def coords(self) -> Iterator[tuple[int, ...]]:
-        raise NotImplementedError
-
-    def serving(self, slot: int, coords: tuple[int, ...]) -> tuple[object, Subset]:
-        raise NotImplementedError
-
-    def max_slots(self) -> int:
-        raise NotImplementedError
-
-
-class _SingleTxRotator(_ServingRotator):
+class _SingleTxRotator:
     """mu_t = 1: slots are single transmitters, rotated cyclically."""
+
+    regimes = ("T1-I", "T1-II")
+    tx_mode = SUBSET_MODE
 
     def __init__(self, k_t: int):
         self.k_t = k_t
+        self.slots = k_t
 
     def coords(self):
         for k2 in range(1, self.k_t + 1):
@@ -171,18 +151,19 @@ class _SingleTxRotator(_ServingRotator):
         tx = cyclic_shift(slot, k2 - 1, self.k_t)
         return (tx,), (tx,)
 
-    def max_slots(self):
-        return self.k_t
 
-
-class _ParallelClassRotator(_ServingRotator):
+class _ParallelClassRotator:
     """mu_t >= 2 with a parallel-class design: slot ``s`` starts at position
     ``s`` of class 1; the position rotates cyclically and the class advances,
     so each slot visits every subset exactly once while the groups inside a
     block always come from one class (hence stay disjoint)."""
 
+    regimes = ("T2-IA", "T2-II")
+    tx_mode = SUBSET_MODE
+
     def __init__(self, system: SubsetPartitionSystem):
         self.system = system
+        self.slots = system.m
 
     def coords(self):
         for k3 in range(1, len(self.system.classes) + 1):
@@ -195,19 +176,19 @@ class _ParallelClassRotator(_ServingRotator):
         subset = self.system.subset_by_number(kappa)
         return subset, subset
 
-    def max_slots(self):
-        return self.system.m
 
-
-class _OrderedPartitionRotator(_ServingRotator):
+class _OrderedPartitionRotator:
     """mu_t >= 2 without a parallel-class design: slots are ordered
     arrangements whose first group serves. The lead-group coordinate rotates
     cyclically (keeping the block's groups disjoint), while the arrangement
     remainder and the unordered-partition window advance independently."""
 
+    regimes = ("T2-IB", "T2-II")
+    tx_mode = ORDERED_MODE
+
     def __init__(self, system: OrderedPartitionSystem):
         self.system = system
-        self.m = system.m
+        self.m = self.slots = system.m
         self.sub_count = math.factorial(self.m - 1)
 
     def coords(self):
@@ -222,9 +203,6 @@ class _OrderedPartitionRotator(_ServingRotator):
         kappa = self.system.number_from_coords(window=k4, lead=lead, remainder=k3)
         return kappa, self.system.partition_by_number(kappa)[0]
 
-    def max_slots(self):
-        return self.m
-
 
 def _rt_pairs(active: Subset, lead: int, mu_r: int, mu_t: int) -> list[tuple[Subset, Subset]]:
     """All (cached receivers, zero-forcing receivers) pairs drawn from the
@@ -238,263 +216,125 @@ def _rt_pairs(active: Subset, lead: int, mu_r: int, mu_t: int) -> list[tuple[Sub
     return pairs
 
 
-def _case1_blocks(
-    params: SystemParams,
+def _block_plan(
+    index: int,
     demand: DemandVector,
     active: Subset,
-    rotator: _ServingRotator,
+    r_set: Subset,
+    t_set: Subset,
+    rotator,
+    coords: tuple[int, ...],
     include_lset: bool,
-    start_index: int,
-) -> list[BlockPlan]:
-    """Blocks delivering one subfile to every receiver in ``active``.
+) -> BlockPlan:
+    """One block delivering one subfile to every receiver in ``active``.
 
     ``include_lset`` marks partial-activity schedules whose subfiles carry
     the surface-split index (the active receivers outside each subfile's
     own groups).
     """
-    mu_r, mu_t = params.mu_r, params.mu_t
     lead = active[0]
-    n_idle = len(active) - mu_r - mu_t
-    if n_idle < 0:
-        raise SchedulingError(
-            f"active set of {len(active)} receivers cannot host mu_r={mu_r} plus mu_t={mu_t} groups"
-        )
-    if n_idle + 1 > rotator.max_slots():
-        raise SchedulingError(
-            f"{n_idle + 1} disjoint serving groups needed per block but only "
-            f"{rotator.max_slots()} are available"
-        )
-    blocks = []
-    index = start_index
-    for coords in rotator.coords():
-        for r_set, t_set in _rt_pairs(active, lead, mu_r, mu_t):
-            in_groups = {lead, *r_set, *t_set}
-            idle = tuple(j for j in active if j not in in_groups)
-            lead_lset = idle if include_lset else ()
-            lead_index, lead_serving = rotator.serving(1, coords)
-            deliveries = [
-                Delivery(
-                    subfile=SubfileId(
-                        file=demand.file_for(lead),
-                        tx_index=lead_index,
-                        rx_set=r_set,
-                        zf_set=t_set,
-                        irs_set=lead_lset,
-                    ),
-                    intended_rx=lead,
-                    serving_txs=lead_serving,
-                )
-            ]
-            for j in r_set:
-                cache = tuple(sorted({lead, *r_set} - {j}))
-                deliveries.append(
-                    Delivery(
-                        subfile=SubfileId(
-                            file=demand.file_for(j),
-                            tx_index=lead_index,
-                            rx_set=cache,
-                            zf_set=t_set,
-                            irs_set=lead_lset,
-                        ),
-                        intended_rx=j,
-                        serving_txs=lead_serving,
-                    )
-                )
-            for j in t_set:
-                zf = tuple(sorted({lead, *t_set} - {j}))
-                deliveries.append(
-                    Delivery(
-                        subfile=SubfileId(
-                            file=demand.file_for(j),
-                            tx_index=lead_index,
-                            rx_set=r_set,
-                            zf_set=zf,
-                            irs_set=lead_lset,
-                        ),
-                        intended_rx=j,
-                        serving_txs=lead_serving,
-                    )
-                )
-            for slot_offset, j in enumerate(idle):
-                slot_index, slot_serving = rotator.serving(slot_offset + 2, coords)
-                lset = tuple(sorted(({lead, *idle} - {j}))) if include_lset else ()
-                deliveries.append(
-                    Delivery(
-                        subfile=SubfileId(
-                            file=demand.file_for(j),
-                            tx_index=slot_index,
-                            rx_set=r_set,
-                            zf_set=t_set,
-                            irs_set=lset,
-                        ),
-                        intended_rx=j,
-                        serving_txs=slot_serving,
-                    )
-                )
-            blocks.append(
-                BlockPlan(
-                    block_index=index,
-                    deliveries=tuple(deliveries),
-                    active_rxs=active,
-                    lead_rx=lead,
-                    cached_rxs=r_set,
-                    zf_rxs=t_set,
-                    idle_rxs=idle,
-                )
+    in_groups = {lead, *r_set, *t_set}
+    idle = tuple(j for j in active if j not in in_groups)
+    lead_lset = idle if include_lset else ()
+    lead_index, lead_serving = rotator.serving(1, coords)
+
+    def others(group, j):
+        return tuple(sorted({lead, *group} - {j}))
+
+    # (receiver, transmitter-side index, serving group, rx_set, zf_set, irs_set)
+    specs = [(lead, lead_index, lead_serving, r_set, t_set, lead_lset)]
+    specs += [(j, lead_index, lead_serving, others(r_set, j), t_set, lead_lset) for j in r_set]
+    specs += [(j, lead_index, lead_serving, r_set, others(t_set, j), lead_lset) for j in t_set]
+    for slot, j in enumerate(idle, start=2):
+        slot_index, slot_serving = rotator.serving(slot, coords)
+        specs.append((j, slot_index, slot_serving, r_set, t_set, others(idle, j) if include_lset else ()))
+    return BlockPlan(
+        block_index=index,
+        deliveries=tuple(
+            Delivery(
+                subfile=SubfileId(file=demand.file_for(j), tx_index=tx, rx_set=rx, zf_set=zf, irs_set=irs),
+                intended_rx=j,
+                serving_txs=serving,
             )
-            index += 1
-    return blocks
-
-
-def _check_zf_slots(params: SystemParams) -> None:
-    if params.mu_r + params.mu_t > params.k_r:
-        raise SchedulingError(
-            f"mu_r + mu_t = {params.mu_r + params.mu_t} exceeds k_r = {params.k_r}; "
-            "the joint decoding group does not fit"
-        )
-
-
-def schedule_theorem1(params: SystemParams, demand: DemandVector) -> Schedule:
-    """Full-activity schedule for the disjoint-cache regime (mu_t = 1).
-
-    Serves all receivers every block; the surface covers the
-    ``K_R - mu_r - 1`` receivers that neither caching nor the serving
-    transmitter selection can protect.
-    """
-    if params.mu_t != 1:
-        raise SchedulingError("this schedule requires mu_t = 1")
-    l_size = params.k_r - params.mu_r - 1
-    if l_size + 1 > params.k_t:
-        raise SchedulingError(
-            f"needs {l_size + 1} distinct serving transmitters per block, have {params.k_t}"
-        )
-    active = tuple(params.receivers)
-    blocks = _case1_blocks(
-        params, demand, active, _SingleTxRotator(params.k_t), include_lset=False, start_index=1
-    )
-    return Schedule(
-        regime=REGIME_T1_CASE1,
-        tx_mode=SUBSET_MODE,
-        params=params,
-        demand=demand,
-        l_size=l_size,
-        blocks=tuple(blocks),
+            for j, tx, serving, rx, zf, irs in specs
+        ),
+        active_rxs=active,
+        lead_rx=lead,
+        cached_rxs=r_set,
+        zf_rxs=t_set,
+        idle_rxs=idle,
     )
 
 
-def schedule_theorem2_partition(
-    params: SystemParams, demand: DemandVector, system: SubsetPartitionSystem
-) -> Schedule:
-    """Full-activity schedule for overlapping caches (mu_t >= 2) driven by a
-    parallel-class design on the transmitter set."""
-    _require_t2(params, system.m, system.mu_t)
-    check = verify_subset_partition(system)
-    if not check.ok:
-        raise SchedulingError(f"invalid subset-partition system: {check.violation}")
-    l_size = params.k_r - params.mu_r - params.mu_t
-    active = tuple(params.receivers)
-    blocks = _case1_blocks(
-        params, demand, active, _ParallelClassRotator(system), include_lset=False, start_index=1
-    )
-    return Schedule(
-        regime=REGIME_T2_SUBSET_CASE1,
-        tx_mode=SUBSET_MODE,
-        params=params,
-        demand=demand,
-        l_size=l_size,
-        blocks=tuple(blocks),
-    )
-
-
-def schedule_theorem2_ordered(
-    params: SystemParams, demand: DemandVector, system: OrderedPartitionSystem
-) -> Schedule:
-    """Full-activity schedule for overlapping caches using the ordered
-    arrangement index instead of a parallel-class design."""
-    _require_t2(params, system.m, system.mu_t)
-    l_size = params.k_r - params.mu_r - params.mu_t
-    active = tuple(params.receivers)
-    blocks = _case1_blocks(
-        params, demand, active, _OrderedPartitionRotator(system), include_lset=False, start_index=1
-    )
-    return Schedule(
-        regime=REGIME_T2_ORDERED_CASE1,
-        tx_mode=ORDERED_MODE,
-        params=params,
-        demand=demand,
-        l_size=l_size,
-        blocks=tuple(blocks),
-    )
-
-
-def _require_t2(params: SystemParams, m: int, mu_t: int) -> None:
-    if params.mu_t < 2:
-        raise SchedulingError("this schedule requires mu_t >= 2")
-    if (m, mu_t) != (params.m_groups, params.mu_t):
-        raise SchedulingError(
-            f"design is for (m={m}, mu_t={mu_t}) but parameters need "
-            f"(m={params.m_groups}, mu_t={params.mu_t})"
-        )
-    _check_zf_slots(params)
-
-
-def schedule_caseII(
+def make_schedule(
     params: SystemParams,
     demand: DemandVector,
     l_size: int,
-    mode: str = "thm1",
     system: SubsetPartitionSystem | OrderedPartitionSystem | None = None,
 ) -> Schedule:
-    """Partial-activity schedule: too few surface elements to protect every
-    receiver at once, so activity rotates over all receiver subsets of size
-    ``mu_r + mu_t + l_size``, each handled as a full-activity sub-schedule.
+    """The delivery schedule of both cache regimes.
 
-    Receivers outside the active subset get nothing in those blocks (their
-    share of the horizon is what lowers the per-user rate below 1).
+    ``system`` picks how serving groups rotate across blocks: ``None`` for
+    disjoint transmitter caches (mu_t = 1, single transmitters), a
+    parallel-class design or an ordered-arrangement system for overlapping
+    ones (mu_t >= 2). Slot 1 of a block is the lead group; slots 2.. serve
+    the idle receivers, one disjoint group each. Each rotator also names
+    the schedule's regime, for full and for partial activity.
+
+    When ``mu_r + mu_t + l_size`` reaches ``K_R`` the surface protects every
+    receiver at once: ``l_size`` is cut to ``K_R - mu_r - mu_t`` and every
+    block serves all receivers (full activity). Otherwise activity rotates
+    over all receiver subsets of size ``mu_r + mu_t + l_size``, each handled
+    like a full-activity sub-schedule whose subfiles carry the surface-split
+    index. Receivers outside the active subset get nothing in those blocks
+    (their share of the horizon is what lowers the per-user rate below 1).
     """
-    mu_sum = params.mu_r + params.mu_t
+    mu_r, mu_t, k_r = params.mu_r, params.mu_t, params.k_r
+    if system is None:
+        if mu_t != 1:
+            raise SchedulingError(f"mu_t = {mu_t} needs a transmitter design")
+        rotator = _SingleTxRotator(params.k_t)
+    else:
+        if mu_t < 2:
+            raise SchedulingError("a transmitter design needs mu_t >= 2")
+        if (system.m, system.mu_t) != (params.m_groups, mu_t):
+            raise SchedulingError(
+                f"design is for (m={system.m}, mu_t={system.mu_t}) but parameters need "
+                f"(m={params.m_groups}, mu_t={mu_t})"
+            )
+        if isinstance(system, SubsetPartitionSystem):
+            check = verify_subset_partition(system)
+            if not check.ok:
+                raise SchedulingError(f"invalid subset-partition system: {check.violation}")
+            rotator = _ParallelClassRotator(system)
+        else:
+            rotator = _OrderedPartitionRotator(system)
+    if mu_r + mu_t > k_r:
+        raise SchedulingError(
+            f"mu_r + mu_t = {mu_r + mu_t} exceeds k_r = {k_r}; the joint decoding group does not fit"
+        )
     if l_size < 0:
         raise SchedulingError("l_size must be nonnegative")
-    if mu_sum + l_size >= params.k_r:
-        raise SchedulingError(
-            f"partial-activity scheduling needs mu_r + mu_t + l_size < k_r; "
-            f"got {mu_sum + l_size} >= {params.k_r}"
-        )
-    if mode == "thm1":
-        if params.mu_t != 1:
-            raise SchedulingError("mode 'thm1' requires mu_t = 1")
-        rotator: _ServingRotator = _SingleTxRotator(params.k_t)
-        regime, tx_mode = REGIME_T1_CASE2, SUBSET_MODE
-    elif mode == "thm2-partition":
-        if not isinstance(system, SubsetPartitionSystem):
-            raise SchedulingError("mode 'thm2-partition' needs a SubsetPartitionSystem")
-        _require_t2(params, system.m, system.mu_t)
-        rotator = _ParallelClassRotator(system)
-        regime, tx_mode = REGIME_T2_CASE2, SUBSET_MODE
-    elif mode == "thm2-ordered":
-        if not isinstance(system, OrderedPartitionSystem):
-            raise SchedulingError("mode 'thm2-ordered' needs an OrderedPartitionSystem")
-        _require_t2(params, system.m, system.mu_t)
-        rotator = _OrderedPartitionRotator(system)
-        regime, tx_mode = REGIME_T2_CASE2, ORDERED_MODE
+    partial = mu_r + mu_t + l_size < k_r
+    if partial:
+        actives = combinations(params.receivers, mu_r + mu_t + l_size)
     else:
-        raise SchedulingError(f"unknown partial-activity mode {mode!r}")
-
-    blocks: list[BlockPlan] = []
-    for active in combinations(params.receivers, mu_sum + l_size):
-        blocks.extend(
-            _case1_blocks(
-                params,
-                demand,
-                active,
-                rotator,
-                include_lset=True,
-                start_index=len(blocks) + 1,
-            )
+        l_size = k_r - mu_r - mu_t
+        actives = [tuple(params.receivers)]
+    if l_size + 1 > rotator.slots:
+        raise SchedulingError(
+            f"{l_size + 1} disjoint serving groups needed per block but only "
+            f"{rotator.slots} are available"
         )
+    blocks: list[BlockPlan] = []
+    for active in actives:
+        pairs = _rt_pairs(active, active[0], mu_r, mu_t)
+        for coords in rotator.coords():
+            for r_set, t_set in pairs:
+                blocks.append(_block_plan(len(blocks) + 1, demand, active, r_set, t_set, rotator, coords, partial))
     return Schedule(
-        regime=regime,
-        tx_mode=tx_mode,
+        regime=rotator.regimes[partial],
+        tx_mode=rotator.tx_mode,
         params=params,
         demand=demand,
         l_size=l_size,

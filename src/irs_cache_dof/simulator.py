@@ -9,9 +9,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
+from .analytics import STRICT_Q, max_feasible_L
 from .channel import block_rng, equivalent_channel, sample_block_channels, zero_irs
 from .combinatorics import DEFAULT_SEARCH_BUDGET, enumerate_ordered_partitions, find_subset_partition
 from .irs import STATUS_INFEASIBLE, IrsSolveInfo, required_nulls, solve_irs
@@ -23,10 +25,7 @@ from .scheduler import (
     Schedule,
     SchedulingError,
     achieved_dof,
-    schedule_caseII,
-    schedule_theorem1,
-    schedule_theorem2_ordered,
-    schedule_theorem2_partition,
+    make_schedule,
     worst_case_demand,
 )
 from .zf import BeamformerSet, beamformers_for_block
@@ -35,9 +34,6 @@ REGIME_THM1 = "thm1"
 REGIME_THM2_PARTITION = "thm2-partition"
 REGIME_THM2_ORDERED = "thm2-ordered"
 REGIMES = (REGIME_THM1, REGIME_THM2_PARTITION, REGIME_THM2_ORDERED)
-
-STRICT_Q = "strict"
-SUFFICIENT_Q = "sufficient"
 
 IRS_DISABLED = "disabled"
 
@@ -97,6 +93,20 @@ def _delivery_gain(dl, rx: int, h_eq: np.ndarray, beams: BeamformerSet) -> compl
     )
 
 
+def _own_and_cached(
+    own, plan: BlockPlan, h_eq: np.ndarray, beams: BeamformerSet, symbols: dict[SubfileId, complex]
+) -> tuple[complex, complex]:
+    """The intended receiver's gain on its own delivery, and the summed
+    contributions of the scheduled subfiles it caches (which it subtracts)."""
+    rx = own.intended_rx
+    cached_sum = 0.0 + 0.0j
+    for dl in plan.deliveries:
+        if dl is own or rx not in dl.subfile.rx_set:
+            continue
+        cached_sum += _delivery_gain(dl, rx, h_eq, beams) * symbols[dl.subfile]
+    return _delivery_gain(own, rx, h_eq, beams), cached_sum
+
+
 def receiver_decode(
     y: complex,
     rx: int,
@@ -113,12 +123,7 @@ def receiver_decode(
     left with its symbol plus whatever interference survived.
     """
     own = next(dl for dl in plan.deliveries if dl.intended_rx == rx)
-    cached_sum = 0.0 + 0.0j
-    for dl in plan.deliveries:
-        if dl is own or rx not in dl.subfile.rx_set:
-            continue
-        cached_sum += _delivery_gain(dl, rx, h_eq, beams) * symbols[dl.subfile]
-    own_gain = _delivery_gain(own, rx, h_eq, beams)
+    own_gain, cached_sum = _own_and_cached(own, plan, h_eq, beams, symbols)
     if abs(own_gain) < 1e-300:
         return complex("nan"), float("inf")
     estimate = (y - cached_sum) / own_gain
@@ -162,14 +167,6 @@ class EpisodeReport:
         return len(self.blocks)
 
 
-def _derive_l(params: SystemParams, options: SimOptions) -> int:
-    from .analytics import max_feasible_L
-
-    if options.l_size is not None:
-        return options.l_size
-    return max_feasible_L(params.q_elements, params, options.strictness)
-
-
 def build_schedule(params: SystemParams, regime: str, options: SimOptions) -> Schedule:
     """Construct the schedule an episode will run: full activity when the
     null budget covers all receivers at once, partial activity otherwise."""
@@ -180,13 +177,10 @@ def build_schedule(params: SystemParams, regime: str, options: SimOptions) -> Sc
     if regime != REGIME_THM1 and params.mu_t < 2:
         raise SchedulingError(f"regime {regime!r} requires mu_t >= 2")
     demand = options.demand if options.demand is not None else worst_case_demand(params)
-    l_size = _derive_l(params, options)
-    full_activity = params.mu_r + params.mu_t + l_size >= params.k_r
-
-    if regime == REGIME_THM1:
-        if full_activity:
-            return schedule_theorem1(params, demand)
-        return schedule_caseII(params, demand, l_size, mode="thm1")
+    l_size = options.l_size
+    if l_size is None:
+        l_size = max_feasible_L(params.q_elements, params, options.strictness)
+    system = None
     if regime == REGIME_THM2_PARTITION:
         system = find_subset_partition(params.m_groups, params.mu_t, options.design_budget)
         if system is None:
@@ -194,19 +188,27 @@ def build_schedule(params: SystemParams, regime: str, options: SimOptions) -> Sc
                 f"no ({params.m_groups}, {params.mu_t}) parallel-class design found within "
                 "budget; use the ordered regime instead"
             )
-        if full_activity:
-            return schedule_theorem2_partition(params, demand, system)
-        return schedule_caseII(params, demand, l_size, mode="thm2-partition", system=system)
-    system = enumerate_ordered_partitions(params.m_groups, params.mu_t)
-    if full_activity:
-        return schedule_theorem2_ordered(params, demand, system)
-    return schedule_caseII(params, demand, l_size, mode="thm2-ordered", system=system)
+    elif regime == REGIME_THM2_ORDERED:
+        system = enumerate_ordered_partitions(params.m_groups, params.mu_t)
+    return make_schedule(params, demand, l_size, system)
 
 
-def simulate_block(
-    plan: BlockPlan, params: SystemParams, seed: int, options: SimOptions
-) -> BlockRecord:
-    """Run one block end to end and measure every intended residual."""
+class _BlockFront(NamedTuple):
+    """Everything a block produces before the receivers act on it."""
+
+    channel_scale: float
+    n_nulls: int
+    irs: IrsSolveInfo
+    h_eq: np.ndarray
+    beams: BeamformerSet
+    symbols: dict[SubfileId, complex]
+    x: np.ndarray
+
+
+def _block_front(plan: BlockPlan, params: SystemParams, seed: int, options: SimOptions) -> _BlockFront:
+    """Sample the channels, steer the surface onto the block's null links
+    (or leave it off), form the equivalent channel and the beamformers, and
+    synthesize the transmit signals."""
     ch = sample_block_channels(params, plan.block_index, seed)
     nulls = required_nulls(plan)
     if options.disable_irs:
@@ -218,7 +220,16 @@ def simulate_block(
     beams = beamformers_for_block(plan, h_eq, params.mu_t)
     symbols = _symbols_for(plan, seed)
     x = transmit_block(plan, beams, symbols, params.k_t)
-    y = h_eq @ x
+    return _BlockFront(ch.scale, len(nulls), info, h_eq, beams, symbols, x)
+
+
+def simulate_block(
+    plan: BlockPlan, params: SystemParams, seed: int, options: SimOptions
+) -> BlockRecord:
+    """Run one block end to end and measure every intended residual."""
+    front = _block_front(plan, params, seed, options)
+    h_eq, beams, symbols = front.h_eq, front.beams, front.symbols
+    y = h_eq @ front.x
     if options.noise_variance > 0.0:
         rng = block_rng(seed, plan.block_index, stream=2)
         noise = rng.standard_normal(params.k_r) + 1j * rng.standard_normal(params.k_r)
@@ -232,11 +243,11 @@ def simulate_block(
             delivered += 1
     return BlockRecord(
         block_index=plan.block_index,
-        n_nulls=len(nulls),
+        n_nulls=front.n_nulls,
         q_elements=params.q_elements,
-        irs_status=info.status,
-        irs_residual=info.residual,
-        channel_scale=ch.scale,
+        irs_status=front.irs.status,
+        irs_residual=front.irs.residual,
+        channel_scale=front.channel_scale,
         decode_errors=tuple(errors),
         delivered=delivered,
     )
@@ -317,29 +328,15 @@ def estimate_dof_slope(
     h = schedule.h_blocks
     rates = np.zeros((len(powers), params.k_r))
     for plan in schedule.blocks:
-        ch = sample_block_channels(params, plan.block_index, seed)
-        nulls = required_nulls(plan)
-        if options.disable_irs:
-            irs_cfg = zero_irs(params.q_elements)
-        else:
-            irs_cfg, _ = solve_irs(ch, nulls)
-        h_eq = equivalent_channel(ch, irs_cfg)
-        beams = beamformers_for_block(plan, h_eq, params.mu_t)
-        symbols = _symbols_for(plan, seed)
-        x = transmit_block(plan, beams, symbols, params.k_t)
-        peak = float(np.abs(x).max())
+        front = _block_front(plan, params, seed, options)
+        peak = float(np.abs(front.x).max())
         if peak == 0.0:
             continue
-        y_clean = h_eq @ x
+        y_clean = front.h_eq @ front.x
         for dl in plan.deliveries:
             rx = dl.intended_rx
-            own_gain = _delivery_gain(dl, rx, h_eq, beams)
-            cached = sum(
-                _delivery_gain(other, rx, h_eq, beams) * symbols[other.subfile]
-                for other in plan.deliveries
-                if other is not dl and rx in other.subfile.rx_set
-            )
-            leak = y_clean[rx - 1] - cached - own_gain * symbols[dl.subfile]
+            own_gain, cached = _own_and_cached(dl, plan, front.h_eq, front.beams, front.symbols)
+            leak = y_clean[rx - 1] - cached - own_gain * front.symbols[dl.subfile]
             for n, p in enumerate(powers):
                 alpha2 = p / peak**2
                 sinr = alpha2 * abs(own_gain) ** 2 / (1.0 + alpha2 * abs(leak) ** 2)

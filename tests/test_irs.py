@@ -14,11 +14,7 @@ from irs_cache_dof.combinatorics import find_subset_partition
 from irs_cache_dof.irs import NullSet, required_nulls, residuals, solve_irs
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.placement import split_library
-from irs_cache_dof.scheduler import (
-    schedule_theorem1,
-    schedule_theorem2_partition,
-    worst_case_demand,
-)
+from irs_cache_dof.scheduler import make_schedule, worst_case_demand
 
 EX = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1, q_elements=6)
 
@@ -28,7 +24,7 @@ def _nulls(links):
 
 
 def test_required_nulls_theorem1_count():
-    sched = schedule_theorem1(EX, worst_case_demand(EX))
+    sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     for plan in sched.blocks:
         nulls = required_nulls(plan)
         assert len(nulls) == 6  # L + L*L with L = 2
@@ -39,14 +35,14 @@ def test_required_nulls_theorem1_count():
 
 def test_required_nulls_theorem2_count():
     p = SystemParams(k_t=4, k_r=4, n_files=4, f_packets=1, mu_t=2, mu_r=1, q_elements=4)
-    sched = schedule_theorem2_partition(p, worst_case_demand(p), find_subset_partition(2, 2))
+    sched = make_schedule(p, worst_case_demand(p), p.k_r - p.mu_r - p.mu_t, find_subset_partition(2, 2))
     for plan in sched.blocks:
         assert len(required_nulls(plan)) == 2 * 1 * 2  # mu_t * L * (L+1), L = 1
 
 
 def test_required_nulls_empty_when_all_receivers_covered():
     p = SystemParams(k_t=4, k_r=2, n_files=2, f_packets=1, mu_t=1, mu_r=1)
-    sched = schedule_theorem1(p, worst_case_demand(p))
+    sched = make_schedule(p, worst_case_demand(p), p.k_r - p.mu_r - 1)
     assert all(len(required_nulls(b)) == 0 for b in sched.blocks)
 
 
@@ -138,7 +134,7 @@ def test_residual_grows_linearly_with_perturbation():
 def test_exactness_over_many_random_blocks():
     # square systems stay exact and non-null links keep their gains
     p = SystemParams(k_t=3, k_r=4, n_files=4, f_packets=1, mu_t=1, mu_r=1, q_elements=6)
-    sched = schedule_theorem1(p, worst_case_demand(p))
+    sched = make_schedule(p, worst_case_demand(p), p.k_r - p.mu_r - 1)
     plan = sched.blocks[0]
     nulls = required_nulls(plan)
     survivors = [
@@ -161,7 +157,7 @@ def test_solved_surface_realizes_target_topology():
     # block's intended topology matrix
     from irs_cache_dof.channel import network_indicator
 
-    sched = schedule_theorem1(EX, worst_case_demand(EX))
+    sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     for plan in sched.blocks[:3]:
         ch = sample_block_channels(EX, plan.block_index, seed=21)
         nulls = required_nulls(plan)

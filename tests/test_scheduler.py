@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from irs_cache_dof.combinatorics import enumerate_ordered_partitions, find_subset_partition
+from irs_cache_dof.combinatorics import SubsetPartitionSystem, enumerate_ordered_partitions, find_subset_partition
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.placement import split_library
 from irs_cache_dof.scheduler import (
@@ -14,10 +14,7 @@ from irs_cache_dof.scheduler import (
     SchedulingError,
     demanded_for_schedule,
     demanded_subfiles,
-    schedule_caseII,
-    schedule_theorem1,
-    schedule_theorem2_ordered,
-    schedule_theorem2_partition,
+    make_schedule,
     verify_schedule_partition,
     worst_case_demand,
 )
@@ -44,7 +41,7 @@ def test_demanded_subfiles_with_full_receiver_cache():
 
 
 def test_theorem1_worked_example_layout():
-    sched = schedule_theorem1(EX, worst_case_demand(EX))
+    sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     assert sched.regime == "T1-I"
     assert sched.h_blocks == 9
     assert all(len(b.deliveries) == 4 for b in sched.blocks)
@@ -58,7 +55,7 @@ def test_theorem1_worked_example_layout():
 
 def test_theorem1_cover_is_exact():
     uni = split_library(EX)
-    sched = schedule_theorem1(EX, worst_case_demand(EX))
+    sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     report = verify_schedule_partition(sched, demanded_for_schedule(uni, sched))
     assert report.ok
 
@@ -67,7 +64,7 @@ def test_theorem1_pascal_split_per_super_block():
     # within one super-block, each receiver j != 1 takes C(K_R-2, mu_r-1)
     # cache-covered deliveries and C(K_R-2, mu_r) surface-covered ones
     p = SystemParams(k_t=4, k_r=5, n_files=5, f_packets=1, mu_t=1, mu_r=2)
-    sched = schedule_theorem1(p, worst_case_demand(p))
+    sched = make_schedule(p, worst_case_demand(p), p.k_r - p.mu_r - 1)
     per_super = math.comb(p.k_r - 1, p.mu_r)
     for s in range(p.k_t):
         blocks = sched.blocks[s * per_super : (s + 1) * per_super]
@@ -92,12 +89,12 @@ def test_theorem1_pascal_split_per_super_block():
 def test_theorem1_requires_enough_transmitters():
     p = SystemParams(k_t=2, k_r=4, n_files=4, f_packets=1, mu_t=1, mu_r=1)
     with pytest.raises(SchedulingError):
-        schedule_theorem1(p, worst_case_demand(p))
+        make_schedule(p, worst_case_demand(p), p.k_r - p.mu_r - 1)
 
 
 def test_dropped_block_reported_missing():
     uni = split_library(EX)
-    sched = schedule_theorem1(EX, worst_case_demand(EX))
+    sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     truncated = sched.__class__(
         regime=sched.regime,
         tx_mode=sched.tx_mode,
@@ -118,7 +115,7 @@ def test_corrupted_delivery_reported_as_extra_and_missing():
     from dataclasses import replace
 
     uni = split_library(EX)
-    sched = schedule_theorem1(EX, worst_case_demand(EX))
+    sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     block = sched.blocks[0]
     bad_delivery = replace(
         block.deliveries[0],
@@ -133,7 +130,7 @@ def test_corrupted_delivery_reported_as_extra_and_missing():
 
 def test_duplicated_block_reported():
     uni = split_library(EX)
-    sched = schedule_theorem1(EX, worst_case_demand(EX))
+    sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     doubled = sched.__class__(
         regime=sched.regime,
         tx_mode=sched.tx_mode,
@@ -153,7 +150,7 @@ T2 = SystemParams(k_t=4, k_r=4, n_files=4, f_packets=1, mu_t=2, mu_r=1, q_elemen
 
 def test_theorem2_partition_block_structure():
     system = find_subset_partition(2, 2)
-    sched = schedule_theorem2_partition(T2, worst_case_demand(T2), system)
+    sched = make_schedule(T2, worst_case_demand(T2), T2.k_r - T2.mu_r - T2.mu_t, system)
     assert sched.regime == "T2-IA"
     assert sched.h_blocks == 6 * 3 * 2  # C(4,2) * C(3,1) * C(2,1)
     assert all(len(b.deliveries) == 4 for b in sched.blocks)
@@ -169,7 +166,7 @@ def test_theorem2_partition_block_structure():
 def test_theorem2_partition_cover_is_exact():
     uni = split_library(T2)
     system = find_subset_partition(2, 2)
-    sched = schedule_theorem2_partition(T2, worst_case_demand(T2), system)
+    sched = make_schedule(T2, worst_case_demand(T2), T2.k_r - T2.mu_r - T2.mu_t, system)
     assert verify_schedule_partition(sched, demanded_for_schedule(uni, sched)).ok
 
 
@@ -177,7 +174,7 @@ def test_theorem2_super_block_rotation_covers_windows():
     # across one hyper-block, each slot's serving subsets are exactly the
     # M subsets of one class, each hit once per (R, T) pair
     system = find_subset_partition(2, 2)
-    sched = schedule_theorem2_partition(T2, worst_case_demand(T2), system)
+    sched = make_schedule(T2, worst_case_demand(T2), T2.k_r - T2.mu_r - T2.mu_t, system)
     per_super = 3 * 2  # C(K_R-1, mu_r) * C(K_R-mu_r-1, mu_t-1)
     m = 2
     for hyper in range(3):  # C(M*mu_t - 1, mu_t - 1) hyper-blocks
@@ -191,7 +188,7 @@ def test_theorem2_super_block_rotation_covers_windows():
 def test_theorem2_serving_set_fresh_per_r_t_pair():
     # no serving group repeats under the same (R, T) pair across blocks
     system = find_subset_partition(2, 2)
-    sched = schedule_theorem2_partition(T2, worst_case_demand(T2), system)
+    sched = make_schedule(T2, worst_case_demand(T2), T2.k_r - T2.mu_r - T2.mu_t, system)
     seen = set()
     for b in sched.blocks:
         key = (b.cached_rxs, b.zf_rxs, b.deliveries[0].serving_txs)
@@ -202,7 +199,7 @@ def test_theorem2_serving_set_fresh_per_r_t_pair():
 def test_theorem2_zero_l_no_nulls():
     p = SystemParams(k_t=4, k_r=3, n_files=3, f_packets=1, mu_t=2, mu_r=1)
     system = find_subset_partition(2, 2)
-    sched = schedule_theorem2_partition(p, worst_case_demand(p), system)
+    sched = make_schedule(p, worst_case_demand(p), p.k_r - p.mu_r - p.mu_t, system)
     assert sched.l_size == 0
     assert all(len(b.null_links) == 0 for b in sched.blocks)
     assert all(len({d.serving_txs for d in b.deliveries}) == 1 for b in sched.blocks)
@@ -212,7 +209,7 @@ def test_theorem2_zero_l_no_nulls():
 
 def test_theorem2_ordered_block_counts():
     system = enumerate_ordered_partitions(2, 2)
-    sched = schedule_theorem2_ordered(T2, worst_case_demand(T2), system)
+    sched = make_schedule(T2, worst_case_demand(T2), T2.k_r - T2.mu_r - T2.mu_t, system)
     assert sched.regime == "T2-IB"
     assert sched.h_blocks == 6 * 3 * 2
     assert system.num_windows == 3  # (1/M!) * (M mu_t)!/(mu_t!)^M
@@ -223,7 +220,7 @@ def test_theorem2_ordered_block_counts():
 def test_caseII_theorem1_fraction():
     # K_T=3, K_R=4, mu_r=1, L=1: per-user share (L + mu_r + 1)/K_R = 3/4
     p = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1, q_elements=2)
-    sched = schedule_caseII(p, worst_case_demand(p), l_size=1, mode="thm1")
+    sched = make_schedule(p, worst_case_demand(p), l_size=1)
     assert sched.regime == "T1-II"
     assert sched.h_blocks == 3 * math.comb(4, 3) * math.comb(2, 1)
     active_per_rx = Counter()
@@ -241,7 +238,7 @@ def test_caseII_theorem1_fraction():
 def test_caseII_theorem2_fraction():
     p = SystemParams(k_t=4, k_r=5, n_files=5, f_packets=1, mu_t=2, mu_r=1, q_elements=4)
     system = find_subset_partition(2, 2)
-    sched = schedule_caseII(p, worst_case_demand(p), l_size=1, mode="thm2-partition", system=system)
+    sched = make_schedule(p, worst_case_demand(p), l_size=1, system=system)
     assert sched.regime == "T2-II"
     for b in sched.blocks:
         assert len(b.deliveries) == 4  # mu_r + mu_t + L
@@ -259,7 +256,7 @@ def test_caseII_zero_l_active_subsets():
     # L=0: active sets are all K_R subsets of size mu_r + 1; each receiver
     # active in K_R - 1 of them
     p = SystemParams(k_t=3, k_r=3, n_files=3, f_packets=1, mu_t=1, mu_r=1)
-    sched = schedule_caseII(p, worst_case_demand(p), l_size=0, mode="thm1")
+    sched = make_schedule(p, worst_case_demand(p), l_size=0)
     actives = {b.active_rxs for b in sched.blocks}
     assert len(actives) == math.comb(3, 2)
     for j in p.receivers:
@@ -268,16 +265,44 @@ def test_caseII_zero_l_active_subsets():
     assert verify_schedule_partition(sched, demanded_for_schedule(uni, sched)).ok
 
 
-def test_caseII_rejects_full_activity_parameters():
-    with pytest.raises(SchedulingError):
-        schedule_caseII(EX, worst_case_demand(EX), l_size=2, mode="thm1")
+def test_l_size_past_full_activity_gives_full_activity():
+    # the example's full-activity budget is L = K_R - mu_r - mu_t = 2; a
+    # larger budget has nothing left to rotate over
+    sched = make_schedule(EX, worst_case_demand(EX), l_size=5)
+    assert sched == make_schedule(EX, worst_case_demand(EX), l_size=2)
+    assert sched.regime == "T1-I" and sched.l_size == 2
+    assert all(b.active_rxs == (1, 2, 3, 4) for b in sched.blocks)
+
+
+NO_ZF_ROOM = SystemParams(k_t=4, k_r=3, n_files=3, f_packets=1, mu_t=2, mu_r=2)
+FEW_TX = SystemParams(k_t=2, k_r=4, n_files=4, f_packets=1, mu_t=1, mu_r=1)
+# class 3 repeats class 1, so (1, 4) and (2, 3) are never covered
+BROKEN_DESIGN = SubsetPartitionSystem(m=2, mu_t=2, classes=(((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 2), (3, 4))))
+
+
+@pytest.mark.parametrize(
+    "params, l_size, system, message",
+    [
+        (T2, 0, find_subset_partition(3, 2), "design is for"),
+        (T2, 0, None, "needs a transmitter design"),
+        (EX, 0, find_subset_partition(2, 2), "needs mu_t >= 2"),
+        (T2, 0, BROKEN_DESIGN, "invalid subset-partition system"),
+        (NO_ZF_ROOM, 0, enumerate_ordered_partitions(2, 2), "exceeds k_r"),
+        (EX, -1, None, "l_size must be nonnegative"),
+        (FEW_TX, 2, None, "3 disjoint serving groups needed"),
+    ],
+    ids=["design-shape", "no-design", "design-for-mu_t-1", "invalid-design", "mu-sum", "negative-l", "few-slots"],
+)
+def test_make_schedule_preconditions(params, l_size, system, message):
+    with pytest.raises(SchedulingError, match=message):
+        make_schedule(params, worst_case_demand(params), l_size, system)
 
 
 def test_repeated_demands_are_distinct_deliveries():
     p = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1)
     demand = DemandVector(d=(5, 5, 7, 7))
     uni = split_library(p)
-    sched = schedule_theorem1(p, demand)
+    sched = make_schedule(p, demand, p.k_r - p.mu_r - 1)
     assert verify_schedule_partition(sched, demanded_for_schedule(uni, sched)).ok
 
 
@@ -285,13 +310,13 @@ def test_serving_groups_cache_their_subfiles():
     # every delivery's serving group is exactly the set of transmitters
     # caching the subfile, in both transmitter-index modes
     cases = []
-    sched1 = schedule_theorem1(EX, worst_case_demand(EX))
+    sched1 = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     cases.append((split_library(EX), sched1))
     system = find_subset_partition(2, 2)
-    sched2 = schedule_theorem2_partition(T2, worst_case_demand(T2), system)
+    sched2 = make_schedule(T2, worst_case_demand(T2), T2.k_r - T2.mu_r - T2.mu_t, system)
     cases.append((split_library(T2), sched2))
     osys = enumerate_ordered_partitions(2, 2)
-    sched3 = schedule_theorem2_ordered(T2, worst_case_demand(T2), osys)
+    sched3 = make_schedule(T2, worst_case_demand(T2), T2.k_r - T2.mu_r - T2.mu_t, osys)
     cases.append((split_library(T2, mode="ordered"), sched3))
     for uni, sched in cases:
         for b in sched.blocks:
@@ -309,7 +334,7 @@ def test_exhaustive_cover_theorem1_desk_scale():
                     continue
                 p = SystemParams(k_t=k_t, k_r=k_r, n_files=k_r, f_packets=1, mu_t=1, mu_r=mu_r)
                 uni = split_library(p)
-                sched = schedule_theorem1(p, worst_case_demand(p))
+                sched = make_schedule(p, worst_case_demand(p), p.k_r - p.mu_r - 1)
                 report = verify_schedule_partition(sched, demanded_for_schedule(uni, sched))
                 assert report.ok, (k_t, k_r, mu_r, report.summary())
 
@@ -327,12 +352,12 @@ def test_exhaustive_cover_theorem2_desk_scale():
                         continue
                     p = SystemParams(k_t=k_t, k_r=k_r, n_files=k_r, f_packets=1, mu_t=mu_t, mu_r=mu_r)
                     system = find_subset_partition(m, mu_t)
-                    sched = schedule_theorem2_partition(p, worst_case_demand(p), system)
+                    sched = make_schedule(p, worst_case_demand(p), p.k_r - p.mu_r - p.mu_t, system)
                     uni = split_library(p)
                     ok = verify_schedule_partition(sched, demanded_for_schedule(uni, sched)).ok
                     assert ok, (mu_t, m, k_r, mu_r)
                     osys = enumerate_ordered_partitions(m, mu_t)
-                    osched = schedule_theorem2_ordered(p, worst_case_demand(p), osys)
+                    osched = make_schedule(p, worst_case_demand(p), p.k_r - p.mu_r - p.mu_t, osys)
                     ouni = split_library(p, mode="ordered")
                     ok = verify_schedule_partition(osched, demanded_for_schedule(ouni, osched)).ok
                     assert ok, ("ordered", mu_t, m, k_r, mu_r)

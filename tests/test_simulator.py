@@ -9,7 +9,7 @@ import pytest
 from irs_cache_dof.channel import equivalent_channel, sample_block_channels, zero_irs
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.placement import SubfileId
-from irs_cache_dof.scheduler import DemandVector, schedule_theorem1, worst_case_demand
+from irs_cache_dof.scheduler import DemandVector, make_schedule, worst_case_demand
 from irs_cache_dof.simulator import (
     ScheduleConsistencyError,
     SimOptions,
@@ -27,7 +27,7 @@ EX = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1, q_elem
 
 def test_single_delivery_transmit():
     p = SystemParams(k_t=4, k_r=2, n_files=2, f_packets=1, mu_t=1, mu_r=1)
-    sched = schedule_theorem1(p, worst_case_demand(p))
+    sched = make_schedule(p, worst_case_demand(p), p.k_r - p.mu_r - 1)
     plan = sched.blocks[0]
     beams = select_binary_beamformers(plan)
     symbols = {d.subfile: 1.0 + 0.0j for d in plan.deliveries}
@@ -41,7 +41,7 @@ def test_single_delivery_transmit():
 
 
 def test_all_zero_beamformers_give_silence():
-    sched = schedule_theorem1(EX, worst_case_demand(EX))
+    sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     plan = sched.blocks[0]
     beams = BeamformerSet(coefficients={})
     symbols = {d.subfile: 1.0 + 0.0j for d in plan.deliveries}
@@ -50,7 +50,7 @@ def test_all_zero_beamformers_give_silence():
 
 
 def test_transmit_rejects_uncached_subfile():
-    sched = schedule_theorem1(EX, worst_case_demand(EX))
+    sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     plan = sched.blocks[0]
     symbols = {d.subfile: 1.0 + 0.0j for d in plan.deliveries}
     rogue = BeamformerSet(coefficients={(plan.deliveries[0].subfile, 99): 1.0 + 0j})
@@ -59,7 +59,7 @@ def test_transmit_rejects_uncached_subfile():
 
 
 def test_transmit_lead_carries_linear_combination():
-    sched = schedule_theorem1(EX, worst_case_demand(EX))
+    sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     plan = sched.blocks[0]
     beams = select_binary_beamformers(plan)
     symbols = {d.subfile: complex(n + 1) for n, d in enumerate(plan.deliveries)}
@@ -97,7 +97,7 @@ def test_pure_cache_cancellation_needs_no_surface():
 
 
 def test_decode_residual_measures_interference():
-    sched = schedule_theorem1(EX, worst_case_demand(EX))
+    sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     plan = sched.blocks[0]
     ch = sample_block_channels(EX, plan.block_index, seed=3)
     h_eq = equivalent_channel(ch, zero_irs(6))  # surface off
@@ -204,7 +204,7 @@ def test_build_schedule_validates_regime():
 
 
 def test_block_determinism():
-    sched = schedule_theorem1(EX, worst_case_demand(EX))
+    sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     a = simulate_block(sched.blocks[0], EX, seed=77, options=SimOptions())
     b = simulate_block(sched.blocks[0], EX, seed=77, options=SimOptions())
     assert a == b

@@ -8,7 +8,7 @@ from irs_cache_dof.channel import SingularChannelError, sample_block_channels
 from irs_cache_dof.combinatorics import find_subset_partition
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.placement import SubfileId
-from irs_cache_dof.scheduler import schedule_theorem1, schedule_theorem2_partition, worst_case_demand
+from irs_cache_dof.scheduler import make_schedule, worst_case_demand
 from irs_cache_dof.zf import (
     beamformers_for_block,
     select_binary_beamformers,
@@ -25,7 +25,7 @@ def _random_h(k_r, k_t, seed):
 
 
 def test_binary_selection_on_worked_example_block():
-    sched = schedule_theorem1(EX, worst_case_demand(EX))
+    sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     beams = select_binary_beamformers(sched.blocks[0])
     assert len(beams.coefficients) == 4
     assert all(v == 1.0 for v in beams.coefficients.values())
@@ -38,7 +38,7 @@ def test_binary_selection_on_worked_example_block():
 
 def test_binary_selection_rejects_grouped_serving():
     p = SystemParams(k_t=4, k_r=4, n_files=4, f_packets=1, mu_t=2, mu_r=1)
-    sched = schedule_theorem2_partition(p, worst_case_demand(p), find_subset_partition(2, 2))
+    sched = make_schedule(p, worst_case_demand(p), p.k_r - p.mu_r - p.mu_t, find_subset_partition(2, 2))
     with pytest.raises(ValueError):
         select_binary_beamformers(sched.blocks[0])
 
@@ -169,7 +169,7 @@ def test_column_scaling_leaves_gains_and_nulls_invariant():
 
 def test_block_level_dispatch():
     p = SystemParams(k_t=4, k_r=4, n_files=4, f_packets=1, mu_t=2, mu_r=1, q_elements=4)
-    sched = schedule_theorem2_partition(p, worst_case_demand(p), find_subset_partition(2, 2))
+    sched = make_schedule(p, worst_case_demand(p), p.k_r - p.mu_r - p.mu_t, find_subset_partition(2, 2))
     plan = sched.blocks[0]
     h = _random_h(4, 4, 12)
     beams = beamformers_for_block(plan, h, p.mu_t)
