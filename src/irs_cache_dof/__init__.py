@@ -33,6 +33,7 @@ from .combinatorics import (
     verify_subset_partition,
 )
 from .irs import NullSet, required_nulls, residuals, solve_irs
+from .lowering import LoweredPlan, lower_plan
 from .params import ParameterError, SystemParams
 from .placement import (
     CacheAssignment,

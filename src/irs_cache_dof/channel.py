@@ -3,11 +3,13 @@ binary topology matrix derived from it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .params import SystemParams
+
+_SQRT2 = np.sqrt(2.0)
 
 #: zero-classification threshold, relative to the largest direct-channel entry
 DEFAULT_ZERO_TOL = 1e-9
@@ -15,7 +17,9 @@ DEFAULT_ZERO_TOL = 1e-9
 
 class SingularChannelError(RuntimeError):
     """A sampled channel produced a numerically singular solve (a
-    probability-zero event for continuous fading); resample and retry."""
+    probability-zero event for continuous fading). Nothing resamples: the
+    message names the seed and block, the episode aborts, and the command
+    line exits with code 3."""
 
 
 def block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
@@ -24,8 +28,15 @@ def block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
     Separate ``stream`` values isolate channel draws from symbol/noise draws
     so sampling one never perturbs the other. Streams are splittable: blocks
     can be generated concurrently with identical results.
+
+    The entropy is ``(seed, block, stream)``. When each fits in 32 bits it
+    goes in as one uint32 word apiece, which is how ``SeedSequence`` reads
+    such integers anyway, minus its per-integer conversion.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, block, stream)))
+    entropy = (seed, block, stream)
+    if 0 <= min(entropy) and max(entropy) <= 0xFFFFFFFF:
+        return np.random.default_rng(np.random.SeedSequence(np.array(entropy, dtype=np.uint32)))
+    return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
 
 @dataclass(frozen=True)
@@ -42,11 +53,11 @@ class ChannelRealization:
     irs_to_rx: np.ndarray
     block_index: int
     seed: int
+    #: largest direct-channel magnitude; reference for relative tolerances
+    scale: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def scale(self) -> float:
-        """Largest direct-channel magnitude; reference for relative tolerances."""
-        return float(np.abs(self.direct).max())
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scale", float(np.abs(self.direct).max()))
 
 
 @dataclass(frozen=True)
@@ -60,7 +71,7 @@ class IrsConfig:
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.q.view(float))):
+        if not np.isfinite(self.q).all():
             raise ValueError("IRS coefficients must be finite")
 
 
@@ -73,20 +84,18 @@ def sample_block_channels(params: SystemParams, block: int, seed: int) -> Channe
     coefficients for one block.
 
     Deterministic given ``(seed, block)``; different blocks use independent
-    streams (time-selective fading).
+    streams (time-selective fading). One draw fills the three legs in turn,
+    row-major, each entry taking consecutive (real, imaginary) normals.
     """
-    rng = block_rng(seed, block)
-
-    def cgauss(rows: int, cols: int) -> np.ndarray:
-        z = rng.standard_normal((rows, 2 * cols))
-        h = (z[:, ::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)
-        h.setflags(write=False)
-        return h
-
+    k_t, k_r, q = params.k_t, params.k_r, params.q_elements
+    n_direct, n_in = k_r * k_t, q * k_t
+    h = block_rng(seed, block).standard_normal(2 * (n_direct + n_in + k_r * q)).view(complex)
+    h /= _SQRT2
+    h.setflags(write=False)
     return ChannelRealization(
-        direct=cgauss(params.k_r, params.k_t),
-        tx_to_irs=cgauss(params.q_elements, params.k_t),
-        irs_to_rx=cgauss(params.k_r, params.q_elements),
+        direct=h[:n_direct].reshape(k_r, k_t),
+        tx_to_irs=h[n_direct : n_direct + n_in].reshape(q, k_t),
+        irs_to_rx=h[n_direct + n_in :].reshape(k_r, q),
         block_index=block,
         seed=seed,
     )
@@ -106,7 +115,7 @@ def equivalent_channel(ch: ChannelRealization, irs: IrsConfig) -> np.ndarray:
         )
     if q_count == 0:
         return ch.direct.copy()
-    return ch.direct + (ch.irs_to_rx * irs.q[np.newaxis, :]) @ ch.tx_to_irs
+    return ch.direct + (ch.irs_to_rx * irs.q) @ ch.tx_to_irs
 
 
 @dataclass(frozen=True)

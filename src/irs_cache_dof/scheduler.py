@@ -13,9 +13,11 @@ every demanded subfile appears exactly once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from .combinatorics import OrderedPartitionSystem, Subset, SubsetPartitionSystem, cyclic_shift, verify_subset_partition
 from .params import SystemParams
@@ -57,6 +59,9 @@ class BlockPlan:
     information and zero-forcing targets); ``idle_rxs`` are the active
     receivers outside them, each served by its own transmitter group.
     Receivers not in ``active_rxs`` are untouched this block.
+
+    ``lowering`` caches the plan's integer form; it stays ``None`` until
+    the first block stage asks :func:`lowering.lower_plan` for it.
     """
 
     block_index: int
@@ -66,12 +71,23 @@ class BlockPlan:
     cached_rxs: Subset
     zf_rxs: Subset
     idle_rxs: Subset
+    lowering: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def null_links(self) -> frozenset[tuple[int, int]]:
-        from .irs import required_nulls
+        """Cross-links the block's topology eliminates.
 
-        return required_nulls(self).links
+        Every serving group keeps its links only to the receivers it is
+        allowed to reach (its own receiver plus the cached and zero-forcing
+        groups); its links to the remaining active receivers are cut.
+        Transmitters not serving this block stay fully connected and
+        contribute no pairs.
+        """
+        links: set[tuple[int, int]] = set()
+        for serving, allowed in self.serving_groups():
+            for i in serving:
+                links.update((i, r) for r in self.active_rxs if r not in allowed)
+        return frozenset(links)
 
     def serving_groups(self) -> list[tuple[Subset, frozenset[int]]]:
         """Each distinct serving group with the receivers it may reach.

@@ -14,11 +14,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytics import STRICT_Q, max_feasible_L
-from .channel import block_rng, equivalent_channel, sample_block_channels, zero_irs
+from .channel import SingularChannelError, block_rng, equivalent_channel, sample_block_channels, zero_irs
 from .combinatorics import DEFAULT_SEARCH_BUDGET, enumerate_ordered_partitions, find_subset_partition
 from .irs import STATUS_INFEASIBLE, IrsSolveInfo, required_nulls, solve_irs
+from .lowering import LoweredPlan, lower_plan
 from .params import SystemParams
-from .placement import SubfileId
 from .scheduler import (
     BlockPlan,
     DemandVector,
@@ -39,7 +39,8 @@ IRS_DISABLED = "disabled"
 
 
 class ScheduleConsistencyError(RuntimeError):
-    """A transmit signal referenced a subfile the transmitter does not cache."""
+    """Transmit inputs do not fit the block: beamformers solved for other
+    deliveries or serving groups, or a symbol count that differs."""
 
 
 @dataclass(frozen=True)
@@ -57,54 +58,50 @@ class SimOptions:
     design_budget: int = DEFAULT_SEARCH_BUDGET
 
 
-def _symbols_for(plan: BlockPlan, seed: int) -> dict[SubfileId, complex]:
-    """One unit-power symbol per scheduled subfile, deterministic per block."""
+def _symbols_for(plan: BlockPlan, seed: int) -> np.ndarray:
+    """One unit-power symbol per delivery, in delivery order, deterministic
+    per block."""
     rng = block_rng(seed, plan.block_index, stream=1)
-    phases = rng.uniform(0.0, 2.0 * math.pi, len(plan.deliveries))
-    return {
-        dl.subfile: complex(np.exp(1j * phases[n]))
-        for n, dl in enumerate(plan.deliveries)
-    }
+    return np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, len(plan.deliveries)))
 
 
-def transmit_block(
-    plan: BlockPlan, beams: BeamformerSet, symbols: dict[SubfileId, complex], k_t: int
-) -> np.ndarray:
+def transmit_block(plan: BlockPlan, beams: BeamformerSet, symbols: np.ndarray, k_t: int) -> np.ndarray:
     """Per-transmitter signals: each transmitter sends the weighted sum of
     the scheduled symbols it carries; everyone else stays silent."""
-    serving_of = {dl.subfile: frozenset(dl.serving_txs) for dl in plan.deliveries}
-    for dl in plan.deliveries:
-        if dl.subfile not in symbols:
-            raise ScheduleConsistencyError(f"no symbol for scheduled subfile {dl.subfile}")
-    x = np.zeros(k_t, dtype=complex)
-    for (sub, tx), v in beams.coefficients.items():
-        group = serving_of.get(sub)
-        if group is None or tx not in group:
-            raise ScheduleConsistencyError(
-                f"transmitter {tx} asked to send subfile {sub} it does not cache"
-            )
-        x[tx - 1] += v * symbols[sub]
-    return x
-
-
-def _delivery_gain(dl, rx: int, h_eq: np.ndarray, beams: BeamformerSet) -> complex:
-    return sum(
-        h_eq[rx - 1, tx - 1] * beams.weight(dl.subfile, tx) for tx in dl.serving_txs
-    )
+    low = lower_plan(plan)
+    if beams.deliveries is not plan.deliveries and beams.deliveries != plan.deliveries:
+        raise ScheduleConsistencyError(
+            f"block {plan.block_index}: beamformers are for deliveries {beams.deliveries}, "
+            "not this block's serving groups"
+        )
+    shape = (len(low.rx), low.group)
+    if beams.weights.shape != shape or len(symbols) != len(low.rx):
+        raise ScheduleConsistencyError(
+            f"block {plan.block_index}: need {shape} weights and {shape[0]} symbols, "
+            f"got {beams.weights.shape} and {len(symbols)}"
+        )
+    x = [0j] * k_t
+    for serving, weights, symbol in zip(low.serving, beams.weights.tolist(), symbols.tolist()):
+        for tx, w in zip(serving, weights):
+            x[tx] += w * symbol
+    return np.array(x)
 
 
 def _own_and_cached(
-    own, plan: BlockPlan, h_eq: np.ndarray, beams: BeamformerSet, symbols: dict[SubfileId, complex]
+    own: int, low: LoweredPlan, h_row: list[complex], weights: list[list[complex]], symbols: list[complex]
 ) -> tuple[complex, complex]:
-    """The intended receiver's gain on its own delivery, and the summed
-    contributions of the scheduled subfiles it caches (which it subtracts)."""
-    rx = own.intended_rx
+    """The gain of delivery ``own`` at its receiver (whose row of the
+    equivalent channel is ``h_row``), and the summed contributions of the
+    scheduled subfiles that receiver caches (which it subtracts)."""
+    serving = low.serving
     cached_sum = 0.0 + 0.0j
-    for dl in plan.deliveries:
-        if dl is own or rx not in dl.subfile.rx_set:
-            continue
-        cached_sum += _delivery_gain(dl, rx, h_eq, beams) * symbols[dl.subfile]
-    return _delivery_gain(own, rx, h_eq, beams), cached_sum
+    for d in low.cached[own]:
+        cached_sum += _gain(h_row, serving[d], weights[d]) * symbols[d]
+    return _gain(h_row, serving[own], weights[own]), cached_sum
+
+
+def _gain(h_row: list[complex], serving: list[int], weights: list[complex]) -> complex:
+    return sum([h_row[tx] * w for tx, w in zip(serving, weights)])
 
 
 def receiver_decode(
@@ -113,21 +110,37 @@ def receiver_decode(
     plan: BlockPlan,
     h_eq: np.ndarray,
     beams: BeamformerSet,
-    symbols: dict[SubfileId, complex],
-) -> tuple[complex, float]:
+    symbols: np.ndarray,
+) -> tuple[complex, float] | list[tuple[complex, float]]:
     """Cache-subtract and normalize to estimate the intended symbol.
 
     The receiver knows channels, coefficients, and every cached scheduled
     subfile (those whose caching receivers include it), so it subtracts
     their exact contributions, divides by its own aggregate gain, and is
-    left with its symbol plus whatever interference survived.
+    left with its symbol plus whatever interference survived. Returns the
+    estimate and its distance from the sent symbol.
+
+    ``y`` and ``rx`` may also be equal-length sequences, one entry per
+    decoding receiver; the result is then a list of (estimate, residual)
+    pairs, each equal to its scalar call's.
     """
-    own = next(dl for dl in plan.deliveries if dl.intended_rx == rx)
-    own_gain, cached_sum = _own_and_cached(own, plan, h_eq, beams, symbols)
+    low = lower_plan(plan)
+    weights, syms = beams.weights.tolist(), symbols.tolist()
+    if isinstance(rx, (int, np.integer)):
+        return _decode(y, rx, low, h_eq[rx - 1].tolist(), weights, syms)
+    h_rows = h_eq.tolist()
+    return [_decode(y_n, rx_n, low, h_rows[rx_n - 1], weights, syms) for y_n, rx_n in zip(y, rx)]
+
+
+def _decode(
+    y: complex, rx: int, low: LoweredPlan, h_row: list[complex], weights: list[list[complex]], symbols: list[complex]
+) -> tuple[complex, float]:
+    own = low.rx.index(rx - 1)
+    own_gain, cached_sum = _own_and_cached(own, low, h_row, weights, symbols)
     if abs(own_gain) < 1e-300:
         return complex("nan"), float("inf")
     estimate = (y - cached_sum) / own_gain
-    return estimate, abs(estimate - symbols[own.subfile])
+    return estimate, float(abs(estimate - symbols[own]))
 
 
 @dataclass(frozen=True)
@@ -201,7 +214,7 @@ class _BlockFront(NamedTuple):
     irs: IrsSolveInfo
     h_eq: np.ndarray
     beams: BeamformerSet
-    symbols: dict[SubfileId, complex]
+    symbols: np.ndarray
     x: np.ndarray
 
 
@@ -217,7 +230,10 @@ def _block_front(plan: BlockPlan, params: SystemParams, seed: int, options: SimO
     else:
         irs_cfg, info = solve_irs(ch, nulls)
     h_eq = equivalent_channel(ch, irs_cfg)
-    beams = beamformers_for_block(plan, h_eq, params.mu_t)
+    try:
+        beams = beamformers_for_block(plan, h_eq, params.mu_t)
+    except SingularChannelError as exc:
+        raise SingularChannelError(f"seed {seed}, {exc}") from exc
     symbols = _symbols_for(plan, seed)
     x = transmit_block(plan, beams, symbols, params.k_t)
     return _BlockFront(ch.scale, len(nulls), info, h_eq, beams, symbols, x)
@@ -228,19 +244,16 @@ def simulate_block(
 ) -> BlockRecord:
     """Run one block end to end and measure every intended residual."""
     front = _block_front(plan, params, seed, options)
-    h_eq, beams, symbols = front.h_eq, front.beams, front.symbols
-    y = h_eq @ front.x
+    y = front.h_eq @ front.x
     if options.noise_variance > 0.0:
         rng = block_rng(seed, plan.block_index, stream=2)
         noise = rng.standard_normal(params.k_r) + 1j * rng.standard_normal(params.k_r)
         y = y + noise * math.sqrt(options.noise_variance / 2.0)
-    errors = []
-    delivered = 0
-    for dl in plan.deliveries:
-        _, residual = receiver_decode(y[dl.intended_rx - 1], dl.intended_rx, plan, h_eq, beams, symbols)
-        errors.append((dl.intended_rx, residual))
-        if residual < options.success_threshold:
-            delivered += 1
+    rx_index = lower_plan(plan).rx
+    rxs = [rx + 1 for rx in rx_index]
+    decoded = receiver_decode(y[rx_index], rxs, plan, front.h_eq, front.beams, front.symbols)
+    errors = [(rx, residual) for rx, (_, residual) in zip(rxs, decoded)]
+    delivered = sum(residual < options.success_threshold for _, residual in errors)
     return BlockRecord(
         block_index=plan.block_index,
         n_nulls=front.n_nulls,
@@ -332,15 +345,16 @@ def estimate_dof_slope(
         peak = float(np.abs(front.x).max())
         if peak == 0.0:
             continue
-        y_clean = front.h_eq @ front.x
-        for dl in plan.deliveries:
-            rx = dl.intended_rx
-            own_gain, cached = _own_and_cached(dl, plan, front.h_eq, front.beams, front.symbols)
-            leak = y_clean[rx - 1] - cached - own_gain * front.symbols[dl.subfile]
+        low = lower_plan(plan)
+        h_eq, weights, symbols = front.h_eq.tolist(), front.beams.weights.tolist(), front.symbols.tolist()
+        y_clean = (front.h_eq @ front.x).tolist()
+        for own, rx in enumerate(low.rx):
+            own_gain, cached = _own_and_cached(own, low, h_eq[rx], weights, symbols)
+            leak = y_clean[rx] - cached - own_gain * symbols[own]
             for n, p in enumerate(powers):
                 alpha2 = p / peak**2
                 sinr = alpha2 * abs(own_gain) ** 2 / (1.0 + alpha2 * abs(leak) ** 2)
-                rates[n, rx - 1] += math.log2(1.0 + sinr) / h
+                rates[n, rx] += math.log2(1.0 + sinr) / h
     logp = np.log2(np.asarray(powers, dtype=float))
     slopes = tuple(float(np.polyfit(logp, rates[:, j], 1)[0]) for j in range(params.k_r))
     return SlopeEstimate(per_receiver=slopes, mean=float(np.mean(slopes)), powers=tuple(powers))

@@ -17,43 +17,56 @@ import numpy as np
 
 from .channel import SingularChannelError
 from .combinatorics import Subset
+from .lowering import JointLayout, joint_zf_layout, lower_plan
 from .placement import SubfileId
-from .scheduler import BlockPlan
+from .scheduler import BlockPlan, Delivery
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BeamformerSet:
-    """Complex coefficient per (subfile, transmitter); transmitters absent
-    from a subfile's serving group send nothing of it (coefficient zero,
-    left implicit)."""
+    """Complex coefficients, one row per delivery of ``deliveries`` and one
+    column per transmitter of its serving group (in group order);
+    transmitters outside a delivery's group send nothing of it."""
 
-    coefficients: dict[tuple[SubfileId, int], complex]
+    deliveries: tuple[Delivery, ...]
+    weights: np.ndarray
 
     def weight(self, subfile: SubfileId, tx: int) -> complex:
-        return self.coefficients.get((subfile, tx), 0.0 + 0.0j)
+        for dl, row in zip(self.deliveries, self.weights):
+            if dl.subfile == subfile and tx in dl.serving_txs:
+                return complex(row[dl.serving_txs.index(tx)])
+        return 0.0 + 0.0j
 
 
 def select_binary_beamformers(plan: BlockPlan) -> BeamformerSet:
     """Unit coefficient for every scheduled (subfile, serving transmitter);
     a transmitter serving several subfiles sends their sum."""
-    coeffs: dict[tuple[SubfileId, int], complex] = {}
-    for dl in plan.deliveries:
-        if len(dl.serving_txs) != 1:
-            raise ValueError("binary selection applies to single-transmitter serving groups")
-        coeffs[(dl.subfile, dl.serving_txs[0])] = 1.0 + 0.0j
-    return BeamformerSet(coefficients=coeffs)
+    low = lower_plan(plan)
+    if low.group != 1:
+        raise ValueError("binary selection applies to single-transmitter serving groups")
+    return BeamformerSet(plan.deliveries, np.ones((len(low.rx), 1), dtype=complex))
 
 
 def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     # backward-stable LAPACK happily "solves" singular systems with huge
-    # garbage, so check the constraints actually hold (they are O(1)-scaled)
+    # garbage, so check the constraints actually hold (they are O(1)-scaled);
+    # a non-finite solution fails the comparison too
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
-        raise SingularChannelError(f"{what} system is singular; resample the block") from exc
-    if not np.all(np.isfinite(x)) or np.abs(a @ x - b).max() > 1e-8:
-        raise SingularChannelError(f"{what} system is singular; resample the block")
+        raise SingularChannelError(f"{what} system is singular; the episode aborts") from exc
+    if not np.abs(a @ x - b).max() <= 1e-8:
+        raise SingularChannelError(f"{what} system is singular; the episode aborts")
     return x
+
+
+def _solve_joint(h_eq: np.ndarray, h_rx, h_tx, layout: JointLayout, what: str) -> np.ndarray:
+    """Fill the joint system by one scatter of the ``h_eq`` entries
+    ``(h_rx, h_tx)`` onto ``layout.pos`` and solve it; one weight per
+    (slot, serving transmitter), slot-major."""
+    a = np.zeros(layout.dim**2, dtype=complex)
+    a[layout.pos] = h_eq[h_rx, h_tx]
+    return _solve(a.reshape(layout.dim, layout.dim), layout.rhs, what)
 
 
 def solve_single_subfile_zf(
@@ -70,8 +83,8 @@ def solve_single_subfile_zf(
         raise ValueError(f"need {mu_t - 1} zero-forcing targets, got {len(zf_targets)}")
     if intended in zf_targets:
         raise ValueError("intended receiver cannot be a zero-forcing target")
-    rows = (intended, *sorted(zf_targets))
-    a = np.array([[h_eq[r - 1, t - 1] for t in serving] for r in rows])
+    rows = np.array((intended, *sorted(zf_targets))) - 1
+    a = h_eq[np.ix_(rows, np.array(serving) - 1)]
     b = np.zeros(mu_t, dtype=complex)
     b[0] = 1.0
     return _solve(a, b, "zero-forcing")
@@ -89,80 +102,38 @@ def solve_joint_block_zf(
     ``receivers`` lists the lead first, then the ``mu_r`` receivers whose
     caches cover the other lead-family subfiles, then the ``mu_t - 1``
     zero-forcing targets; ``subfiles[s]`` is what ``receivers[s]`` decodes.
-    The constraints are: unit gain at every receiver for its own subfile;
-    zero gain at the lead and at each target for every subfile the
-    receiver's cache does not cover. Cache-covered cross terms stay
-    unconstrained (the receiver subtracts them).
+    The constraints (see ``joint_zf_rows``) are: unit gain at every
+    receiver for its own subfile; zero gain at the lead and at each target
+    for every subfile the receiver's cache does not cover. Cache-covered
+    cross terms stay unconstrained (the receiver subtracts them).
     """
-    mu_t = len(serving)
-    n_slots = len(receivers)
-    mu_r = n_slots - mu_t
-    if mu_r < 0:
-        raise ValueError("receiver list shorter than the serving group")
-    if len(subfiles) != n_slots:
+    if len(subfiles) != len(receivers):
         raise ValueError("need one subfile per receiver slot")
-
-    dim = n_slots * mu_t
-    a = np.zeros((dim, dim), dtype=complex)
-    b = np.zeros(dim, dtype=complex)
-
-    def gain_row(row: int, rx: int, slot: int) -> None:
-        for p, tx in enumerate(serving):
-            a[row, slot * mu_t + p] = h_eq[rx - 1, tx - 1]
-
-    row = 0
-    # lead receiver: decode slot 0; cut the zero-forcing-family slots
-    gain_row(row, receivers[0], 0)
-    b[row] = 1.0
-    row += 1
-    for slot in range(mu_r + 1, n_slots):
-        gain_row(row, receivers[0], slot)
-        row += 1
-    # cache-covered receivers: decode their own slot, everything else cached
-    for slot in range(1, mu_r + 1):
-        gain_row(row, receivers[slot], slot)
-        b[row] = 1.0
-        row += 1
-    # zero-forcing targets: decode their own slot, cut every uncovered one
-    for slot in range(mu_r + 1, n_slots):
-        rx = receivers[slot]
-        gain_row(row, rx, slot)
-        b[row] = 1.0
-        row += 1
-        for other in range(0, mu_r + 1):
-            gain_row(row, rx, other)
-            row += 1
-        for other in range(mu_r + 1, n_slots):
-            if other != slot:
-                gain_row(row, rx, other)
-                row += 1
-    assert row == dim
-
-    x = _solve(a, b, "joint zero-forcing")
-    coeffs: dict[tuple[SubfileId, int], complex] = {}
-    for slot in range(n_slots):
-        for p, tx in enumerate(serving):
-            coeffs[(subfiles[slot], tx)] = complex(x[slot * mu_t + p])
-    return BeamformerSet(coefficients=coeffs)
+    layout = joint_zf_layout(len(receivers), len(serving))
+    h_rx = [receivers[s] - 1 for s in layout.rx_slot]
+    x = _solve_joint(h_eq, h_rx, [tx - 1 for tx in serving] * layout.dim, layout, "joint zero-forcing")
+    deliveries = tuple(Delivery(sub, rx, tuple(serving)) for sub, rx in zip(subfiles, receivers))
+    return BeamformerSet(deliveries, x.reshape(len(receivers), len(serving)))
 
 
 def beamformers_for_block(plan: BlockPlan, h_eq: np.ndarray, mu_t: int) -> BeamformerSet:
     """Coefficients for every delivery of a block: binary selection when
     serving groups are single transmitters, otherwise a joint solve for the
-    lead group plus one small solve per idle-receiver group."""
+    lead group plus one batched solve over the idle-receiver groups, each
+    of which reaches its own receiver and nulls the zero-forcing ones."""
     if mu_t == 1:
         return select_binary_beamformers(plan)
-    group_size = 1 + len(plan.cached_rxs) + len(plan.zf_rxs)
-    lead_deliveries = plan.deliveries[:group_size]
-    joint = solve_joint_block_zf(
-        h_eq,
-        lead_deliveries[0].serving_txs,
-        [dl.intended_rx for dl in lead_deliveries],
-        [dl.subfile for dl in lead_deliveries],
-    )
-    coeffs = dict(joint.coefficients)
-    for dl in plan.deliveries[group_size:]:
-        v = solve_single_subfile_zf(h_eq, dl.serving_txs, dl.intended_rx, plan.zf_rxs)
-        for p, tx in enumerate(dl.serving_txs):
-            coeffs[(dl.subfile, tx)] = complex(v[p])
-    return BeamformerSet(coefficients=coeffs)
+    low = lower_plan(plan)
+    try:
+        layout = joint_zf_layout(low.n_joint, low.group)
+        x = _solve_joint(h_eq, low.joint_rx, low.joint_tx, layout, "joint zero-forcing")
+        weights = x.reshape(low.n_joint, low.group)
+        n_idle = len(low.rx) - low.n_joint
+        if n_idle:
+            a = h_eq[low.idle_rx, low.idle_tx].reshape(n_idle, low.group, low.group)
+            b = np.zeros((n_idle, low.group, 1), dtype=complex)
+            b[:, 0] = 1.0
+            weights = np.concatenate((weights, _solve(a, b, "idle-group zero-forcing")[..., 0]))
+    except SingularChannelError as exc:
+        raise SingularChannelError(f"block {plan.block_index}: {exc}") from exc
+    return BeamformerSet(plan.deliveries, weights)

@@ -1,5 +1,7 @@
 """Null-link derivation and surface coefficient solves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,15 @@ def test_solved_surface_realizes_target_topology():
             for j in EX.receivers:
                 expected = 0 if (i, j) in nulls.links else 1
                 assert nm.n[i - 1, j - 1] == expected, (i, j)
+
+
+def test_singular_surface_solve_names_seed_and_block():
+    # a transmitter whose surface leg is zero cannot have its links cut
+    sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
+    plan = sched.blocks[4]
+    nulls = required_nulls(plan)
+    ch = sample_block_channels(EX, plan.block_index, seed=13)
+    dead = ch.tx_to_irs.copy()
+    dead[:, min(i for i, _ in nulls.links) - 1] = 0.0
+    with pytest.raises(SingularChannelError, match=rf"^seed 13, block {plan.block_index}: .*; the episode aborts$"):
+        solve_irs(dataclasses.replace(ch, tx_to_irs=dead), nulls)

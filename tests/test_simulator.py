@@ -1,6 +1,7 @@
 """End-to-end block simulation, episode aggregation, and the rate-slope
 estimator."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,7 @@ def test_single_delivery_transmit():
     sched = make_schedule(p, worst_case_demand(p), p.k_r - p.mu_r - 1)
     plan = sched.blocks[0]
     beams = select_binary_beamformers(plan)
-    symbols = {d.subfile: 1.0 + 0.0j for d in plan.deliveries}
+    symbols = np.ones(len(plan.deliveries), dtype=complex)
     x = transmit_block(plan, beams, symbols, p.k_t)
     serving = {d.serving_txs[0] for d in plan.deliveries}
     for tx in p.transmitters:
@@ -43,8 +44,8 @@ def test_single_delivery_transmit():
 def test_all_zero_beamformers_give_silence():
     sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     plan = sched.blocks[0]
-    beams = BeamformerSet(coefficients={})
-    symbols = {d.subfile: 1.0 + 0.0j for d in plan.deliveries}
+    beams = BeamformerSet(plan.deliveries, np.zeros((len(plan.deliveries), 1), dtype=complex))
+    symbols = np.ones(len(plan.deliveries), dtype=complex)
     x = transmit_block(plan, beams, symbols, EX.k_t)
     assert np.all(x == 0)
 
@@ -52,8 +53,9 @@ def test_all_zero_beamformers_give_silence():
 def test_transmit_rejects_uncached_subfile():
     sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     plan = sched.blocks[0]
-    symbols = {d.subfile: 1.0 + 0.0j for d in plan.deliveries}
-    rogue = BeamformerSet(coefficients={(plan.deliveries[0].subfile, 99): 1.0 + 0j})
+    symbols = np.ones(len(plan.deliveries), dtype=complex)
+    rogue_deliveries = (replace(plan.deliveries[0], serving_txs=(99,)), *plan.deliveries[1:])
+    rogue = BeamformerSet(rogue_deliveries, np.ones((len(plan.deliveries), 1), dtype=complex))
     with pytest.raises(ScheduleConsistencyError):
         transmit_block(plan, rogue, symbols, EX.k_t)
 
@@ -62,11 +64,11 @@ def test_transmit_lead_carries_linear_combination():
     sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     plan = sched.blocks[0]
     beams = select_binary_beamformers(plan)
-    symbols = {d.subfile: complex(n + 1) for n, d in enumerate(plan.deliveries)}
+    symbols = np.arange(1, len(plan.deliveries) + 1, dtype=complex)
     x = transmit_block(plan, beams, symbols, EX.k_t)
     lead_tx = plan.deliveries[0].serving_txs[0]
     expected = sum(
-        symbols[d.subfile] for d in plan.deliveries if d.serving_txs[0] == lead_tx
+        symbols[n] for n, d in enumerate(plan.deliveries) if d.serving_txs[0] == lead_tx
     )
     assert x[lead_tx - 1] == pytest.approx(expected)
 
@@ -102,7 +104,7 @@ def test_decode_residual_measures_interference():
     ch = sample_block_channels(EX, plan.block_index, seed=3)
     h_eq = equivalent_channel(ch, zero_irs(6))  # surface off
     beams = select_binary_beamformers(plan)
-    symbols = {d.subfile: 1.0 + 0.0j for d in plan.deliveries}
+    symbols = np.ones(len(plan.deliveries), dtype=complex)
     x = transmit_block(plan, beams, symbols, EX.k_t)
     y = h_eq @ x
     # receiver 1 keeps interference from the two idle-receiver transmitters
@@ -270,3 +272,16 @@ def test_simulation_agrees_with_closed_form():
         ep = run_episode(params, regime, seed=13, options=SimOptions(strictness=SUFFICIENT_Q))
         closed = dof_theorem1(params, l_size) if params.mu_t == 1 else dof_theorem2(params, l_size)
         assert ep.sum_dof == closed.sum_dof, (regime, params)
+
+
+def test_singular_block_names_seed_and_block(monkeypatch):
+    from irs_cache_dof import simulator
+    from irs_cache_dof.channel import SingularChannelError
+
+    p = SystemParams(k_t=4, k_r=4, n_files=4, f_packets=1, mu_t=2, mu_r=1, q_elements=4)
+    options = SimOptions(strictness="sufficient")
+    plan = build_schedule(p, "thm2-partition", options).blocks[2]
+    monkeypatch.setattr(simulator, "equivalent_channel", lambda ch, irs: np.zeros((p.k_r, p.k_t), dtype=complex))
+    message = rf"^seed 5, block {plan.block_index}: joint zero-forcing system is singular; the episode aborts$"
+    with pytest.raises(SingularChannelError, match=message):
+        simulate_block(plan, p, 5, options)

@@ -27,12 +27,13 @@ def _random_h(k_r, k_t, seed):
 def test_binary_selection_on_worked_example_block():
     sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     beams = select_binary_beamformers(sched.blocks[0])
-    assert len(beams.coefficients) == 4
-    assert all(v == 1.0 for v in beams.coefficients.values())
+    assert beams.weights.size == 4
+    assert all(v == 1.0 for v in beams.weights.ravel())
     # the lead transmitter carries a linear combination of two subfiles
     per_tx = {}
-    for (sub, tx), _ in beams.coefficients.items():
-        per_tx.setdefault(tx, []).append(sub)
+    for d in beams.deliveries:
+        for tx in d.serving_txs:
+            per_tx.setdefault(tx, []).append(d.subfile)
     assert sorted(len(v) for v in per_tx.values()) == [1, 1, 2]
 
 
@@ -88,7 +89,7 @@ def test_joint_solve_mu2_mur1_residuals():
     receivers = [1, 2, 3]
     subfiles = _slot_subfiles(3, serving)
     beams = solve_joint_block_zf(h, serving, receivers, subfiles)
-    assert len(beams.coefficients) == 6  # mu_t * (mu_r + mu_t) unknowns
+    assert beams.weights.size == 6  # mu_t * (mu_r + mu_t) unknowns
 
     def agg(rx, slot):
         return sum(h[rx - 1, t - 1] * beams.weight(subfiles[slot], t) for t in serving)
@@ -135,7 +136,7 @@ def test_system_sizes_match_group_dimensions():
         serving = tuple(range(1, mu_t + 1))
         receivers = list(range(1, n + 1))
         beams = solve_joint_block_zf(h, serving, receivers, _slot_subfiles(n, serving))
-        assert len(beams.coefficients) == mu_t * n
+        assert beams.weights.size == mu_t * n
 
 
 def test_solvability_rate_over_random_channels():
@@ -174,11 +175,21 @@ def test_block_level_dispatch():
     h = _random_h(4, 4, 12)
     beams = beamformers_for_block(plan, h, p.mu_t)
     # every delivery has coefficients on its serving group only
+    assert beams.deliveries == plan.deliveries
+    assert beams.weights.shape == (len(plan.deliveries), p.mu_t)
     for d in plan.deliveries:
         for tx in d.serving_txs:
-            assert (d.subfile, tx) in beams.coefficients
-    keys = set(beams.coefficients)
+            assert beams.weight(d.subfile, tx) != 0
     for d in plan.deliveries:
         for tx in p.transmitters:
             if tx not in d.serving_txs:
-                assert (d.subfile, tx) not in keys
+                assert beams.weight(d.subfile, tx) == 0
+
+
+def test_singular_zero_forcing_names_block():
+    p = SystemParams(k_t=4, k_r=4, n_files=4, f_packets=1, mu_t=2, mu_r=1, q_elements=4)
+    sched = make_schedule(p, worst_case_demand(p), p.k_r - p.mu_r - p.mu_t, find_subset_partition(2, 2))
+    plan = sched.blocks[1]
+    message = rf"^block {plan.block_index}: joint zero-forcing system is singular; the episode aborts$"
+    with pytest.raises(SingularChannelError, match=message):
+        beamformers_for_block(plan, np.zeros((4, 4), dtype=complex), p.mu_t)
