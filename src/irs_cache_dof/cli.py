@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Four subcommands: ``partition-find`` searches and verifies a parallel-class
-design, ``schedule-verify`` builds placement plus schedule and checks the
-exact-cover and cache-budget properties, ``simulate`` runs a full seeded
-episode, and ``dof-sweep`` writes the closed-form rate curves as CSV.
+Four subcommands: ``partition-find`` constructs and verifies a
+parallel-class design, ``schedule-verify`` builds placement plus schedule
+and checks the exact-cover and cache-budget properties, ``simulate`` runs a
+full seeded episode, and ``dof-sweep`` writes the closed-form rate curves as
+CSV.
 
-Exit codes: 0 pass, 2 verification failure, 3 solver/design infeasibility,
+Exit codes: 0 pass, 2 verification failure, 3 solver infeasibility,
 4 configuration error.
 """
 
@@ -28,7 +29,7 @@ from .analytics import (
     write_sweep_csv,
 )
 from .channel import SingularChannelError
-from .combinatorics import DEFAULT_SEARCH_BUDGET, find_subset_partition, verify_subset_partition
+from .combinatorics import find_subset_partition, verify_subset_partition
 from .params import ParameterError, SystemParams
 from .placement import assignment_to_jsonable, place_caches, split_library, verify_cache_budgets
 from .scheduler import SchedulingError, demanded_for_schedule, schedule_to_jsonable, verify_schedule_partition
@@ -63,7 +64,6 @@ class RunConfig:
     out: str | None = None
     block_csv: str | None = None
     noise_variance: float = 0.0
-    success_threshold: float = 1e-8
     l_size: int | None = None
     disable_irs: bool = False
     preset: str | None = None
@@ -71,7 +71,6 @@ class RunConfig:
     axis_values: list[int] | None = None
     design_m: int | None = None
     design_mu_t: int | None = None
-    budget: int = DEFAULT_SEARCH_BUDGET
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,13 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu-r", type=int, dest="mu_r")
         p.add_argument("--q-elements", type=int, dest="q_elements")
         p.add_argument("--regime", choices=REGIMES, default=None)
-        p.add_argument("--l-size", type=int, default=None, help="override the element-derived null budget")
+        p.add_argument("--l-size", type=int, default=None, help="override the element-derived null count L")
 
-    p_find = sub.add_parser("partition-find", help="search for a parallel-class transmitter design")
+    p_find = sub.add_parser("partition-find", help="construct a parallel-class transmitter design")
     add_common(p_find)
     p_find.add_argument("--m", type=int, default=None, help="number of groups")
     p_find.add_argument("--design-mu-t", type=int, default=None, help="group size")
-    p_find.add_argument("--budget", type=int, default=None, help="search node budget")
 
     p_ver = sub.add_parser("schedule-verify", help="build placement+schedule and verify cover and budgets")
     add_common(p_ver)
@@ -142,10 +140,14 @@ def _load_config_file(path: str) -> dict:
 
 
 def _merged(args: argparse.Namespace) -> dict:
-    """Config-file values overridden by any flag the user actually set."""
+    """Config-file values overridden by any flag the user actually set. A
+    config key must be the destination of one of the subcommand's flags."""
     merged: dict = {}
     if getattr(args, "config", None):
         merged.update(_load_config_file(args.config))
+        unknown = sorted(set(merged) - set(vars(args)) - {"command", "config"})
+        if unknown:
+            raise ParameterError(f"config file {args.config} has unknown keys: {', '.join(unknown)}")
     for key, value in vars(args).items():
         if key in ("config", "command") or value is None:
             continue
@@ -166,13 +168,11 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     cfg.out = merged.get("out")
     cfg.block_csv = merged.get("block_csv")
     cfg.noise_variance = float(merged.get("noise_variance", 0.0))
-    cfg.success_threshold = float(merged.get("success_threshold", 1e-8))
     cfg.l_size = merged.get("l_size")
     cfg.disable_irs = bool(merged.get("disable_irs", False))
     regime_given = "regime" in merged
     cfg.regime = merged.get("regime", REGIME_THM1)
     cfg.preset = merged.get("preset")
-    cfg.budget = int(merged.get("budget", DEFAULT_SEARCH_BUDGET))
 
     preset = dict(PRESETS[cfg.preset]) if cfg.preset else {}
     for key in PARAM_KEYS:
@@ -180,10 +180,9 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
             preset[key] = merged[key]
 
     if args.command == "partition-find":
-        cfg.design_m = merged.get("m")
-        cfg.design_mu_t = merged.get("design_mu_t", merged.get("mu_t"))
-        if cfg.design_m is None or cfg.design_mu_t is None:
+        if "m" not in merged or "design_mu_t" not in merged:
             raise ParameterError("partition-find needs --m and --design-mu-t")
+        cfg.design_m, cfg.design_mu_t = int(merged["m"]), int(merged["design_mu_t"])
         return cfg
 
     if args.command == "dof-sweep":
@@ -237,13 +236,10 @@ def _write_json(payload: dict, out: str | None) -> None:
 
 
 def _cmd_partition_find(cfg: RunConfig) -> int:
-    system = find_subset_partition(cfg.design_m, cfg.design_mu_t, cfg.budget)
-    if system is None:
-        _write_json(
-            {"m": cfg.design_m, "mu_t": cfg.design_mu_t, "found": False, "budget": cfg.budget},
-            cfg.out,
-        )
-        return EXIT_INFEASIBLE
+    try:
+        system = find_subset_partition(cfg.design_m, cfg.design_mu_t)
+    except ValueError as exc:  # m or mu_t out of range
+        raise ParameterError(str(exc)) from None
     check = verify_subset_partition(system)
     payload = {
         "m": system.m,
@@ -281,7 +277,6 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     options = SimOptions(
         noise_variance=cfg.noise_variance,
         strictness=cfg.strictness,
-        success_threshold=cfg.success_threshold,
         disable_irs=cfg.disable_irs,
         l_size=cfg.l_size,
     )

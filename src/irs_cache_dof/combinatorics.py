@@ -2,12 +2,13 @@
 
 Everything here is exact and deterministic: subsets are sorted integer
 tuples over a 1-based ground set, systems enumerate in lexicographic order,
-and searches explore candidates in a fixed order under an explicit budget.
+and parallel-class designs are built by construction, never searched for.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -16,9 +17,6 @@ Subset = tuple[int, ...]
 #: ground sets larger than this are refused by the full ordered-partition
 #: enumeration (their count grows like (m*mu_t)!).
 ORDERED_ENUMERATION_GUARD = 10
-
-#: default node budget for the backtracking design search.
-DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
 def cyclic_shift(i: int, j: int, m: int) -> int:
@@ -136,16 +134,74 @@ def _round_robin_classes(m: int) -> list[tuple[Subset, ...]]:
     return classes
 
 
-def find_subset_partition(
-    m: int, mu_t: int, budget: int = DEFAULT_SEARCH_BUDGET
-) -> SubsetPartitionSystem | None:
-    """Search for a parallel-class decomposition of the ``mu_t``-subsets of
-    ``{1, ..., m*mu_t}``.
+def _baranyai_classes(m: int, mu_t: int) -> list[tuple[Subset, ...]]:
+    """Baranyai's inductive construction (van Lint & Wilson, *A Course in
+    Combinatorics*, ch. 38).
 
-    For ``mu_t = 2`` the round-robin construction always succeeds. For
-    larger ``mu_t`` a deterministic backtracking search over parallel
-    classes runs until it finds a system or exhausts ``budget`` nodes;
-    ``None`` means "not found within budget", not a proof of absence.
+    Start from ``C(n - 1, mu_t - 1)`` classes of ``m`` empty parts, ``n =
+    m*mu_t``, and add the elements ``e = 1, ..., n`` in turn: each class gives
+    ``e`` to one of its parts, and a part ``S`` takes ``e`` in
+    ``C(n - e, mu_t - |S| - 1)`` classes in total. Giving ``e`` to every part
+    ``S`` of every class with weight ``(mu_t - |S|) / (n - e + 1)`` meets both
+    counts, so a fractional assignment exists and hence an integral one.
+    After ``e = n`` every ``mu_t``-subset is a part exactly once.
+    """
+    n = m * mu_t
+    classes = [[()] * m for _ in range(math.comb(n - 1, mu_t - 1))]
+    for e in range(1, n + 1):
+        options = [list(dict.fromkeys(p for p in cls if len(p) < mu_t)) for cls in classes]
+        room = {p: math.comb(n - e, mu_t - len(p) - 1) for opts in options for p in opts}
+        for cls, part in zip(classes, _assign(options, room)):
+            cls[cls.index(part)] = part + (e,)
+    return [tuple(sorted(cls)) for cls in classes]
+
+
+def _assign(options: list[list[Subset]], room: dict[Subset, int]) -> list[Subset]:
+    """Pick one of ``options[c]`` for every class ``c``, part ``p`` at most
+    ``room[p]`` times, placing the classes one at a time along augmenting
+    paths; such a path always exists when a full assignment does."""
+    chosen: list[Subset | None] = [None] * len(options)
+    holders: dict[Subset, dict[int, None]] = {p: {} for p in room}
+    for root in range(len(options)):
+        p, via = _augmenting_path(root, options, room, holders)
+        # walk back to the root, moving each class on the path to the part it reached
+        while p is not None:
+            c = via[p]
+            p, chosen[c] = chosen[c], p
+            holders[chosen[c]][c] = None
+            if p is not None:
+                del holders[p][c]
+    return chosen
+
+
+def _augmenting_path(
+    root: int, options: list[list[Subset]], room: dict[Subset, int], holders: dict[Subset, dict[int, None]]
+) -> tuple[Subset, dict[Subset, int]]:
+    """Breadth-first search from class ``root`` for a part with room left.
+
+    Returns that part and, for every part reached, the class that reached it.
+    A loop, not recursion, so the path length is not bounded by the
+    interpreter's stack.
+    """
+    via: dict[Subset, int] = {}
+    queue = deque([(root,)])
+    while True:
+        for c in queue.popleft():
+            for p in options[c]:
+                if p not in via:
+                    via[p] = c
+                    if len(holders[p]) < room[p]:
+                        return p, via
+                    queue.append(holders[p])
+
+
+def find_subset_partition(m: int, mu_t: int) -> SubsetPartitionSystem:
+    """Construct a parallel-class decomposition of the ``mu_t``-subsets of
+    ``{1, ..., m*mu_t}``, with the classes and their subsets sorted.
+
+    ``mu_t = 2`` uses the round-robin 1-factorization and larger ``mu_t``
+    Baranyai's construction; both always succeed. For ``m <= 2`` the
+    decomposition is unique.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -154,57 +210,8 @@ def find_subset_partition(
     n = m * mu_t
     if n > 64:
         raise ValueError(f"ground set of {n} elements exceeds the supported index range")
-
-    if m == 1:
-        return SubsetPartitionSystem(m, mu_t, ((tuple(range(1, n + 1)),),))
-    if mu_t == 2:
-        classes = sorted(_round_robin_classes(m))
-        return SubsetPartitionSystem(m, mu_t, tuple(classes))
-
-    all_subsets = enumerate_subsets(n, mu_t)
-    num_classes = math.comb(n - 1, mu_t - 1)
-    by_min: dict[int, list[Subset]] = {}
-    for s in all_subsets:
-        by_min.setdefault(s[0], []).append(s)
-
-    used: set[Subset] = set()
-    classes: list[tuple[Subset, ...]] = []
-    nodes = 0
-
-    def extend_class(covered: frozenset[int], acc: list[Subset]) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            return False
-        if len(acc) == m:
-            classes.append(tuple(acc))
-            if len(classes) == num_classes:
-                return True
-            if next_class():
-                return True
-            classes.pop()
-            return False
-        lowest = min(e for e in range(1, n + 1) if e not in covered)
-        for s in by_min[lowest]:
-            if s in used or covered & set(s):
-                continue
-            used.add(s)
-            acc.append(s)
-            if extend_class(covered | frozenset(s), acc):
-                return True
-            acc.pop()
-            used.remove(s)
-            if nodes > budget:
-                return False
-        return False
-
-    def next_class() -> bool:
-        return extend_class(frozenset(), [])
-
-    if next_class():
-        ordered = tuple(tuple(sorted(cls)) for cls in sorted(classes))
-        return SubsetPartitionSystem(m, mu_t, ordered)
-    return None
+    classes = _round_robin_classes(m) if mu_t == 2 else _baranyai_classes(m, mu_t)
+    return SubsetPartitionSystem(m, mu_t, tuple(sorted(classes)))
 
 
 @dataclass(frozen=True)

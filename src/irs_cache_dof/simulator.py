@@ -15,7 +15,7 @@ import numpy as np
 
 from .analytics import STRICT_Q, max_feasible_L
 from .channel import SingularChannelError, block_rng, equivalent_channel, sample_block_channels, zero_irs
-from .combinatorics import DEFAULT_SEARCH_BUDGET, enumerate_ordered_partitions, find_subset_partition
+from .combinatorics import enumerate_ordered_partitions, find_subset_partition
 from .irs import STATUS_INFEASIBLE, IrsSolveInfo, required_nulls, solve_irs
 from .lowering import LoweredPlan, lower_plan
 from .params import SystemParams
@@ -47,7 +47,7 @@ class ScheduleConsistencyError(RuntimeError):
 class SimOptions:
     """Episode knobs. ``strictness`` selects how many surface elements a
     given null count is assumed to need when deriving the per-episode null
-    budget from ``q_elements``; ``l_size`` overrides that derivation."""
+    count ``L`` from ``q_elements``; ``l_size`` overrides that derivation."""
 
     noise_variance: float = 0.0
     strictness: str = STRICT_Q
@@ -55,7 +55,6 @@ class SimOptions:
     disable_irs: bool = False
     l_size: int | None = None
     demand: DemandVector | None = None
-    design_budget: int = DEFAULT_SEARCH_BUDGET
 
 
 def _symbols_for(plan: BlockPlan, seed: int) -> np.ndarray:
@@ -182,7 +181,7 @@ class EpisodeReport:
 
 def build_schedule(params: SystemParams, regime: str, options: SimOptions) -> Schedule:
     """Construct the schedule an episode will run: full activity when the
-    null budget covers all receivers at once, partial activity otherwise."""
+    null count covers all receivers at once, partial activity otherwise."""
     if regime not in REGIMES:
         raise SchedulingError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     if regime == REGIME_THM1 and params.mu_t != 1:
@@ -195,12 +194,7 @@ def build_schedule(params: SystemParams, regime: str, options: SimOptions) -> Sc
         l_size = max_feasible_L(params.q_elements, params, options.strictness)
     system = None
     if regime == REGIME_THM2_PARTITION:
-        system = find_subset_partition(params.m_groups, params.mu_t, options.design_budget)
-        if system is None:
-            raise SchedulingError(
-                f"no ({params.m_groups}, {params.mu_t}) parallel-class design found within "
-                "budget; use the ordered regime instead"
-            )
+        system = find_subset_partition(params.m_groups, params.mu_t)
     elif regime == REGIME_THM2_ORDERED:
         system = enumerate_ordered_partitions(params.m_groups, params.mu_t)
     return make_schedule(params, demand, l_size, system)
@@ -330,8 +324,8 @@ def estimate_dof_slope(
     """Fit the growth of per-receiver achievable rate against log2(power).
 
     Transmit signals are rescaled per block so the strongest transmitter
-    spends the power budget; rates use the exact surviving interference at
-    each receiver under unit noise. Interference-free receivers slope to 1,
+    spends the full transmit power; rates use the exact surviving
+    interference at each receiver under unit noise. Interference-free receivers slope to 1,
     interference-limited ones saturate and slope to 0.
     """
     if len(powers) < 2 or any(p < 1e3 for p in powers) or list(powers) != sorted(set(powers)):

@@ -75,6 +75,22 @@ def test_config_file_with_flag_override(tmp_path):
     assert json.loads(out.read_text())["seed"] == 9
 
 
+@pytest.mark.parametrize(
+    "command,settings,key",
+    [
+        ("simulate", {"k_t": 3, "k_r": 4, "n_files": 12, "f_packets": 12, "mu_t": 1, "mu_r": 1, "q_elments": 6}, "q_elments"),
+        ("partition-find", {"m": 2, "design_mu_t": 3, "budget": 1}, "budget"),
+    ],
+)
+def test_config_file_unknown_key_rejected(tmp_path, capsys, command, settings, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(settings))
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file(capsys):
     code = main(["simulate", "--config", "/nonexistent/run.json"])
     assert code == EXIT_CONFIG
@@ -101,11 +117,33 @@ def test_partition_find_examples(tmp_path):
     assert payload["classes"][0] == [[1, 2], [3, 4]]
 
 
-def test_partition_find_budget_exhaustion(tmp_path):
-    out = tmp_path / "design.json"
-    code = main(["partition-find", "--m", "2", "--design-mu-t", "3", "--budget", "1", "--out", str(out)])
-    assert code == EXIT_INFEASIBLE
-    assert json.loads(out.read_text())["found"] is False
+@pytest.mark.parametrize("m,mu_t", [("0", "3"), ("2", "1"), ("5", "13")])
+def test_partition_find_out_of_range_is_config_error(m, mu_t, capsys):
+    # one case per bound: m < 1, mu_t < 2, m*mu_t > 64
+    code = main(["partition-find", "--m", m, "--design-mu-t", mu_t])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_thm2_partition_three_groups_of_three(tmp_path):
+    from irs_cache_dof.analytics import SUFFICIENT_Q, dof_theorem2
+    from irs_cache_dof.params import SystemParams
+    from irs_cache_dof.simulator import SimOptions, run_episode
+
+    # K_T = 9 splits into m = 3 groups of mu_t = 3, a design Baranyai's construction builds
+    out = tmp_path / "verify.json"
+    code = main(
+        ["schedule-verify", "--k-t", "9", "--k-r", "5", "--n-files", "5", "--mu-t", "3",
+         "--mu-r", "1", "--q-elements", "6", "--sufficient-q", "--out", str(out)]
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert payload["partition"]["ok"] is True
+    assert payload["cache_budgets"]["ok"] is True
+    params = SystemParams(k_t=9, k_r=5, n_files=5, f_packets=1, mu_t=3, mu_r=1, q_elements=6)
+    ep = run_episode(params, "thm2-partition", seed=3, options=SimOptions(strictness=SUFFICIENT_Q))
+    assert ep.all_passed
+    assert ep.sum_dof == dof_theorem2(params, ep.l_size).sum_dof
 
 
 def test_dof_sweep_preset_reproducible(tmp_path):

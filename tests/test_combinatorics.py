@@ -2,6 +2,7 @@
 oracles at desk scale."""
 
 import math
+import time
 from itertools import combinations
 
 import pytest
@@ -111,6 +112,16 @@ def test_search_covers_remaining_desk_scale_systems(m, mu_t):
     system = find_subset_partition(m, mu_t)
     assert system is not None
     assert verify_subset_partition(system).ok
+
+
+def test_construction_covers_every_ground_set_up_to_16():
+    # Baranyai: a design exists for every (m, mu_t); all 34 with m*mu_t <= 16
+    # take about 1 s together, (2, 8) with 6,435 classes the longest
+    start = time.monotonic()
+    for m in range(1, 9):
+        for mu_t in range(2, 16 // m + 1):
+            assert verify_subset_partition(find_subset_partition(m, mu_t)).ok, (m, mu_t)
+    assert time.monotonic() - start < 30.0
 
 
 def test_verify_rejects_duplicate_subset():

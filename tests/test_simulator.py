@@ -244,14 +244,6 @@ def test_demand_invariance_grouped_caches():
         assert run_episode(p, "thm2-partition", seed=8, options=opt).sum_dof == base.sum_dof
 
 
-def test_design_budget_exhaustion_suggests_ordered_regime():
-    from irs_cache_dof.scheduler import SchedulingError
-
-    p = SystemParams(k_t=6, k_r=4, n_files=4, f_packets=1, mu_t=3, mu_r=1, q_elements=0)
-    with pytest.raises(SchedulingError, match="ordered"):
-        build_schedule(p, "thm2-partition", SimOptions(l_size=0, design_budget=1))
-
-
 def test_slope_estimator_multi_power_fit():
     est = estimate_dof_slope(EX, "thm1", seed=6, powers=(1e4, 1e5, 1e6, 1e7, 1e8))
     assert all(abs(s - 1.0) < 0.05 for s in est.per_receiver)
