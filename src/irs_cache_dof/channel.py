@@ -4,6 +4,7 @@ binary topology matrix derived from it."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,6 +21,25 @@ class SingularChannelError(RuntimeError):
     probability-zero event for continuous fading). Nothing resamples: the
     message names the seed and block, the episode aborts, and the command
     line exits with code 3."""
+
+
+def solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.solve`` over a stack of square systems ``a`` (S, n, n)
+    with right-hand sides ``b`` (S, n, k), and which of them LAPACK found
+    singular. One singular system does not stop the others: they are then
+    solved one at a time, and its solution is NaN, which fails every
+    residual check."""
+    try:
+        return np.linalg.solve(a, b), np.zeros(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan, dtype=np.result_type(a, b))
+        singular = np.zeros(len(a), dtype=bool)
+        for s in range(len(a)):
+            try:
+                x[s] = np.linalg.solve(a[s], b[s])
+            except np.linalg.LinAlgError:
+                singular[s] = True
+        return x, singular
 
 
 def block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
@@ -79,43 +99,85 @@ def zero_irs(q_elements: int) -> IrsConfig:
     return IrsConfig(q=np.zeros(q_elements, dtype=complex))
 
 
-def sample_block_channels(params: SystemParams, block: int, seed: int) -> ChannelRealization:
-    """Draw i.i.d. unit-variance circularly-symmetric complex Gaussian
-    coefficients for one block.
+class ChannelStack(NamedTuple):
+    """The channels of several blocks of one seed, stacked along a leading
+    block axis: ``direct[b]``, ``tx_to_irs[b]`` and ``irs_to_rx[b]`` are the
+    legs of block ``blocks[b]``, laid out as in :class:`ChannelRealization`,
+    and ``scale[b]`` is its largest direct-channel magnitude."""
 
-    Deterministic given ``(seed, block)``; different blocks use independent
-    streams (time-selective fading). One draw fills the three legs in turn,
-    row-major, each entry taking consecutive (real, imaginary) normals.
-    """
-    k_t, k_r, q = params.k_t, params.k_r, params.q_elements
+    direct: np.ndarray
+    tx_to_irs: np.ndarray
+    irs_to_rx: np.ndarray
+    blocks: tuple[int, ...]
+    seed: int
+    scale: np.ndarray
+
+    @classmethod
+    def of(cls, ch: ChannelRealization) -> "ChannelStack":
+        """The stack of one realization."""
+        legs = ch.direct[None], ch.tx_to_irs[None], ch.irs_to_rx[None]
+        return cls(*legs, (ch.block_index,), ch.seed, np.array([ch.scale]))
+
+
+def _draw(params: SystemParams, blocks: Sequence[int], seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three legs of every block, stacked. Each block's stream fills its
+    own row of one buffer, the legs in turn, row-major, each entry taking
+    consecutive (real, imaginary) normals."""
+    k_t, k_r, q, n = params.k_t, params.k_r, params.q_elements, len(blocks)
     n_direct, n_in = k_r * k_t, q * k_t
-    h = block_rng(seed, block).standard_normal(2 * (n_direct + n_in + k_r * q)).view(complex)
+    draws = np.empty((n, 2 * (n_direct + n_in + k_r * q)))
+    for row, block in zip(draws, blocks):
+        block_rng(seed, block).standard_normal(out=row)
+    h = draws.view(complex)
     h /= _SQRT2
     h.setflags(write=False)
-    return ChannelRealization(
-        direct=h[:n_direct].reshape(k_r, k_t),
-        tx_to_irs=h[n_direct : n_direct + n_in].reshape(q, k_t),
-        irs_to_rx=h[n_direct + n_in :].reshape(k_r, q),
-        block_index=block,
-        seed=seed,
+    return (
+        h[:, :n_direct].reshape(n, k_r, k_t),
+        h[:, n_direct : n_direct + n_in].reshape(n, q, k_t),
+        h[:, n_direct + n_in :].reshape(n, k_r, q),
     )
 
 
-def equivalent_channel(ch: ChannelRealization, irs: IrsConfig) -> np.ndarray:
-    """Effective receiver-by-transmitter channel after the surface acts.
+def sample_channels(params: SystemParams, blocks: Sequence[int], seed: int) -> ChannelStack:
+    """Draw i.i.d. unit-variance circularly-symmetric complex Gaussian
+    coefficients for each of ``blocks``.
+
+    Deterministic given ``(seed, block)``; different blocks use independent
+    streams (time-selective fading), and a block's draw does not depend on
+    which blocks share the call.
+    """
+    direct, tx_to_irs, irs_to_rx = _draw(params, blocks, seed)
+    return ChannelStack(direct, tx_to_irs, irs_to_rx, tuple(blocks), seed, np.abs(direct).max(axis=(1, 2)))
+
+
+def sample_block_channels(params: SystemParams, block: int, seed: int) -> ChannelRealization:
+    """The channels of one block: the one-block case of :func:`sample_channels`."""
+    direct, tx_to_irs, irs_to_rx = _draw(params, (block,), seed)
+    return ChannelRealization(direct[0], tx_to_irs[0], irs_to_rx[0], block_index=block, seed=seed)
+
+
+def equivalent_channels(ch: ChannelStack | ChannelRealization, q: np.ndarray) -> np.ndarray:
+    """Effective receiver-by-transmitter channel after the surface acts:
+    of every block of a :class:`ChannelStack` with block ``b``'s
+    coefficients ``q[b]``, or of one realization with ``q``.
 
     Entry ``(j, i)`` is the direct link plus the sum over elements of
     (tx->element) * coefficient * (element->rx); linear in the coefficients.
     """
+    if q.shape[-1] == 0:
+        return ch.direct.copy()
+    return ch.direct + (ch.irs_to_rx * q[..., None, :]) @ ch.tx_to_irs
+
+
+def equivalent_channel(ch: ChannelRealization, irs: IrsConfig) -> np.ndarray:
+    """The one-block case of :func:`equivalent_channels`."""
     q_count = irs.q.shape[0]
     if ch.tx_to_irs.shape[0] != q_count or ch.irs_to_rx.shape[1] != q_count:
         raise ValueError(
             f"IRS size mismatch: {q_count} coefficients vs channels for "
             f"{ch.tx_to_irs.shape[0]}/{ch.irs_to_rx.shape[1]} elements"
         )
-    if q_count == 0:
-        return ch.direct.copy()
-    return ch.direct + (ch.irs_to_rx * irs.q) @ ch.tx_to_irs
+    return equivalent_channels(ch, irs.q)
 
 
 @dataclass(frozen=True)

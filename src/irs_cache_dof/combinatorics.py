@@ -18,6 +18,15 @@ Subset = tuple[int, ...]
 #: enumeration (their count grows like (m*mu_t)!).
 ORDERED_ENUMERATION_GUARD = 10
 
+#: parallel-class designs needing more classes than this are refused. It is
+#: C(15, 7) = 6435, the most any ground set of at most 16 elements needs
+#: ((m, mu_t) = (2, 8), ~0.5 s). Timed on a 2-vCPU host, the slowest designs
+#: it admits take ~8 s ((8, 4), 4495 classes) and under 40 MB; the next
+#: counts up cost 2 s and 54 MB at (2, 9) (24,310 classes), 9 s and 127 MB
+#: at (2, 10), and 106 s at (3, 7) (38,760 classes), each step up in mu_t
+#: ~5x the classes.
+DESIGN_CLASS_GUARD = 6435
+
 
 def cyclic_shift(i: int, j: int, m: int) -> int:
     """1-based cyclic shift ``1 + ((i + j - 1) mod m)``.
@@ -210,6 +219,11 @@ def find_subset_partition(m: int, mu_t: int) -> SubsetPartitionSystem:
     n = m * mu_t
     if n > 64:
         raise ValueError(f"ground set of {n} elements exceeds the supported index range")
+    if math.comb(n - 1, mu_t - 1) > DESIGN_CLASS_GUARD:
+        raise ValueError(
+            f"a design for m={m}, mu_t={mu_t} needs {math.comb(n - 1, mu_t - 1)} parallel classes, "
+            f"more than the guard ({DESIGN_CLASS_GUARD}), past which construction time and memory grow steeply"
+        )
     classes = _round_robin_classes(m) if mu_t == 2 else _baranyai_classes(m, mu_t)
     return SubsetPartitionSystem(m, mu_t, tuple(sorted(classes)))
 

@@ -12,11 +12,18 @@ reports rather than hides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization, IrsConfig, SingularChannelError, equivalent_channel
+from .channel import (
+    ChannelRealization,
+    ChannelStack,
+    IrsConfig,
+    SingularChannelError,
+    equivalent_channel,
+    solve_each,
+)
 from .lowering import lower_plan
 
 if TYPE_CHECKING:
@@ -87,43 +94,64 @@ class IrsSolveInfo:
     q_elements: int
 
 
-def _singular(ch: ChannelRealization, what: str) -> SingularChannelError:
-    return SingularChannelError(f"seed {ch.seed}, block {ch.block_index}: {what}; the episode aborts")
+def solve_irs_stack(ch: ChannelStack, pairs: Sequence[np.ndarray]) -> tuple[np.ndarray, list[IrsSolveInfo]]:
+    """Surface coefficients ``q[b]`` that cut the links ``pairs[b]`` (a
+    null set's sorted index pairs, see :class:`NullSet`) in block ``b`` of
+    ``ch``, and each block's solve info.
+
+    The square systems (as many links as elements) are gathered and solved
+    in one stacked call; the others take the least-squares path one block
+    at a time. A block whose null set fits the elements gets the
+    minimum-norm exact solution (status ``exact``), one with more links
+    than elements the least-squares compromise with its residual (status
+    ``infeasible``). An exactly singular system with enough elements is a
+    probability-zero channel event: the first block with one raises.
+    """
+    n_blocks, q_count = ch.tx_to_irs.shape[:2]
+    n_links = [links.shape[1] for links in pairs]
+    q = np.zeros((n_blocks, q_count), dtype=complex)
+    residual = np.zeros(n_blocks)
+    failed: dict[int, str] = {}
+    square = [b for b, n in enumerate(n_links) if n == q_count > 0]
+    if square:
+        at = np.array(square)[:, None]
+        tx, rx = np.array([pairs[b] for b in square]).transpose(1, 0, 2)
+        rows = ch.tx_to_irs.transpose(0, 2, 1)[at, tx] * ch.irs_to_rx[at, rx]
+        rhs = -ch.direct[at, rx, tx]
+        x, singular = solve_each(rows, rhs[..., None])
+        into = slice(None) if len(square) == n_blocks else square
+        q[into] = x[..., 0]
+        residual[into] = np.abs((rows @ x)[..., 0] - rhs).max(axis=1)
+        if singular.any():
+            for s in np.flatnonzero(singular).tolist():
+                failed[square[s]] = f"square null-steering system of size {q_count} is singular"
+    for b, n in enumerate(n_links):
+        if n == 0 or n == q_count:
+            continue
+        tx, rx = pairs[b]
+        rows = ch.tx_to_irs[b].T[tx] * ch.irs_to_rx[b][rx]
+        rhs = -ch.direct[b][rx, tx]
+        q[b], _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
+        if n <= q_count and rank < n:
+            failed[b] = f"null-steering system rank {rank} < {n} equations"
+        residual[b] = np.abs(rows @ q[b] - rhs).max()
+    infos = []
+    for b, (n, res, scale) in enumerate(zip(n_links, residual.tolist(), ch.scale.tolist())):
+        # a non-finite q leaves a non-finite residual, which fails the comparison
+        if n <= q_count and not res <= 1e-6 * scale:
+            failed.setdefault(b, f"null-steering solve left residual {res:.3e}")
+        infos.append(IrsSolveInfo(STATUS_EXACT if n <= q_count else STATUS_INFEASIBLE, res, n, q_count))
+    if failed:
+        b = min(failed)
+        raise SingularChannelError(f"seed {ch.seed}, block {ch.blocks[b]}: {failed[b]}; the episode aborts")
+    return q, infos
 
 
 def solve_irs(ch: ChannelRealization, nulls: NullSet) -> tuple[IrsConfig, IrsSolveInfo]:
-    """Solve for surface coefficients that cut every link in ``nulls``.
-
-    Returns the minimum-norm exact solution when the element budget covers
-    the links (status ``exact``), otherwise the least-squares compromise
-    with its residual (status ``infeasible``). An exactly singular system
-    with enough elements is a probability-zero channel event and raises.
-    """
-    q_count = ch.tx_to_irs.shape[0]
-    if not len(nulls):
-        q = np.zeros(q_count, dtype=complex)
-        return IrsConfig(q=q), IrsSolveInfo(STATUS_EXACT, 0.0, 0, q_count)
-
-    tx, rx = nulls.pairs
-    rows = ch.tx_to_irs.T[tx] * ch.irs_to_rx[rx]
-    rhs = -ch.direct[rx, tx]
-    n_links = len(rhs)
-
-    if n_links == q_count:
-        try:
-            q = np.linalg.solve(rows, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise _singular(ch, f"square null-steering system of size {n_links} is singular") from exc
-    else:
-        q, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
-        if n_links <= q_count and rank < n_links:
-            raise _singular(ch, f"null-steering system rank {rank} < {n_links} equations")
-    residual = float(np.abs(rows @ q - rhs).max())
-    # a non-finite q leaves a non-finite residual, which fails the comparison
-    if n_links <= q_count and not residual <= 1e-6 * ch.scale:
-        raise _singular(ch, f"null-steering solve left residual {residual:.3e}")
-    status = STATUS_EXACT if n_links <= q_count else STATUS_INFEASIBLE
-    return IrsConfig(q=q), IrsSolveInfo(status, residual, n_links, q_count)
+    """Solve for surface coefficients that cut every link in ``nulls``: the
+    one-block case of :func:`solve_irs_stack`."""
+    q, (info,) = solve_irs_stack(ChannelStack.of(ch), [nulls.pairs])
+    return IrsConfig(q=q[0]), info
 
 
 def residuals(irs: IrsConfig, ch: ChannelRealization, nulls: NullSet) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,50 +55,46 @@ def joint_zf_rows(n_slots: int, mu_t: int) -> list[tuple[int, int]]:
     return rows
 
 
-class LoweredPlan:
-    """One plan's lowered buffer, read as Python lists where the block
-    arithmetic is scalar and as integer array views where it gathers.
+def _section_ends(header: list[int]) -> list[int]:
+    """Where each buffer section ends, from the header's counts."""
+    d, g, n, c, z, r = header
+    idle = (d - 1 - c - z) * g * g if r else 0
+    sizes = (d, d * g, d * d, 2 * n, c, z, r * g, r * g, idle, idle)
+    return list(accumulate(sizes, initial=_HEADER))
 
-    Lists: ``rx[d]`` (receiver of delivery ``d``), ``serving[d]`` (its
-    serving transmitters, in group order) and ``cached[a]`` (the
-    deliveries whose subfiles delivery ``a``'s receiver caches, in order;
-    the buffer holds them as a ``D x D`` 0/1 mask);
-    ``cached_rxs`` and ``zf_rxs`` (the block's common receiver groups,
-    each sorted).
 
-    Arrays: ``null_pairs`` (the cut links sorted by (transmitter,
-    receiver): transmitters in row 0, receivers in row 1); for the joint
-    zero-forcing system of the lead group's ``n_joint`` deliveries, the
-    ``h_eq`` entry of each nonzero in ``joint_zf_layout`` order
-    (``joint_rx``, ``joint_tx``); for the square system of each idle
-    delivery after them, the ``h_eq`` entry of every element, row-major
-    (``idle_rx``, ``idle_tx``): rows are its own receiver then the
+class _Sections:
+    """Integer array views of the gather sections of one lowered buffer, or
+    of a stack of buffers with one header (one buffer per row; every view
+    then gains the leading stack axis), with the header's counts:
+    ``n_deliveries``, ``n_joint`` (the lead group's deliveries) and
+    ``group`` (the serving-group size).
+
+    ``null_pairs`` holds the cut links sorted by (transmitter, receiver):
+    transmitters in row 0, receivers in row 1. For the joint zero-forcing
+    system of the lead group's ``n_joint`` deliveries, ``joint_rx`` and
+    ``joint_tx`` give the ``h_eq`` entry of each nonzero in
+    ``joint_zf_layout`` order; for the square system of each idle delivery
+    after them, ``idle_rx`` and ``idle_tx`` give the ``h_eq`` entry of
+    every element, row-major: rows are its own receiver then the
     zero-forcing ones, columns its serving group.
     """
 
-    __slots__ = ("buf", "n_joint", "group", "rx", "serving", "cached", "cached_rxs", "zf_rxs", "_ends")
+    __slots__ = ("buf", "n_deliveries", "n_joint", "group", "_ends")
 
-    def __init__(self, buf: np.ndarray):
-        values = buf.tolist()
-        d, g, n, c, z, r = values[:_HEADER]
-        self.buf, self.group, self.n_joint = buf, g, 1 + c + z
-        idle = (d - self.n_joint) * g * g if r else 0
-        sizes = (d, d * g, d * d, 2 * n, c, z, r * g, r * g, idle, idle)
-        ends = self._ends = list(accumulate(sizes, initial=_HEADER))
-        self.rx = values[ends[_RX] : ends[_RX + 1]]
-        serving = values[ends[_SERVING] : ends[_SERVING + 1]]
-        self.serving = [serving[k : k + g] for k in range(0, d * g, g)]
-        mask = values[ends[_CACHED] : ends[_CACHED + 1]]
-        self.cached = [[b for b in range(d) if mask[a * d + b]] for a in range(d)]
-        self.cached_rxs = values[ends[_CACHED_RXS] : ends[_CACHED_RXS + 1]]
-        self.zf_rxs = values[ends[_ZF_RXS] : ends[_ZF_RXS + 1]]
+    def _read_header(self, header: list[int]) -> list[int]:
+        d, g, _, c, z, _ = header
+        self.n_deliveries, self.group, self.n_joint = d, g, 1 + c + z
+        self._ends = _section_ends(header)
+        return self._ends
 
     def _array(self, section: int) -> np.ndarray:
-        return self.buf[self._ends[section] : self._ends[section + 1]]
+        return self.buf[..., self._ends[section] : self._ends[section + 1]]
 
     @property
     def null_pairs(self) -> np.ndarray:
-        return self._array(_NULL_PAIRS).reshape(2, -1)
+        pairs = self._array(_NULL_PAIRS)
+        return pairs.reshape(*pairs.shape[:-1], 2, -1)
 
     @property
     def joint_rx(self) -> np.ndarray:
@@ -115,6 +111,45 @@ class LoweredPlan:
     @property
     def idle_tx(self) -> np.ndarray:
         return self._array(_IDLE_TX)
+
+
+class LoweredPlan(_Sections):
+    """One plan's lowered buffer, read as Python lists where the block
+    arithmetic is scalar and as integer array views (see ``_Sections``)
+    where it gathers.
+
+    Lists: ``rx[d]`` (receiver of delivery ``d``), ``serving[d]`` (its
+    serving transmitters, in group order) and ``cached[a]`` (the
+    deliveries whose subfiles delivery ``a``'s receiver caches, in order;
+    the buffer holds them as a ``D x D`` 0/1 mask);
+    ``cached_rxs`` and ``zf_rxs`` (the block's common receiver groups,
+    each sorted).
+    """
+
+    __slots__ = ("rx", "serving", "cached", "cached_rxs", "zf_rxs")
+
+    def __init__(self, buf: np.ndarray):
+        self.buf, values = buf, buf.tolist()
+        ends = self._read_header(values[:_HEADER])
+        d, g = self.n_deliveries, self.group
+        self.rx = values[ends[_RX] : ends[_RX + 1]]
+        serving = values[ends[_SERVING] : ends[_SERVING + 1]]
+        self.serving = [serving[k : k + g] for k in range(0, d * g, g)]
+        mask = values[ends[_CACHED] : ends[_CACHED + 1]]
+        self.cached = [[b for b in range(d) if mask[a * d + b]] for a in range(d)]
+        self.cached_rxs = values[ends[_CACHED_RXS] : ends[_CACHED_RXS + 1]]
+        self.zf_rxs = values[ends[_ZF_RXS] : ends[_ZF_RXS + 1]]
+
+
+class PlanStack(_Sections):
+    """The lowered buffers of plans with one header, stacked one per row,
+    so a stage gathers for all of them at once (see ``_Sections``)."""
+
+    __slots__ = ()
+
+    def __init__(self, bufs: list[np.ndarray]):
+        self.buf = np.array(bufs)
+        self._read_header(self.buf[0, :_HEADER].tolist())
 
 
 class JointLayout(NamedTuple):
@@ -193,15 +228,31 @@ def _lower(plan: "BlockPlan") -> np.ndarray:
 _recent: tuple[object, LoweredPlan | None] = (None, None)
 
 
+def plan_buffer(plan: "BlockPlan") -> np.ndarray:
+    """The plan's lowered buffer, built on the first call and cached on
+    the plan (one buffer per plan) for every later block stage."""
+    if plan.lowering is None:
+        object.__setattr__(plan, "lowering", _lower(plan))
+    return plan.lowering
+
+
 def lower_plan(plan: "BlockPlan") -> LoweredPlan:
-    """The plan's lowered form. The buffer is built on the first call and
-    cached on the plan (one buffer per plan) for every later block stage."""
+    """The plan's lowered form, read from :func:`plan_buffer`."""
     global _recent
     last, lowered = _recent
     if last is plan:
         return lowered
-    if plan.lowering is None:
-        object.__setattr__(plan, "lowering", _lower(plan))
-    lowered = LoweredPlan(plan.lowering)
+    lowered = LoweredPlan(plan_buffer(plan))
     _recent = plan, lowered
     return lowered
+
+
+def stack_plans(plans: "Sequence[BlockPlan]") -> list[tuple[list[int], PlanStack]]:
+    """The plans grouped by header (so by the shape of every section),
+    each group as the positions of its plans in ``plans`` and their
+    stacked buffers, groups in order of first appearance."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    bufs = [plan_buffer(plan) for plan in plans]
+    for position, buf in enumerate(bufs):
+        groups.setdefault(tuple(buf[:_HEADER].tolist()), []).append(position)
+    return [(positions, PlanStack([bufs[p] for p in positions])) for positions in groups.values()]

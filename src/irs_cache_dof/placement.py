@@ -12,7 +12,7 @@ count ``F``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Union
@@ -45,9 +45,12 @@ class SubfileId:
     irs_set: Subset = ()
 
     def __post_init__(self) -> None:
-        groups = (set(self.rx_set), set(self.zf_set), set(self.irs_set))
-        if len(groups[0] | groups[1] | groups[2]) != sum(len(g) for g in groups):
-            raise ValueError(f"receiver index groups must be disjoint: {self}")
+        rx, zf, irs = self.rx_set, self.zf_set, self.irs_set
+        if len({*rx, *zf, *irs}) != len(rx) + len(zf) + len(irs):
+            # some receiver repeats: allowed inside one group, not across two
+            groups = (set(rx), set(zf), set(irs))
+            if len(groups[0] | groups[1] | groups[2]) != sum(len(g) for g in groups):
+                raise ValueError(f"receiver index groups must be disjoint: {self}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,7 @@ def refine_subfiles(
         for zf in combinations(others, t_size):
             rest = [j for j in others if j not in zf]
             for lset in combinations(rest, l_size):
-                refined.append((replace(sub, zf_set=zf, irs_set=lset), rx))
+                refined.append((SubfileId(sub.file, sub.tx_index, sub.rx_set, zf, lset), rx))
     return tuple(refined), factor_t * factor_l
 
 

@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import SingularChannelError
+from .channel import SingularChannelError, solve_each
 from .combinatorics import Subset
-from .lowering import JointLayout, joint_zf_layout, lower_plan
+from .lowering import JointLayout, LoweredPlan, PlanStack, joint_zf_layout, lower_plan
 from .placement import SubfileId
 from .scheduler import BlockPlan, Delivery
 
@@ -47,26 +47,34 @@ def select_binary_beamformers(plan: BlockPlan) -> BeamformerSet:
     return BeamformerSet(plan.deliveries, np.ones((len(low.rx), 1), dtype=complex))
 
 
-def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    # backward-stable LAPACK happily "solves" singular systems with huge
-    # garbage, so check the constraints actually hold (they are O(1)-scaled);
-    # a non-finite solution fails the comparison too
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularChannelError(f"{what} system is singular; the episode aborts") from exc
-    if not np.abs(a @ x - b).max() <= 1e-8:
-        raise SingularChannelError(f"{what} system is singular; the episode aborts")
-    return x
+def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the stack of systems ``a x = b`` and tell which hold.
+
+    Backward-stable LAPACK happily "solves" singular systems with huge
+    garbage, so a system holds only if its constraints actually do (they
+    are O(1)-scaled); a singular system's NaN solution fails too.
+    """
+    x, _ = solve_each(a, b)
+    return x, np.abs(a @ x - b).max(axis=(1, 2)) <= 1e-8
 
 
-def _solve_joint(h_eq: np.ndarray, h_rx, h_tx, layout: JointLayout, what: str) -> np.ndarray:
-    """Fill the joint system by one scatter of the ``h_eq`` entries
-    ``(h_rx, h_tx)`` onto ``layout.pos`` and solve it; one weight per
+def _joint_systems(h_eq: np.ndarray, h_rx, h_tx, layout: JointLayout) -> np.ndarray:
+    """One joint system per channel ``h_eq[s]``, filled by one scatter of
+    its entries ``(h_rx[s], h_tx[s])`` onto ``layout.pos``; one unknown per
     (slot, serving transmitter), slot-major."""
-    a = np.zeros(layout.dim**2, dtype=complex)
-    a[layout.pos] = h_eq[h_rx, h_tx]
-    return _solve(a.reshape(layout.dim, layout.dim), layout.rhs, what)
+    n = len(h_eq)
+    a = np.zeros((n, layout.dim**2), dtype=complex)
+    a[:, layout.pos] = h_eq[np.arange(n)[:, None], h_rx, h_tx]
+    return a.reshape(n, layout.dim, layout.dim)
+
+
+def _stacked_rhs(rhs: np.ndarray, n: int) -> np.ndarray:
+    """``rhs`` as the right-hand side of each of ``n`` stacked systems."""
+    return rhs[None, :, None].repeat(n, axis=0)
+
+
+def _singular(what: str) -> SingularChannelError:
+    return SingularChannelError(f"{what} system is singular; the episode aborts")
 
 
 def solve_single_subfile_zf(
@@ -85,9 +93,12 @@ def solve_single_subfile_zf(
         raise ValueError("intended receiver cannot be a zero-forcing target")
     rows = np.array((intended, *sorted(zf_targets))) - 1
     a = h_eq[np.ix_(rows, np.array(serving) - 1)]
-    b = np.zeros(mu_t, dtype=complex)
-    b[0] = 1.0
-    return _solve(a, b, "zero-forcing")
+    b = np.zeros((1, mu_t, 1), dtype=complex)
+    b[0, 0] = 1.0
+    x, ok = _solve(a[None], b)
+    if not ok[0]:
+        raise _singular("zero-forcing")
+    return x[0, :, 0]
 
 
 def solve_joint_block_zf(
@@ -111,29 +122,56 @@ def solve_joint_block_zf(
         raise ValueError("need one subfile per receiver slot")
     layout = joint_zf_layout(len(receivers), len(serving))
     h_rx = [receivers[s] - 1 for s in layout.rx_slot]
-    x = _solve_joint(h_eq, h_rx, [tx - 1 for tx in serving] * layout.dim, layout, "joint zero-forcing")
+    a = _joint_systems(h_eq[None], [h_rx], [[tx - 1 for tx in serving] * layout.dim], layout)
+    x, ok = _solve(a, _stacked_rhs(layout.rhs, 1))
+    if not ok[0]:
+        raise _singular("joint zero-forcing")
     deliveries = tuple(Delivery(sub, rx, tuple(serving)) for sub, rx in zip(subfiles, receivers))
     return BeamformerSet(deliveries, x.reshape(len(receivers), len(serving)))
 
 
-def beamformers_for_block(plan: BlockPlan, h_eq: np.ndarray, mu_t: int) -> BeamformerSet:
-    """Coefficients for every delivery of a block: binary selection when
-    serving groups are single transmitters, otherwise a joint solve for the
-    lead group plus one batched solve over the idle-receiver groups, each
-    of which reaches its own receiver and nulls the zero-forcing ones."""
+def zero_forcing_weights(
+    plans: PlanStack | LoweredPlan, h_eq: np.ndarray, blocks: Sequence[int], mu_t: int
+) -> np.ndarray:
+    """Coefficients for every delivery of each plan of ``plans``, as an
+    ``(S, D, G)`` array, given plan ``s``'s equivalent channel ``h_eq[s]``
+    (the plan is block ``blocks[s]``, which errors name). One lowered plan
+    counts as a stack of one.
+
+    Binary selection when serving groups are single transmitters;
+    otherwise, per plan, a joint solve for the lead group and a square
+    solve for each idle-receiver group, which reaches its own receiver and
+    nulls the zero-forcing ones. Each kind of system is filled by one
+    scatter and solved in one stacked call; the first block with a
+    singular system raises.
+    """
+    n, d, g = len(h_eq), plans.n_deliveries, plans.group
     if mu_t == 1:
-        return select_binary_beamformers(plan)
-    low = lower_plan(plan)
-    try:
-        layout = joint_zf_layout(low.n_joint, low.group)
-        x = _solve_joint(h_eq, low.joint_rx, low.joint_tx, layout, "joint zero-forcing")
-        weights = x.reshape(low.n_joint, low.group)
-        n_idle = len(low.rx) - low.n_joint
-        if n_idle:
-            a = h_eq[low.idle_rx, low.idle_tx].reshape(n_idle, low.group, low.group)
-            b = np.zeros((n_idle, low.group, 1), dtype=complex)
-            b[:, 0] = 1.0
-            weights = np.concatenate((weights, _solve(a, b, "idle-group zero-forcing")[..., 0]))
-    except SingularChannelError as exc:
-        raise SingularChannelError(f"block {plan.block_index}: {exc}") from exc
-    return BeamformerSet(plan.deliveries, weights)
+        if g != 1:
+            raise ValueError("binary selection applies to single-transmitter serving groups")
+        return np.ones((n, d, 1), dtype=complex)
+    layout = joint_zf_layout(plans.n_joint, g)
+    a = _joint_systems(h_eq, plans.joint_rx, plans.joint_tx, layout)
+    x, joint_ok = _solve(a, _stacked_rhs(layout.rhs, n))
+    weights = [x.reshape(n, plans.n_joint, g)]
+    idle_ok = True
+    n_idle = d - plans.n_joint
+    if n_idle:
+        a = h_eq[np.arange(n)[:, None], plans.idle_rx, plans.idle_tx].reshape(n * n_idle, g, g)
+        b = np.zeros((n * n_idle, g, 1), dtype=complex)
+        b[:, 0] = 1.0  # gain 1 at the idle receiver, 0 at the zero-forcing ones
+        x, ok = _solve(a, b)
+        idle_ok = ok.reshape(n, n_idle).all(axis=1)
+        weights.append(x.reshape(n, n_idle, g))
+    failed = ~(joint_ok & idle_ok)
+    if failed.any():
+        s = np.flatnonzero(failed)[0]
+        raise _singular(f"block {blocks[s]}: {'idle-group' if joint_ok[s] else 'joint'} zero-forcing")
+    return np.concatenate(weights, axis=1)
+
+
+def beamformers_for_block(plan: BlockPlan, h_eq: np.ndarray, mu_t: int) -> BeamformerSet:
+    """Coefficients for every delivery of a block: the one-block case of
+    :func:`zero_forcing_weights`."""
+    weights = zero_forcing_weights(lower_plan(plan), h_eq[None], (plan.block_index,), mu_t)
+    return BeamformerSet(plan.deliveries, weights[0])

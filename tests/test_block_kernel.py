@@ -1,17 +1,30 @@
 """The dense block kernel against the dictionary-based reference in
 ``reference_block.py``, and the exactness properties the kernel keeps:
 single-draw channels, batched idle-group solves and per-receiver decodes
-equal to their unbatched forms bit for bit."""
+equal to their unbatched forms bit for bit, and episodes run chunk by
+chunk through stacked stages equal to blocks run one at a time."""
 
 import numpy as np
 import pytest
 from reference_block import reference_channels, reference_simulate_block
 
+from irs_cache_dof import channel, simulator
 from irs_cache_dof.analytics import STRICT_Q, SUFFICIENT_Q
-from irs_cache_dof.channel import block_rng, equivalent_channel, sample_block_channels
+from irs_cache_dof.channel import SingularChannelError, block_rng, equivalent_channel, sample_block_channels
 from irs_cache_dof.irs import required_nulls, solve_irs
+from irs_cache_dof.lowering import plan_buffer
 from irs_cache_dof.params import SystemParams
-from irs_cache_dof.simulator import SimOptions, _symbols_for, build_schedule, receiver_decode, simulate_block, transmit_block
+from irs_cache_dof.simulator import (
+    SimOptions,
+    _symbols_for,
+    block_fronts,
+    build_schedule,
+    estimate_dof_slope,
+    receiver_decode,
+    run_episode,
+    simulate_block,
+    transmit_block,
+)
 from irs_cache_dof.zf import beamformers_for_block, solve_single_subfile_zf
 
 EX = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1, q_elements=6)
@@ -24,6 +37,7 @@ NETWORKS = {
     "thm1-disable-irs": (EX, "thm1", SimOptions(disable_irs=True)),
     "thm1-noise": (EX, "thm1", SimOptions(noise_variance=1e-3, success_threshold=1e-1)),
     "thm1-l0": (EX, "thm1", SimOptions(l_size=0)),
+    "thm1-minnorm": (SystemParams(5, 5, 5, 1, 1, 1, 10), "thm1", SimOptions()),
     "thm2-partition": (SystemParams(4, 4, 4, 1, 2, 1, 4), "thm2-partition", SimOptions(strictness=SUFFICIENT_Q)),
     "thm2-strict-infeasible": (
         SystemParams(4, 4, 4, 1, 2, 1, 2),
@@ -118,3 +132,145 @@ def test_block_decode_equals_per_receiver_decodes(name):
             for dl in plan.deliveries
         ]
         assert tuple(singles) == record.decode_errors
+
+
+def _chunks_of(monkeypatch, params, blocks):
+    """Make an episode's front run in chunks of ``blocks`` blocks."""
+    monkeypatch.setattr(simulator, "FRONT_CHUNK_BYTES", blocks * simulator._block_bytes(params))
+
+
+@pytest.mark.parametrize("name", NETWORKS)
+def test_chunked_episode_equals_blocks_one_at_a_time(monkeypatch, name):
+    """``run_episode`` runs the front in stacked chunks (7 blocks here, so
+    chunk boundaries fall inside every schedule); every record equals the
+    block run alone and the reference's, bit for bit."""
+    params, regime, options = NETWORKS[name]
+    schedule = build_schedule(params, regime, options)
+    _chunks_of(monkeypatch, params, 7)
+    plans = schedule.blocks[:60]
+    assert len(plans) > 7
+    for seed in (0, 7):
+        episode = run_episode(params, regime, seed, options, schedule=schedule)
+        for plan, record in zip(plans, episode.blocks):
+            alone = simulate_block(plan, params, seed, options)
+            want = reference_simulate_block(plan, params, seed, options)
+            assert record == alone
+            assert (record.delivered, record.irs_status) == (want.delivered, want.irs_status)
+            assert record.n_nulls == want.n_nulls
+            assert (record.irs_residual, record.channel_scale) == (want.irs_residual, want.channel_scale)
+            assert record.decode_errors == want.decode_errors
+
+
+def test_chunk_mixing_two_lowered_shapes():
+    """Plans of two null counts on the same network (square null-steering
+    systems and none at all) share chunks; each front equals its block's
+    own."""
+    params = SystemParams(4, 5, 5, 1, 2, 1, 4)
+    options = SimOptions(strictness=SUFFICIENT_Q)
+    square = build_schedule(params, "thm2-ordered", options).blocks[:12]
+    bare = build_schedule(params, "thm2-ordered", SimOptions(strictness=SUFFICIENT_Q, l_size=0)).blocks[12:24]
+    plans = [plan for pair in zip(square, bare) for plan in pair]
+    assert len({tuple(plan_buffer(plan)[:6].tolist()) for plan in plans}) == 2
+    fronts = list(block_fronts(plans, params, 3, options))
+    assert len(fronts) == len(plans)
+    for plan, front in zip(plans, fronts):
+        assert simulate_block(plan, params, 3, options, front) == simulate_block(plan, params, 3, options)
+        assert front.n_nulls == len(required_nulls(plan))
+
+
+@pytest.mark.parametrize(
+    "params, regime, options, seed, powers, expected",
+    [
+        (
+            EX,
+            "thm1",
+            SimOptions(),
+            3,
+            (1e3, 1e5),
+            (0.9998280903746061, 0.9997336840527323, 0.9975695121340015, 0.9995610449961162),
+        ),
+        (
+            SystemParams(4, 5, 5, 1, 2, 1, 4),
+            "thm2-ordered",
+            SimOptions(strictness=SUFFICIENT_Q),
+            2,
+            (1e3, 1e4, 1e6),
+            (0.7992957004738348, 0.799662748957811, 0.7992744050923057, 0.7992936618241813, 0.7992817613675158),
+        ),
+        (
+            SystemParams(4, 5, 5, 1, 2, 1, 4),
+            "thm2-partition",
+            SimOptions(strictness=SUFFICIENT_Q, disable_irs=True),
+            2,
+            (1e3, 1e6),
+            (0.0032819228715624503, 0.4019406205759125, 0.5334181359480104, 0.5325893986497409, 0.5325079974800178),
+        ),
+    ],
+)
+def test_slope_estimate_unchanged_by_chunking(monkeypatch, params, regime, options, seed, powers, expected):
+    """The slopes equal those of the block-by-block front the chunked one
+    replaced (recorded from it), whatever the chunk size."""
+    for blocks in (5, 1 << 20):
+        _chunks_of(monkeypatch, params, blocks)
+        assert estimate_dof_slope(params, regime, seed, powers, options).per_receiver == expected
+
+
+class _ZeroedDraw:
+    """A block's channel generator with the first ``count`` normals of its
+    draw (all of them when ``count`` is None) set to zero."""
+
+    def __init__(self, rng, count):
+        self.rng, self.count = rng, count
+
+    def standard_normal(self, *, out):
+        self.rng.standard_normal(out=out)
+        out[: self.count] = 0.0
+        return out
+
+
+def _zero_channels(monkeypatch, params, zeroed):
+    """Zero the whole draw, or only the direct leg, of the given blocks:
+    ``zeroed`` maps a block index to ``"all"`` or ``"direct"``."""
+    real = channel.block_rng
+
+    def patched(seed, block, stream=0):
+        rng = real(seed, block, stream)
+        if stream or block not in zeroed:
+            return rng
+        return _ZeroedDraw(rng, None if zeroed[block] == "all" else 2 * params.k_r * params.k_t)
+
+    monkeypatch.setattr(channel, "block_rng", patched)
+
+
+def _first_error_block_by_block(plans, params, seed, options):
+    for plan in plans:
+        try:
+            simulate_block(plan, params, seed, options)
+        except SingularChannelError as exc:
+            return str(exc)
+    raise AssertionError("no block failed")
+
+
+@pytest.mark.parametrize(
+    "zeroed, disable_irs, expected",
+    [
+        # a square null-steering system of zeros in the middle of a chunk
+        ({9: "all"}, False, r"^seed 4, block 9: square null-steering system of size 4 is singular"),
+        # a zero channel with the surface off: the joint zero-forcing system
+        ({9: "all"}, True, r"^seed 4, block 9: joint zero-forcing system is singular"),
+        # block 9 fails at zero forcing (its null steering cuts nothing from
+        # a zero direct channel), block 11 at null steering; the stacked
+        # stages meet block 11 first, the block-by-block order block 9
+        ({9: "direct", 11: "all"}, False, r"^seed 4, block 9: joint zero-forcing system is singular"),
+    ],
+)
+def test_singular_block_inside_a_chunk_raises_the_block_by_block_error(monkeypatch, zeroed, disable_irs, expected):
+    params = SystemParams(4, 5, 5, 1, 2, 1, 4)
+    options = SimOptions(strictness=SUFFICIENT_Q, disable_irs=disable_irs)
+    schedule = build_schedule(params, "thm2-ordered", options)
+    assert [plan.block_index for plan in schedule.blocks[:16]] == list(range(1, 17))
+    _chunks_of(monkeypatch, params, 16)
+    _zero_channels(monkeypatch, params, zeroed)
+    with pytest.raises(SingularChannelError, match=expected) as chunked:
+        run_episode(params, "thm2-ordered", 4, options, schedule=schedule)
+    assert str(chunked.value) == _first_error_block_by_block(schedule.blocks, params, 4, options)

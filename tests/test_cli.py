@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import pytest
 
@@ -123,6 +124,24 @@ def test_partition_find_out_of_range_is_config_error(m, mu_t, capsys):
     code = main(["partition-find", "--m", m, "--design-mu-t", mu_t])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition-find", "--m", "2", "--design-mu-t", "9"],
+        ["schedule-verify", "--k-t", "18", "--k-r", "11", "--n-files", "11", "--mu-t", "9", "--mu-r", "1",
+         "--sufficient-q"],
+        ["simulate", "--k-t", "18", "--k-r", "11", "--n-files", "11", "--mu-t", "9", "--mu-r", "1",
+         "--sufficient-q"],
+    ],
+)
+def test_design_past_the_guard_is_config_error(argv, capsys):
+    # (m, mu_t) = (2, 9) needs 24,310 parallel classes, past the design guard
+    start = time.monotonic()
+    assert main(argv) == EXIT_CONFIG
+    assert time.monotonic() - start < 1.0
+    assert "guard" in capsys.readouterr().err
 
 
 def test_thm2_partition_three_groups_of_three(tmp_path):

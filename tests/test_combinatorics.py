@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from irs_cache_dof.combinatorics import (
+    DESIGN_CLASS_GUARD,
     OrderedPartitionSystem,
     SubsetPartitionSystem,
     cyclic_shift,
@@ -122,6 +123,16 @@ def test_construction_covers_every_ground_set_up_to_16():
         for mu_t in range(2, 16 // m + 1):
             assert verify_subset_partition(find_subset_partition(m, mu_t)).ok, (m, mu_t)
     assert time.monotonic() - start < 30.0
+
+
+def test_design_guard_admits_every_ground_set_up_to_16_and_refuses_larger_counts_at_once():
+    counts = [math.comb(m * mu_t - 1, mu_t - 1) for m in range(1, 9) for mu_t in range(2, 16 // m + 1)]
+    assert max(counts) == DESIGN_CLASS_GUARD
+    for m, mu_t in ((2, 9), (3, 7), (5, 5), (2, 32)):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="guard"):
+            find_subset_partition(m, mu_t)
+        assert time.monotonic() - start < 1.0
 
 
 def test_verify_rejects_duplicate_subset():

@@ -175,6 +175,22 @@ def test_subfile_id_rejects_overlapping_groups():
         SubfileId(file=1, tx_index=(1,), rx_set=(2, 3), zf_set=(3,))
 
 
+def test_subfile_id_groups_may_repeat_inside_but_not_across():
+    # every triple of groups of up to two receivers from {1, 2, 3}, repeats
+    # included, against the per-group set test
+    from itertools import product
+
+    groups = [()] + [(a,) for a in (1, 2, 3)] + list(product((1, 2, 3), repeat=2))
+    for rx, zf, irs in product(groups, repeat=3):
+        sets = (set(rx), set(zf), set(irs))
+        disjoint = len(sets[0] | sets[1] | sets[2]) == sum(len(g) for g in sets)
+        if disjoint:
+            SubfileId(file=1, tx_index=(1,), rx_set=rx, zf_set=zf, irs_set=irs)
+        else:
+            with pytest.raises(ValueError):
+                SubfileId(file=1, tx_index=(1,), rx_set=rx, zf_set=zf, irs_set=irs)
+
+
 def test_random_parameter_budgets_hold():
     # model-constraint-respecting random tuples, exact budget identities
     import random

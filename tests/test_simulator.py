@@ -273,7 +273,7 @@ def test_singular_block_names_seed_and_block(monkeypatch):
     p = SystemParams(k_t=4, k_r=4, n_files=4, f_packets=1, mu_t=2, mu_r=1, q_elements=4)
     options = SimOptions(strictness="sufficient")
     plan = build_schedule(p, "thm2-partition", options).blocks[2]
-    monkeypatch.setattr(simulator, "equivalent_channel", lambda ch, irs: np.zeros((p.k_r, p.k_t), dtype=complex))
+    monkeypatch.setattr(simulator, "equivalent_channels", lambda ch, q: np.zeros((len(ch.blocks), p.k_r, p.k_t), dtype=complex))
     message = rf"^seed 5, block {plan.block_index}: joint zero-forcing system is singular; the episode aborts$"
     with pytest.raises(SingularChannelError, match=message):
         simulate_block(plan, p, 5, options)
