@@ -70,6 +70,11 @@ class _Sections:
     ``n_deliveries``, ``n_joint`` (the lead group's deliveries) and
     ``group`` (the serving-group size).
 
+    ``delivery_rx`` holds each delivery's receiver, ``serving_tx`` its
+    serving transmitters (one row per delivery, in group order) and
+    ``cache_mask`` the cache relation: entry ``(a, b)`` is 1 when delivery
+    ``a``'s receiver caches delivery ``b``'s subfile. ``cached_rxs`` and
+    ``zf_rxs`` are the block's common receiver groups, each sorted.
     ``null_pairs`` holds the cut links sorted by (transmitter, receiver):
     transmitters in row 0, receivers in row 1. For the joint zero-forcing
     system of the lead group's ``n_joint`` deliveries, ``joint_rx`` and
@@ -82,14 +87,37 @@ class _Sections:
 
     __slots__ = ("buf", "n_deliveries", "n_joint", "group", "_ends")
 
-    def _read_header(self, header: list[int]) -> list[int]:
+    def _read_header(self, header: list[int]) -> None:
         d, g, _, c, z, _ = header
         self.n_deliveries, self.group, self.n_joint = d, g, 1 + c + z
         self._ends = _section_ends(header)
-        return self._ends
 
     def _array(self, section: int) -> np.ndarray:
         return self.buf[..., self._ends[section] : self._ends[section + 1]]
+
+    def _matrix(self, section: int, cols: int) -> np.ndarray:
+        flat = self._array(section)
+        return flat.reshape(*flat.shape[:-1], self.n_deliveries, cols)
+
+    @property
+    def delivery_rx(self) -> np.ndarray:
+        return self._array(_RX)
+
+    @property
+    def serving_tx(self) -> np.ndarray:
+        return self._matrix(_SERVING, self.group)
+
+    @property
+    def cache_mask(self) -> np.ndarray:
+        return self._matrix(_CACHED, self.n_deliveries)
+
+    @property
+    def cached_rxs(self) -> np.ndarray:
+        return self._array(_CACHED_RXS)
+
+    @property
+    def zf_rxs(self) -> np.ndarray:
+        return self._array(_ZF_RXS)
 
     @property
     def null_pairs(self) -> np.ndarray:
@@ -114,31 +142,14 @@ class _Sections:
 
 
 class LoweredPlan(_Sections):
-    """One plan's lowered buffer, read as Python lists where the block
-    arithmetic is scalar and as integer array views (see ``_Sections``)
-    where it gathers.
+    """One plan's lowered buffer, read through the array views of
+    ``_Sections``."""
 
-    Lists: ``rx[d]`` (receiver of delivery ``d``), ``serving[d]`` (its
-    serving transmitters, in group order) and ``cached[a]`` (the
-    deliveries whose subfiles delivery ``a``'s receiver caches, in order;
-    the buffer holds them as a ``D x D`` 0/1 mask);
-    ``cached_rxs`` and ``zf_rxs`` (the block's common receiver groups,
-    each sorted).
-    """
-
-    __slots__ = ("rx", "serving", "cached", "cached_rxs", "zf_rxs")
+    __slots__ = ()
 
     def __init__(self, buf: np.ndarray):
-        self.buf, values = buf, buf.tolist()
-        ends = self._read_header(values[:_HEADER])
-        d, g = self.n_deliveries, self.group
-        self.rx = values[ends[_RX] : ends[_RX + 1]]
-        serving = values[ends[_SERVING] : ends[_SERVING + 1]]
-        self.serving = [serving[k : k + g] for k in range(0, d * g, g)]
-        mask = values[ends[_CACHED] : ends[_CACHED + 1]]
-        self.cached = [[b for b in range(d) if mask[a * d + b]] for a in range(d)]
-        self.cached_rxs = values[ends[_CACHED_RXS] : ends[_CACHED_RXS + 1]]
-        self.zf_rxs = values[ends[_ZF_RXS] : ends[_ZF_RXS + 1]]
+        self.buf = buf
+        self._read_header(buf[:_HEADER].tolist())
 
 
 class PlanStack(_Sections):

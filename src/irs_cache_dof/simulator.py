@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .analytics import STRICT_Q, max_feasible_L
 from .channel import SingularChannelError, block_rng, equivalent_channels, sample_channels
 from .combinatorics import enumerate_ordered_partitions, find_subset_partition
 from .irs import STATUS_INFEASIBLE, IrsSolveInfo, solve_irs_stack
-from .lowering import LoweredPlan, lower_plan, stack_plans
+from .lowering import PlanStack, plan_buffer, stack_plans
 from .params import SystemParams
 from .scheduler import (
     BlockPlan,
@@ -39,8 +40,9 @@ IRS_DISABLED = "disabled"
 
 
 class ScheduleConsistencyError(RuntimeError):
-    """Transmit inputs do not fit the block: beamformers solved for other
-    deliveries or serving groups, or a symbol count that differs."""
+    """Transmit or decode inputs do not fit the block: beamformers solved
+    for other deliveries or serving groups, a symbol count that differs, or
+    a decoding receiver the block delivers nothing to."""
 
 
 @dataclass(frozen=True)
@@ -57,50 +59,104 @@ class SimOptions:
     demand: DemandVector | None = None
 
 
+def _draw_symbols(blocks: Sequence[int], n: int, seed: int) -> np.ndarray:
+    """``n`` unit-power symbols for each of ``blocks``, one per delivery in
+    delivery order: every block draws its phases from its own stream into
+    one buffer, and one ``exp`` turns them all into symbols."""
+    phases = np.empty((len(blocks), n))
+    for row, block in zip(phases, blocks):
+        row[:] = block_rng(seed, block, stream=1).uniform(0.0, 2.0 * math.pi, n)
+    return np.exp(1j * phases)
+
+
 def _symbols_for(plan: BlockPlan, seed: int) -> np.ndarray:
-    """One unit-power symbol per delivery, in delivery order, deterministic
-    per block."""
-    rng = block_rng(seed, plan.block_index, stream=1)
-    return np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, len(plan.deliveries)))
+    """One block's symbols: the one-block case of :func:`_draw_symbols`."""
+    return _draw_symbols([plan.block_index], len(plan.deliveries), seed)[0]
 
 
-def transmit_block(plan: BlockPlan, beams: BeamformerSet, symbols: np.ndarray, k_t: int) -> np.ndarray:
-    """Per-transmitter signals: each transmitter sends the weighted sum of
-    the scheduled symbols it carries; everyone else stays silent."""
-    low = lower_plan(plan)
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b``, formed in float arithmetic as CPython multiplies complex
+    numbers; numpy's complex loop may round the last bit differently."""
+    real = a.real * b.real - a.imag * b.imag
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _transmit(stack: PlanStack, weights: np.ndarray, symbols: np.ndarray, k_t: int) -> np.ndarray:
+    """The ``(S, k_t)`` transmit signals of a stack of blocks, given their
+    ``(S, D, G)`` weights and ``(S, D)`` symbols: each transmitter sends the
+    sum of weight times symbol over the deliveries it serves, added in
+    (delivery, serving transmitter) order; everyone else stays silent."""
+    x = np.zeros((len(weights), k_t), dtype=complex)
+    blocks = np.arange(len(x))[:, None, None]
+    np.add.at(x, (blocks, stack.serving_tx), _cmul(weights, symbols[:, :, None]))
+    return x
+
+
+def _gains_and_cached(
+    stack: PlanStack, h_eq: np.ndarray, weights: np.ndarray, symbols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For every delivery of a stack of blocks, ``(S, D)`` each: its gain
+    at its receiver, and the summed contributions of the deliveries whose
+    subfiles that receiver caches (which it subtracts).
+
+    A gain adds its serving transmitters' terms from 0 in group order, and
+    a cached sum adds its deliveries' contributions in delivery order, as
+    the scalar sums ``sum(...)`` and ``+=`` would."""
+    n, d = len(h_eq), stack.n_deliveries
+    blocks = np.arange(n)[:, None, None, None]
+    # h[s, a, c, p]: the channel from delivery c's p-th transmitter to delivery a's receiver
+    h = h_eq[blocks, stack.delivery_rx[:, :, None, None], stack.serving_tx[:, None]]
+    terms = _cmul(h, weights[:, None])
+    gains = np.zeros((n, d, d), dtype=complex)
+    for p in range(stack.group):
+        gains = gains + terms[..., p]
+    # a running sum from 0 over every delivery, in order: one the receiver
+    # does not cache adds an exact 0, which leaves a sum started at +0 as it is
+    running = np.zeros((n, d, d + 1), dtype=complex)
+    running[..., 1:] = np.where(stack.cache_mask, _cmul(gains, symbols[:, None, :]), 0)
+    cached = np.add.accumulate(running, axis=2)[..., -1]
+    return np.diagonal(gains, axis1=1, axis2=2), cached
+
+
+def _decode(y: np.ndarray, own: np.ndarray, cached: np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates and residuals of receivers that heard ``y``: subtract the
+    cached contributions, divide by the own gain, and measure the distance
+    from the sent symbol. A vanishing own gain decodes nothing: NaN, with
+    residual infinity."""
+    with np.errstate(all="ignore"):
+        estimate = (y - cached) / own
+        error = estimate - symbols
+    lost = np.hypot(own.real, own.imag) < 1e-300
+    return np.where(lost, complex("nan"), estimate), np.where(lost, np.inf, np.hypot(error.real, error.imag))
+
+
+def _one_block(plan: BlockPlan, beams: BeamformerSet, symbols: np.ndarray) -> PlanStack:
+    """The plan as a stack of one, once ``beams`` and ``symbols`` are
+    checked to fit it."""
     if beams.deliveries is not plan.deliveries and beams.deliveries != plan.deliveries:
         raise ScheduleConsistencyError(
             f"block {plan.block_index}: beamformers are for deliveries {beams.deliveries}, "
             "not this block's serving groups"
         )
-    shape = (len(low.rx), low.group)
-    if beams.weights.shape != shape or len(symbols) != len(low.rx):
+    stack = PlanStack([plan_buffer(plan)])
+    shape = (stack.n_deliveries, stack.group)
+    if beams.weights.shape != shape or len(symbols) != shape[0]:
         raise ScheduleConsistencyError(
             f"block {plan.block_index}: need {shape} weights and {shape[0]} symbols, "
             f"got {beams.weights.shape} and {len(symbols)}"
         )
-    x = [0j] * k_t
-    for serving, weights, symbol in zip(low.serving, beams.weights.tolist(), symbols.tolist()):
-        for tx, w in zip(serving, weights):
-            x[tx] += w * symbol
-    return np.array(x)
+    return stack
 
 
-def _own_and_cached(
-    own: int, low: LoweredPlan, h_row: list[complex], weights: list[list[complex]], symbols: list[complex]
-) -> tuple[complex, complex]:
-    """The gain of delivery ``own`` at its receiver (whose row of the
-    equivalent channel is ``h_row``), and the summed contributions of the
-    scheduled subfiles that receiver caches (which it subtracts)."""
-    serving = low.serving
-    cached_sum = 0.0 + 0.0j
-    for d in low.cached[own]:
-        cached_sum += _gain(h_row, serving[d], weights[d]) * symbols[d]
-    return _gain(h_row, serving[own], weights[own]), cached_sum
-
-
-def _gain(h_row: list[complex], serving: list[int], weights: list[complex]) -> complex:
-    return sum([h_row[tx] * w for tx, w in zip(serving, weights)])
+def transmit_block(plan: BlockPlan, beams: BeamformerSet, symbols: np.ndarray, k_t: int) -> np.ndarray:
+    """Per-transmitter signals: each transmitter sends the weighted sum of
+    the scheduled symbols it carries; everyone else stays silent. The
+    one-block case of the stacked back end."""
+    stack = _one_block(plan, beams, symbols)
+    return _transmit(stack, beams.weights[None], symbols[None], k_t)[0]
 
 
 def receiver_decode(
@@ -121,25 +177,22 @@ def receiver_decode(
 
     ``y`` and ``rx`` may also be equal-length sequences, one entry per
     decoding receiver; the result is then a list of (estimate, residual)
-    pairs, each equal to its scalar call's.
+    pairs, each equal to its scalar call's. The one-block case of the
+    stacked back end.
     """
-    low = lower_plan(plan)
-    weights, syms = beams.weights.tolist(), symbols.tolist()
-    if isinstance(rx, (int, np.integer)):
-        return _decode(y, rx, low, h_eq[rx - 1].tolist(), weights, syms)
-    h_rows = h_eq.tolist()
-    return [_decode(y_n, rx_n, low, h_rows[rx_n - 1], weights, syms) for y_n, rx_n in zip(y, rx)]
-
-
-def _decode(
-    y: complex, rx: int, low: LoweredPlan, h_row: list[complex], weights: list[list[complex]], symbols: list[complex]
-) -> tuple[complex, float]:
-    own = low.rx.index(rx - 1)
-    own_gain, cached_sum = _own_and_cached(own, low, h_row, weights, symbols)
-    if abs(own_gain) < 1e-300:
-        return complex("nan"), float("inf")
-    estimate = (y - cached_sum) / own_gain
-    return estimate, float(abs(estimate - symbols[own]))
+    stack = _one_block(plan, beams, symbols)
+    single = isinstance(rx, (int, np.integer))
+    rxs = [rx] if single else list(rx)
+    receivers = stack.delivery_rx[0].tolist()
+    for r in rxs:
+        if r - 1 not in receivers:
+            raise ScheduleConsistencyError(f"block {plan.block_index}: receiver {r} has no delivery in this block")
+    slots = [receivers.index(r - 1) for r in rxs]
+    own, cached = _gains_and_cached(stack, h_eq[None], beams.weights[None], symbols[None])
+    ys = np.array([y] if single else y, dtype=complex)
+    estimates, residuals = _decode(ys, own[0, slots], cached[0, slots], symbols[slots])
+    decoded = list(zip(estimates.tolist(), residuals.tolist()))
+    return decoded[0] if single else decoded
 
 
 @dataclass(frozen=True)
@@ -286,28 +339,123 @@ def _stacked_fronts(
     ]
 
 
+class BlockBack(NamedTuple):
+    """A block's front and what its receivers made of it: one (receiver,
+    residual) pair per delivery, in delivery order."""
+
+    front: BlockFront
+    decode_errors: tuple[tuple[int, float], ...]
+
+
+class _StackedBack(NamedTuple):
+    """The back of a stack of blocks of one lowered shape: symbols ``(S, D)``,
+    transmit signals ``(S, k_t)``, noise-free received signals ``(S, k_r)``,
+    and each delivery's own gain and cached sum at its receiver ``(S, D)``."""
+
+    symbols: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    own: np.ndarray
+    cached: np.ndarray
+
+
+def _back_bytes(params: SystemParams) -> int:
+    """Bytes one block adds to a back chunk: its equivalent channel (held
+    in its front, then stacked), the channel entries, terms, gains and
+    contributions of every pair of deliveries (at most one per receiver),
+    and its signals."""
+    k_t, k_r = params.k_t, params.k_r
+    entries = 2 * k_r * k_t + k_r * k_r * (3 * params.mu_t + 3) + 2 * (k_t + k_r)
+    return 16 * entries
+
+
+def _back_chunks(
+    plans: Sequence[BlockPlan], fronts: Iterable[BlockFront], params: SystemParams
+) -> Iterator[tuple[Sequence[BlockPlan], list[BlockFront]]]:
+    """The plans with their fronts, in chunks of the back's own size."""
+    fronts = iter(fronts)
+    step = max(1, FRONT_CHUNK_BYTES // _back_bytes(params))
+    for start in range(0, len(plans), step):
+        chunk = plans[start : start + step]
+        yield chunk, list(islice(fronts, len(chunk)))
+
+
+def _shape_backs(
+    plans: Sequence[BlockPlan], fronts: Sequence[BlockFront], params: SystemParams, seed: int
+) -> Iterator[tuple[list[int], PlanStack, _StackedBack]]:
+    """Draw the symbols, transmit, propagate and cache-subtract for the
+    plans of each lowered shape in one stacked call per stage, yielding the
+    positions of the plans in ``plans``, their stack and their back."""
+    for positions, stack in stack_plans(plans):
+        h_eq = np.stack([fronts[at].h_eq for at in positions])
+        weights = np.stack([fronts[at].beams.weights for at in positions])
+        symbols = _draw_symbols([plans[at].block_index for at in positions], stack.n_deliveries, seed)
+        x = _transmit(stack, weights, symbols, params.k_t)
+        y = np.matmul(h_eq, x[:, :, None])[:, :, 0]
+        own, cached = _gains_and_cached(stack, h_eq, weights, symbols)
+        yield positions, stack, _StackedBack(symbols, x, y, own, cached)
+
+
+def _noise(blocks: Sequence[int], k_r: int, seed: int) -> np.ndarray:
+    """Unit-variance complex receiver noise of each block, from its own
+    stream: the real parts, then the imaginary parts."""
+    draws = np.empty((len(blocks), 2, k_r))
+    for row, block in zip(draws, blocks):
+        block_rng(seed, block, stream=2).standard_normal(out=row)
+    return draws[:, 0] + 1j * draws[:, 1]
+
+
+def _stacked_backs(
+    plans: Sequence[BlockPlan], fronts: Sequence[BlockFront], params: SystemParams, seed: int, options: SimOptions
+) -> list[BlockBack]:
+    """The back of every plan given its front, one stacked call per stage
+    and lowered shape: symbols, transmit, propagation with noise, and every
+    receiver's decode."""
+    backs = [None] * len(plans)
+    for positions, stack, back in _shape_backs(plans, fronts, params, seed):
+        y = back.y
+        if options.noise_variance > 0.0:
+            noise = _noise([plans[at].block_index for at in positions], params.k_r, seed)
+            y = y + noise * math.sqrt(options.noise_variance / 2.0)
+        rx = stack.delivery_rx.astype(np.intp)
+        _, residuals = _decode(np.take_along_axis(y, rx, axis=1), back.own, back.cached, back.symbols)
+        for at, rxs, errors in zip(positions, (rx + 1).tolist(), residuals.tolist()):
+            backs[at] = BlockBack(fronts[at], tuple(zip(rxs, errors)))
+    return backs
+
+
+def block_backs(
+    plans: Sequence[BlockPlan], fronts: Iterable[BlockFront], params: SystemParams, seed: int, options: SimOptions
+) -> Iterator[BlockBack]:
+    """The back of every plan, in order, given the plans' fronts in order
+    (see :func:`block_fronts`), computed chunk by chunk. Its chunks hold
+    more blocks than the front's where a block's front is large: the back
+    only stacks equivalent channels and per-delivery values. Every number
+    equals the one-block computation's bit for bit."""
+    for chunk, chunk_fronts in _back_chunks(plans, fronts, params):
+        yield from _stacked_backs(chunk, chunk_fronts, params, seed, options)
+
+
 def simulate_block(
-    plan: BlockPlan, params: SystemParams, seed: int, options: SimOptions, front: BlockFront | None = None
+    plan: BlockPlan,
+    params: SystemParams,
+    seed: int,
+    options: SimOptions,
+    front: BlockFront | None = None,
+    back: BlockBack | None = None,
 ) -> BlockRecord:
     """Run one block end to end and measure every intended residual.
 
-    ``front`` is the block's front when a caller has already computed it
-    with others (see :func:`block_fronts`); without one the block runs
-    alone.
+    ``back`` is the block's back (which holds its front) and ``front`` its
+    front, when a caller has already computed them with others' (see
+    :func:`block_backs` and :func:`block_fronts`); what is not given, the
+    block computes alone.
     """
-    if front is None:
-        [front] = _stacked_fronts([plan], params, seed, options)
-    symbols = _symbols_for(plan, seed)
-    y = front.h_eq @ transmit_block(plan, front.beams, symbols, params.k_t)
-    if options.noise_variance > 0.0:
-        rng = block_rng(seed, plan.block_index, stream=2)
-        noise = rng.standard_normal(params.k_r) + 1j * rng.standard_normal(params.k_r)
-        y = y + noise * math.sqrt(options.noise_variance / 2.0)
-    rx_index = lower_plan(plan).rx
-    rxs = [rx + 1 for rx in rx_index]
-    decoded = receiver_decode(y[rx_index], rxs, plan, front.h_eq, front.beams, symbols)
-    errors = [(rx, residual) for rx, (_, residual) in zip(rxs, decoded)]
-    delivered = sum(residual < options.success_threshold for _, residual in errors)
+    if back is None:
+        if front is None:
+            [front] = _stacked_fronts([plan], params, seed, options)
+        [back] = _stacked_backs([plan], [front], params, seed, options)
+    front, errors = back
     return BlockRecord(
         block_index=plan.block_index,
         n_nulls=front.n_nulls,
@@ -315,8 +463,8 @@ def simulate_block(
         irs_status=front.irs.status,
         irs_residual=front.irs.residual,
         channel_scale=front.channel_scale,
-        decode_errors=tuple(errors),
-        delivered=delivered,
+        decode_errors=errors,
+        delivered=sum(residual < options.success_threshold for _, residual in errors),
     )
 
 
@@ -336,9 +484,10 @@ def run_episode(
     """
     if schedule is None:
         schedule = build_schedule(params, regime, options)
-    # one simulate_block call per block, looked up by name (perfbench's traced run wraps it)
     fronts = block_fronts(schedule.blocks, params, seed, options)
-    records = [simulate_block(plan, params, seed, options, front) for plan, front in zip(schedule.blocks, fronts)]
+    backs = block_backs(schedule.blocks, fronts, params, seed, options)
+    # one simulate_block call per block, looked up by name (perfbench's traced run wraps it)
+    records = [simulate_block(plan, params, seed, options, back=back) for plan, back in zip(schedule.blocks, backs)]
     total_deliveries = sum(len(b.deliveries) for b in schedule.blocks)
     total_delivered = sum(r.delivered for r in records)
     infeasible = sum(1 for r in records if r.irs_status == STATUS_INFEASIBLE)
@@ -396,22 +545,25 @@ def estimate_dof_slope(
         schedule = build_schedule(params, regime, options)
     h = schedule.h_blocks
     rates = np.zeros((len(powers), params.k_r))
-    for plan, front in zip(schedule.blocks, block_fronts(schedule.blocks, params, seed, options)):
-        symbols = _symbols_for(plan, seed)
-        x = transmit_block(plan, front.beams, symbols, params.k_t)
-        peak = float(np.abs(x).max())
-        if peak == 0.0:
-            continue
-        low = lower_plan(plan)
-        h_eq, weights, symbols = front.h_eq.tolist(), front.beams.weights.tolist(), symbols.tolist()
-        y_clean = (front.h_eq @ x).tolist()
-        for own, rx in enumerate(low.rx):
-            own_gain, cached = _own_and_cached(own, low, h_eq[rx], weights, symbols)
-            leak = y_clean[rx] - cached - own_gain * symbols[own]
-            for n, p in enumerate(powers):
-                alpha2 = p / peak**2
-                sinr = alpha2 * abs(own_gain) ** 2 / (1.0 + alpha2 * abs(leak) ** 2)
-                rates[n, rx] += math.log2(1.0 + sinr) / h
+    fronts = block_fronts(schedule.blocks, params, seed, options)
+    for plans, chunk_fronts in _back_chunks(schedule.blocks, fronts, params):
+        blocks = [None] * len(plans)
+        for positions, stack, back in _shape_backs(plans, chunk_fronts, params, seed):
+            rx = stack.delivery_rx.astype(np.intp)
+            y = np.take_along_axis(back.y, rx, axis=1)
+            peaks = [float(np.abs(x).max()) for x in back.x]
+            values = (rx.tolist(), y.tolist(), back.own.tolist(), back.cached.tolist(), back.symbols.tolist())
+            for at, peak, *block in zip(positions, peaks, *values):
+                blocks[at] = peak, zip(*block)
+        for peak, receivers in blocks:
+            if peak == 0.0:
+                continue
+            for rx, y_rx, own_gain, cached, symbol in receivers:
+                leak = y_rx - cached - own_gain * symbol
+                for n, p in enumerate(powers):
+                    alpha2 = p / peak**2
+                    sinr = alpha2 * abs(own_gain) ** 2 / (1.0 + alpha2 * abs(leak) ** 2)
+                    rates[n, rx] += math.log2(1.0 + sinr) / h
     logp = np.log2(np.asarray(powers, dtype=float))
     slopes = tuple(float(np.polyfit(logp, rates[:, j], 1)[0]) for j in range(params.k_r))
     return SlopeEstimate(per_receiver=slopes, mean=float(np.mean(slopes)), powers=tuple(powers))

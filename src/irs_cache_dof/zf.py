@@ -44,7 +44,7 @@ def select_binary_beamformers(plan: BlockPlan) -> BeamformerSet:
     low = lower_plan(plan)
     if low.group != 1:
         raise ValueError("binary selection applies to single-transmitter serving groups")
-    return BeamformerSet(plan.deliveries, np.ones((len(low.rx), 1), dtype=complex))
+    return BeamformerSet(plan.deliveries, np.ones((low.n_deliveries, 1), dtype=complex))
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,10 +2,14 @@
 ``reference_block.py``, and the exactness properties the kernel keeps:
 single-draw channels, batched idle-group solves and per-receiver decodes
 equal to their unbatched forms bit for bit, and episodes run chunk by
-chunk through stacked stages equal to blocks run one at a time."""
+chunk through stacked front and back stages equal to blocks run one at a
+time."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference_block
 from reference_block import reference_channels, reference_simulate_block
 
 from irs_cache_dof import channel, simulator
@@ -176,6 +180,79 @@ def test_chunk_mixing_two_lowered_shapes():
     for plan, front in zip(plans, fronts):
         assert simulate_block(plan, params, 3, options, front) == simulate_block(plan, params, 3, options)
         assert front.n_nulls == len(required_nulls(plan))
+
+
+def _chunk_sizes(monkeypatch, front, back):
+    """Make an episode's front run in chunks of ``front`` blocks and its
+    back in chunks of ``back``."""
+    monkeypatch.setattr(simulator, "FRONT_CHUNK_BYTES", front * back)
+    monkeypatch.setattr(simulator, "_block_bytes", lambda params: back)
+    monkeypatch.setattr(simulator, "_back_bytes", lambda params: front)
+
+
+class _ZeroDraw:
+    """A channel generator that draws only zeros."""
+
+    def standard_normal(self, size=None, *, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
+
+
+@pytest.mark.parametrize(
+    "params, regime, options, zeroed",
+    [
+        # the block at position 7 (the middle of the second back chunk) has an
+        # all-zero channel: with mu_t = 1 nothing is solved, and every own gain is 0
+        (EX, "thm1", SimOptions(), 7),
+        (
+            SystemParams(4, 5, 5, 1, 2, 1, 4),
+            "thm2-ordered",
+            SimOptions(strictness=SUFFICIENT_Q, noise_variance=1e-6, success_threshold=1e-2),
+            None,
+        ),
+    ],
+)
+def test_back_chunks_across_front_chunks_equal_the_reference(monkeypatch, params, regime, options, zeroed):
+    """The back runs in chunks of 5 blocks over a front in chunks of 7, so
+    their boundaries do not line up, and plans of two lowered shapes (one
+    and no null-steering links) alternate, so each full back chunk stacks
+    both. Every record equals the reference's exactly."""
+    with_nulls, bare = (build_schedule(params, regime, replace(options, l_size=size)) for size in (1, 0))
+    plans = [plan for pair in zip(with_nulls.blocks[:8], bare.blocks[8:16]) for plan in pair]
+    assert len({plan.block_index for plan in plans}) == len(plans) == 16
+    schedule = replace(with_nulls, blocks=tuple(plans))
+    _chunk_sizes(monkeypatch, front=7, back=5)
+    chunks = []
+    stacked_backs = simulator._stacked_backs
+
+    def recorded(chunk, *args):
+        chunks.append(chunk)
+        return stacked_backs(chunk, *args)
+
+    monkeypatch.setattr(simulator, "_stacked_backs", recorded)
+    if zeroed is not None:
+        real, zero_block = channel.block_rng, plans[zeroed].block_index
+        assert not plans[zeroed].null_links
+
+        def zero_draw(seed, block, stream=0):
+            return _ZeroDraw() if (block, stream) == (zero_block, 0) else real(seed, block, stream)
+
+        monkeypatch.setattr(channel, "block_rng", zero_draw)
+        monkeypatch.setattr(reference_block, "block_rng", zero_draw)
+    for seed in (0, 7):
+        chunks.clear()
+        episode = run_episode(params, regime, seed, options, schedule=schedule)
+        assert [len(chunk) for chunk in chunks] == [5, 5, 5, 1]
+        assert all(len({tuple(plan_buffer(plan)[:6].tolist()) for plan in chunk}) == 2 for chunk in chunks[:3])
+        for plan, record in zip(plans, episode.blocks):
+            assert record == reference_simulate_block(plan, params, seed, options)
+        if zeroed is not None:
+            lost = episode.blocks[zeroed]
+            assert lost.delivered == 0 and {error for _, error in lost.decode_errors} == {np.inf}
+        if options.noise_variance:
+            assert 0 < episode.max_decode_error < options.success_threshold
 
 
 @pytest.mark.parametrize(

@@ -47,14 +47,15 @@ def test_lowering_round_trip(name):
         assert plan.lowering is None  # computing null links does not lower
         low = lower_plan(plan)
         deliveries = plan.deliveries
-        assert [(rx + 1, tuple(tx + 1 for tx in txs)) for rx, txs in zip(low.rx, low.serving)] == [
+        receivers_and_groups = zip(low.delivery_rx.tolist(), low.serving_tx.tolist())
+        assert [(rx + 1, tuple(tx + 1 for tx in txs)) for rx, txs in receivers_and_groups] == [
             (dl.intended_rx, dl.serving_txs) for dl in deliveries
         ]
-        assert tuple(j + 1 for j in low.cached_rxs) == tuple(sorted(plan.cached_rxs))
-        assert tuple(j + 1 for j in low.zf_rxs) == tuple(sorted(plan.zf_rxs))
+        assert tuple(j + 1 for j in low.cached_rxs.tolist()) == tuple(sorted(plan.cached_rxs))
+        assert tuple(j + 1 for j in low.zf_rxs.tolist()) == tuple(sorted(plan.zf_rxs))
         assert low.n_joint == 1 + len(plan.cached_rxs) + len(plan.zf_rxs)
         for a, own in enumerate(deliveries):
-            assert low.cached[a] == [b for b, dl in enumerate(deliveries) if own.intended_rx in dl.subfile.rx_set]
+            assert low.cache_mask[a].tolist() == [int(own.intended_rx in dl.subfile.rx_set) for dl in deliveries]
         lowered_nulls = required_nulls(plan)
         assert lowered_nulls == fresh_nulls
         assert lowered_nulls.links == plan.null_links

@@ -112,6 +112,21 @@ def test_decode_residual_measures_interference():
     assert residual > 1e-3
 
 
+def test_decode_at_a_receiver_without_a_delivery_names_block_and_receiver():
+    p = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1, q_elements=2)
+    plan = build_schedule(p, "thm1", SimOptions()).blocks[0]
+    assert 4 not in {dl.intended_rx for dl in plan.deliveries}
+    h_eq = equivalent_channel(sample_block_channels(p, plan.block_index, seed=0), zero_irs(2))
+    beams = select_binary_beamformers(plan)
+    symbols = np.ones(len(plan.deliveries), dtype=complex)
+    message = rf"^block {plan.block_index}: receiver 4 has no delivery in this block$"
+    with pytest.raises(ScheduleConsistencyError, match=message):
+        receiver_decode(0j, 4, plan, h_eq, beams, symbols)
+    served = plan.deliveries[0].intended_rx
+    with pytest.raises(ScheduleConsistencyError, match=message):
+        receiver_decode([0j, 0j], [served, 4], plan, h_eq, beams, symbols)
+
+
 def test_episode_report_counts_and_identity():
     ep = run_episode(EX, "thm1", seed=23)
     assert ep.h_blocks == 9
