@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -160,7 +161,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     merged = _merged(args)
     cfg = RunConfig(command=args.command)
     cfg.seed = int(merged.get("seed", 0))
-    if cfg.seed < 0:
+    if not 0 <= cfg.seed <= 0xFFFFFFFFFFFFFFFF:
         raise ParameterError("seed must be a nonnegative 64-bit integer")
     cfg.strictness = merged.get("strictness", STRICT_Q)
     if cfg.strictness not in (STRICT_Q, SUFFICIENT_Q):
@@ -168,6 +169,8 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     cfg.out = merged.get("out")
     cfg.block_csv = merged.get("block_csv")
     cfg.noise_variance = float(merged.get("noise_variance", 0.0))
+    if not (math.isfinite(cfg.noise_variance) and cfg.noise_variance >= 0.0):
+        raise ParameterError(f"noise variance must be finite and nonnegative, got {cfg.noise_variance}")
     cfg.l_size = merged.get("l_size")
     cfg.disable_irs = bool(merged.get("disable_irs", False))
     regime_given = "regime" in merged

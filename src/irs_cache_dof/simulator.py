@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .analytics import STRICT_Q, max_feasible_L
-from .channel import SingularChannelError, block_rng, equivalent_channels, sample_channels
+from .channel import SingularChannelError, equivalent_channels, fill_block_streams, sample_channels
 from .combinatorics import enumerate_ordered_partitions, find_subset_partition
 from .irs import STATUS_INFEASIBLE, IrsSolveInfo, solve_irs_stack
 from .lowering import PlanStack, plan_buffer, stack_plans
@@ -61,11 +61,12 @@ class SimOptions:
 
 def _draw_symbols(blocks: Sequence[int], n: int, seed: int) -> np.ndarray:
     """``n`` unit-power symbols for each of ``blocks``, one per delivery in
-    delivery order: every block draws its phases from its own stream into
-    one buffer, and one ``exp`` turns them all into symbols."""
-    phases = np.empty((len(blocks), n))
-    for row, block in zip(phases, blocks):
-        row[:] = block_rng(seed, block, stream=1).uniform(0.0, 2.0 * math.pi, n)
+    delivery order: every block draws its phases from its stream 1 into one
+    buffer, and one ``exp`` turns them all into symbols. The phases are
+    ``block_rng(seed, block, 1).uniform(0, 2 pi, n)``, which numpy forms as
+    ``0 + 2 pi * u`` from the same uniforms ``u``."""
+    phases = fill_block_streams(np.empty((len(blocks), n)), seed, blocks, 1, "random")
+    phases *= 2.0 * math.pi
     return np.exp(1j * phases)
 
 
@@ -397,11 +398,9 @@ def _shape_backs(
 
 
 def _noise(blocks: Sequence[int], k_r: int, seed: int) -> np.ndarray:
-    """Unit-variance complex receiver noise of each block, from its own
-    stream: the real parts, then the imaginary parts."""
-    draws = np.empty((len(blocks), 2, k_r))
-    for row, block in zip(draws, blocks):
-        block_rng(seed, block, stream=2).standard_normal(out=row)
+    """Unit-variance complex receiver noise of each block, from its stream
+    2: the real parts, then the imaginary parts."""
+    draws = fill_block_streams(np.empty((len(blocks), 2, k_r)), seed, blocks, 2)
     return draws[:, 0] + 1j * draws[:, 1]
 
 

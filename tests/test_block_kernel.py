@@ -147,13 +147,15 @@ def _chunks_of(monkeypatch, params, blocks):
 def test_chunked_episode_equals_blocks_one_at_a_time(monkeypatch, name):
     """``run_episode`` runs the front in stacked chunks (7 blocks here, so
     chunk boundaries fall inside every schedule); every record equals the
-    block run alone and the reference's, bit for bit."""
+    block run alone and the reference's, bit for bit, whether every chunk
+    draws through re-keyed streams or through ``block_rng``."""
     params, regime, options = NETWORKS[name]
     schedule = build_schedule(params, regime, options)
     _chunks_of(monkeypatch, params, 7)
     plans = schedule.blocks[:60]
     assert len(plans) > 7
-    for seed in (0, 7):
+    for seed, crossover in _both_sides_of_the_crossover((0, 7)):
+        monkeypatch.setattr(channel, "STREAM_CROSSOVER", crossover)
         episode = run_episode(params, regime, seed, options, schedule=schedule)
         for plan, record in zip(plans, episode.blocks):
             alone = simulate_block(plan, params, seed, options)
@@ -180,6 +182,28 @@ def test_chunk_mixing_two_lowered_shapes():
     for plan, front in zip(plans, fronts):
         assert simulate_block(plan, params, 3, options, front) == simulate_block(plan, params, 3, options)
         assert front.n_nulls == len(required_nulls(plan))
+
+
+def _both_sides_of_the_crossover(seeds):
+    """Each seed with a stream crossover that sends every chunk, of any
+    size, through re-keyed streams, and with one that sends none."""
+    return [(seed, crossover) for seed in seeds for crossover in (1, 1 << 30)]
+
+
+def _zero_streams(monkeypatch, zeroed):
+    """Zero the channel draws (stream 0) of the given blocks, whichever path
+    draws them: ``zeroed`` maps a block index to the number of leading
+    normals of its draw set to zero, or None for all of them."""
+    real = channel.fill_block_streams
+
+    def patched(out, seed, blocks, stream, draw="standard_normal"):
+        real(out, seed, blocks, stream, draw)
+        for row, block in zip(out, blocks):
+            if stream == 0 and block in zeroed:
+                row[: zeroed[block]] = 0.0
+        return out
+
+    monkeypatch.setattr(channel, "fill_block_streams", patched)
 
 
 def _chunk_sizes(monkeypatch, front, back):
@@ -239,9 +263,10 @@ def test_back_chunks_across_front_chunks_equal_the_reference(monkeypatch, params
         def zero_draw(seed, block, stream=0):
             return _ZeroDraw() if (block, stream) == (zero_block, 0) else real(seed, block, stream)
 
-        monkeypatch.setattr(channel, "block_rng", zero_draw)
+        _zero_streams(monkeypatch, {zero_block: None})
         monkeypatch.setattr(reference_block, "block_rng", zero_draw)
-    for seed in (0, 7):
+    for seed, crossover in _both_sides_of_the_crossover((0, 7)):
+        monkeypatch.setattr(channel, "STREAM_CROSSOVER", crossover)
         chunks.clear()
         episode = run_episode(params, regime, seed, options, schedule=schedule)
         assert [len(chunk) for chunk in chunks] == [5, 5, 5, 1]
@@ -292,31 +317,11 @@ def test_slope_estimate_unchanged_by_chunking(monkeypatch, params, regime, optio
         assert estimate_dof_slope(params, regime, seed, powers, options).per_receiver == expected
 
 
-class _ZeroedDraw:
-    """A block's channel generator with the first ``count`` normals of its
-    draw (all of them when ``count`` is None) set to zero."""
-
-    def __init__(self, rng, count):
-        self.rng, self.count = rng, count
-
-    def standard_normal(self, *, out):
-        self.rng.standard_normal(out=out)
-        out[: self.count] = 0.0
-        return out
-
-
 def _zero_channels(monkeypatch, params, zeroed):
     """Zero the whole draw, or only the direct leg, of the given blocks:
     ``zeroed`` maps a block index to ``"all"`` or ``"direct"``."""
-    real = channel.block_rng
-
-    def patched(seed, block, stream=0):
-        rng = real(seed, block, stream)
-        if stream or block not in zeroed:
-            return rng
-        return _ZeroedDraw(rng, None if zeroed[block] == "all" else 2 * params.k_r * params.k_t)
-
-    monkeypatch.setattr(channel, "block_rng", patched)
+    direct = 2 * params.k_r * params.k_t
+    _zero_streams(monkeypatch, {block: None if leg == "all" else direct for block, leg in zeroed.items()})
 
 
 def _first_error_block_by_block(plans, params, seed, options):

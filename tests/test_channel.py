@@ -9,6 +9,7 @@ from irs_cache_dof.channel import (
     network_indicator,
     realization_to_jsonable,
     sample_block_channels,
+    sample_channels,
     zero_irs,
 )
 from irs_cache_dof.params import SystemParams
@@ -41,9 +42,10 @@ def test_dimensions_match_params():
 def test_unit_variance_monte_carlo():
     # empirical second moment of one entry over 1e5 independent blocks
     p = SystemParams(k_t=1, k_r=2, n_files=2, f_packets=1, mu_t=1, mu_r=1, q_elements=0)
-    draws = np.array(
-        [sample_block_channels(p, block=b, seed=99).direct[0, 0] for b in range(100_000)]
-    )
+    stack = sample_channels(p, range(100_000), seed=99)
+    for b in (*range(50), 99_999):
+        assert np.array_equal(stack.direct[b], sample_block_channels(p, block=b, seed=99).direct)
+    draws = stack.direct[:, 0, 0]
     assert abs(np.mean(np.abs(draws) ** 2) - 1.0) < 0.02
     assert abs(np.mean(draws)) < 0.02
 

@@ -199,6 +199,23 @@ def test_negative_seed_rejected(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_seed_past_64_bits_rejected(tmp_path, capsys):
+    out = tmp_path / "episode.json"
+    code = main(["simulate", *EXAMPLE_FLAGS, "--seed", str(2**64), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: seed")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variance", ["-1", "nan", "inf"])
+def test_noise_variance_not_finite_and_nonnegative_rejected(tmp_path, capsys, variance):
+    out = tmp_path / "episode.json"
+    code = main(["simulate", *EXAMPLE_FLAGS, "--noise-variance", variance, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: noise variance")
+    assert not out.exists()
+
+
 def test_default_regime_follows_cache_overlap(tmp_path):
     out = tmp_path / "ep.json"
     code = main(
