@@ -40,7 +40,6 @@ from .placement import (
     SubfileId,
     SubfileUniverse,
     place_caches,
-    refine_subfiles,
     split_library,
     verify_cache_budgets,
 )
@@ -51,7 +50,6 @@ from .scheduler import (
     Schedule,
     SchedulingError,
     demanded_for_schedule,
-    demanded_subfiles,
     make_schedule,
     verify_schedule_partition,
     worst_case_demand,

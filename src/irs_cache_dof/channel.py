@@ -58,8 +58,8 @@ def block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
     This is the one-block constructor. Chunks of blocks draw the same
     streams through :func:`fill_block_streams`, which hashes all their
     keys at once and re-keys one generator per block instead of building
-    one; below :data:`STREAM_CROSSOVER` blocks, and for keys past 32 bits,
-    it calls this function per block.
+    one; below :data:`STREAM_CROSSOVER` blocks, and for a block or stream
+    past 32 bits or a seed past 64, it calls this function per block.
     """
     entropy = (seed, block, stream)
     if 0 <= min(entropy) and max(entropy) <= 0xFFFFFFFF:
@@ -120,10 +120,19 @@ def _hashmix(words: np.ndarray, first: int, rows: int) -> np.ndarray:
 
 def _pcg64_seeds(seed: int, blocks: Sequence[int], stream: int) -> list[list[int]]:
     """``SeedSequence((seed, block, stream)).generate_state(4, np.uint64)``
-    for every block, computed for all blocks at once; each key fits in 32
-    bits. uint32 arithmetic wraps as the hash's C code does."""
+    for every block, computed for all blocks at once; the seed fits in 64
+    bits, the block and stream in 32. uint32 arithmetic wraps as the hash's
+    C code does.
+
+    ``SeedSequence`` reads each integer as its uint32 words, low word first,
+    so the pool is ``(seed, block, stream, 0)`` for a one-word seed and
+    ``(seed_low, seed_high, block, stream)`` for a two-word one; a zero word
+    and an absent one hash alike."""
     pool = np.empty((_POOL, len(blocks)), dtype=np.uint32)
-    pool[0], pool[1], pool[2], pool[3] = seed, blocks, stream, 0
+    if seed <= 0xFFFFFFFF:
+        pool[0], pool[1], pool[2], pool[3] = seed, blocks, stream, 0
+    else:
+        pool[0], pool[1], pool[2], pool[3] = seed & 0xFFFFFFFF, seed >> 32, blocks, stream
     pool = _hashmix(pool, 0, _POOL)
     for src, targets in enumerate(_MIX_TARGETS):
         # the hashmixes of one source word into each target, then the mixes
@@ -147,15 +156,18 @@ def fill_block_streams(
     stream).<draw>(out=out[b])``: standard normals, or uniforms on [0, 1)
     with ``draw="random"``. Every row equals that call's bit for bit.
 
-    From :data:`STREAM_CROSSOVER` blocks on, with every key within 32 bits,
-    the ``SeedSequence`` hashes of all blocks run as one vectorized pass and
-    one ``PCG64`` is re-keyed per block by setting the state its seeding
-    would produce, instead of constructing a generator per block.
+    From :data:`STREAM_CROSSOVER` blocks on, with the seed within 64 bits
+    and every block and the stream within 32, the ``SeedSequence`` hashes of
+    all blocks run as one vectorized pass and one ``PCG64`` is re-keyed per
+    block by setting the state its seeding would produce, instead of
+    constructing a generator per block.
     """
     if draw not in ("standard_normal", "random"):
         raise ValueError(f"unknown draw {draw!r}")
     if len(blocks) < STREAM_CROSSOVER or not (
-        0 <= min(seed, stream, *blocks) and max(seed, stream, *blocks) <= 0xFFFFFFFF
+        0 <= min(seed, stream, *blocks)
+        and seed <= 0xFFFFFFFFFFFFFFFF
+        and max(stream, *blocks) <= 0xFFFFFFFF
     ):
         for row, block in zip(out, blocks):
             getattr(block_rng(seed, block, stream), draw)(out=row)

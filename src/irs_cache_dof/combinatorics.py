@@ -7,10 +7,13 @@ and parallel-class designs are built by construction, never searched for.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations
+
+import numpy as np
 
 Subset = tuple[int, ...]
 
@@ -48,6 +51,44 @@ def enumerate_subsets(n: int, k: int) -> list[Subset]:
     if k < 0 or k > n:
         raise ValueError(f"subset size {k} outside [0, {n}]")
     return list(combinations(range(1, n + 1), k))
+
+
+@functools.cache
+def _binomials(n: int, k: int) -> np.ndarray:
+    """``C(a, b)`` for ``a <= n``, ``b <= k`` as int64, capped at 2**63 - 1;
+    while ``C(n, k)`` is below the cap, ranking ``k``-subsets of
+    ``{1, ..., n}`` never reads a capped entry. Read-only, as every caller
+    shares it."""
+    cap = np.iinfo(np.int64).max
+    table = np.array([[min(math.comb(a, b), cap) for b in range(k + 1)] for a in range(n + 1)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def subset_ranks(subsets: np.ndarray, n: int) -> np.ndarray:
+    """Position of each row of ``subsets`` (increasing elements of
+    ``{1, ..., n}``, ``k`` per row) in :func:`enumerate_subsets` ``(n, k)``.
+
+    Reading ``n - c`` for each element ``c`` turns lexicographic order into
+    reverse order of the combinatorial number system (Knuth, TAOCP 4A,
+    7.2.1.3), so the rank is ``C(n, k) - 1 - sum_i C(n - c_i, k - i + 1)``.
+    """
+    k = subsets.shape[1]
+    table = _binomials(n, k)
+    return table[n, k] - 1 - table[n - subsets, np.arange(k, 0, -1)].sum(axis=1)
+
+
+def subsets_of_ranks(ranks: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Inverse of :func:`subset_ranks`: the ``k``-subsets, one per row,
+    recovered greedily, one element per binomial-column search."""
+    table = _binomials(n, k)
+    rest = table[n, k] - 1 - np.asarray(ranks, dtype=np.int64)
+    subsets = np.empty((len(rest), k), dtype=np.int64)
+    for i, size in enumerate(range(k, 0, -1)):
+        top = np.searchsorted(table[:, size], rest, side="right") - 1
+        subsets[:, i] = n - top
+        rest -= table[top, size]
+    return subsets
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,9 @@ count ``F``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Union
+from typing import Union
 
 from .combinatorics import OrderedPartitionSystem, Subset, enumerate_ordered_partitions, enumerate_subsets
 from .params import SystemParams
@@ -136,38 +134,6 @@ def place_caches(universe: SubfileUniverse) -> CacheAssignment:
         tx_caches=tuple(frozenset(c) for c in tx_caches),
         rx_caches=tuple(frozenset(c) for c in rx_caches),
     )
-
-
-def refine_subfiles(
-    demanded: Iterable[tuple[SubfileId, int]],
-    params: SystemParams,
-    t_split: bool,
-    l_size: int = 0,
-) -> tuple[tuple[tuple[SubfileId, int], ...], int]:
-    """Split demanded subfiles into the finer delivery-time parts.
-
-    Each (subfile, intended receiver) pair splits into
-    ``C(K_R - mu_r - 1, mu_t - 1)`` zero-forcing-indexed parts (when
-    ``t_split``) times ``C(K_R - mu_r - mu_t, l_size)`` surface-indexed
-    parts. Returns the refined pairs and the split factor; packet mass per
-    part is the original mass divided by the factor.
-    """
-    t_size = params.mu_t - 1 if t_split else 0
-    if params.mu_r + t_size + l_size > params.k_r - 1:
-        raise ValueError(
-            f"refinement needs mu_r + {t_size} + {l_size} <= k_r - 1; "
-            f"got mu_r={params.mu_r}, k_r={params.k_r}"
-        )
-    factor_t = math.comb(params.k_r - params.mu_r - 1, t_size)
-    factor_l = math.comb(params.k_r - params.mu_r - 1 - t_size, l_size)
-    refined: list[tuple[SubfileId, int]] = []
-    for sub, rx in demanded:
-        others = [j for j in params.receivers if j != rx and j not in sub.rx_set]
-        for zf in combinations(others, t_size):
-            rest = [j for j in others if j not in zf]
-            for lset in combinations(rest, l_size):
-                refined.append((SubfileId(sub.file, sub.tx_index, sub.rx_set, zf, lset), rx))
-    return tuple(refined), factor_t * factor_l
 
 
 def subfile_to_jsonable(sub: SubfileId) -> dict:

@@ -12,16 +12,28 @@ every demanded subfile appears exactly once.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import attrgetter
 
 import numpy as np
 
-from .combinatorics import OrderedPartitionSystem, Subset, SubsetPartitionSystem, cyclic_shift, verify_subset_partition
+from .combinatorics import (
+    OrderedPartitionSystem,
+    Subset,
+    SubsetPartitionSystem,
+    cyclic_shift,
+    enumerate_subsets,
+    subset_ranks,
+    subsets_of_ranks,
+    verify_subset_partition,
+)
 from .params import SystemParams
-from .placement import ORDERED_MODE, SUBSET_MODE, SubfileId, SubfileUniverse, refine_subfiles
+from .placement import ORDERED_MODE, SUBSET_MODE, SubfileId, SubfileUniverse
 
 
 class SchedulingError(ValueError):
@@ -121,31 +133,174 @@ class Schedule:
         return len(self.blocks)
 
 
-def demanded_subfiles(universe: SubfileUniverse, demand: DemandVector) -> frozenset[tuple[SubfileId, int]]:
-    """Every (subfile, intended receiver) pair the transmitters must deliver:
-    receiver ``j`` needs each subfile of its file whose caching receivers
-    exclude ``j``."""
-    by_file: dict[int, list[SubfileId]] = {}
-    for sub in universe.subfiles:
-        by_file.setdefault(sub.file, []).append(sub)
-    pairs = []
-    for j, file in enumerate(demand.d, start=1):
-        pairs.extend((sub, j) for sub in by_file[file] if j not in sub.rx_set)
-    return frozenset(pairs)
+#: an int64 word of a subfile key holds digits whose radices multiply to at most this
+_WORD_RADIX = 1 << 63
 
 
-def demanded_for_schedule(universe: SubfileUniverse, schedule: Schedule) -> frozenset[tuple[SubfileId, int]]:
-    """The refined demanded set matching a schedule (zero-forcing split for
-    cooperative transmission, surface split for partial-activity blocks)."""
-    base = demanded_subfiles(universe, schedule.demand)
-    t_split = universe.params.mu_t >= 2
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer))
+
+
+def _index_digit(value, radix: int) -> int:
+    """``value - 1`` for ``value`` in ``1..radix``, else -1."""
+    return int(value) - 1 if _is_int(value) and 1 <= value <= radix else -1
+
+
+def _subset_digit(value, n: int, k: int) -> int:
+    """Position of ``value`` in ``enumerate_subsets(n, k)``, or -1 when it is
+    not an increasing ``k``-tuple over ``1..n``."""
+    if not (isinstance(value, tuple) and len(value) == k and all(_is_int(v) for v in value)):
+        return -1
+    if list(value) != sorted(set(value)) or (k and not 1 <= value[0] <= value[-1] <= n):
+        return -1
+    return int(subset_ranks(np.array(value, dtype=np.int64).reshape(1, k), n)[0])
+
+
+class SubfileKeyCodec:
+    """Mixed-radix integer keys of (subfile, intended receiver) pairs.
+
+    The digits, most significant first: ``file - 1``; the transmitter-side
+    index (the subset's position in ``enumerate_subsets(k_t, mu_t)``, or the
+    arrangement number - 1); the positions of ``rx_set``, ``zf_set`` and
+    ``irs_set`` among the receiver subsets of sizes ``mu_r``, ``zf_size``
+    and ``irs_size``; and ``intended_rx - 1``. Digits fill int64 words in
+    that order, a new word starting where the radix product would pass
+    2**63, so key rows order exactly as the pairs do. A pair with a digit
+    out of range has no key.
+    """
+
+    def __init__(self, params: SystemParams, mode: str, zf_size: int, irs_size: int):
+        self.params, self.mode = params, mode
+        self.sizes = (params.mu_r, zf_size, irs_size)
+        if mode == SUBSET_MODE:
+            tx_count = math.comb(params.k_t, params.mu_t)
+        else:
+            tx_count = math.factorial(params.k_t) // math.factorial(params.mu_t) ** params.m_groups
+        self.radices = (params.n_files, tx_count, *(math.comb(params.k_r, k) for k in self.sizes), params.k_r)
+        places, word, weight = [], 0, 1
+        for radix in reversed(self.radices):
+            if radix > _WORD_RADIX:
+                raise SchedulingError(f"a key digit of radix {radix} does not fit one int64 word")
+            if weight * radix > _WORD_RADIX:
+                word, weight = word + 1, 1
+            places.append((word, weight))
+            weight *= radix
+        self.width = word + 1
+        #: (word, weight) of each digit; word 0 is the most significant
+        self.places = tuple((self.width - 1 - w, weight) for w, weight in reversed(places))
+        tx_digit = (
+            functools.partial(_subset_digit, n=params.k_t, k=params.mu_t)
+            if mode == SUBSET_MODE
+            else functools.partial(_index_digit, radix=tx_count)
+        )
+        #: one function per digit, from the pair's field to the digit, -1 when out of range
+        self.digit_of = (
+            functools.partial(_index_digit, radix=params.n_files),
+            tx_digit,
+            *(functools.partial(_subset_digit, n=params.k_r, k=k) for k in self.sizes),
+            functools.partial(_index_digit, radix=params.k_r),
+        )
+
+    def pair_digits(self, pair: tuple[SubfileId, int]) -> list[int]:
+        """The six digits of one pair, -1 where a field is out of range."""
+        sub, rx = pair
+        fields = (sub.file, sub.tx_index, sub.rx_set, sub.zf_set, sub.irs_set, rx)
+        return [digit(value) for digit, value in zip(self.digit_of, fields)]
+
+    def encode(self, *digits) -> np.ndarray:
+        """Key rows, shape ``(n, width)``, of the pairs whose six digit arrays
+        broadcast together, in C order. A digit outside its radix raises."""
+        digits = [np.asarray(d, dtype=np.int64) for d in digits]
+        for digit, radix in zip(digits, self.radices):
+            if digit.size and not (0 <= digit.min() and digit.max() < radix):
+                raise ValueError(f"key digit outside [0, {radix})")
+        digits = np.broadcast_arrays(*digits)
+        keys = np.zeros((digits[0].size, self.width), dtype=np.int64)
+        for digit, (word, weight) in zip(digits, self.places):
+            keys[:, word] += digit.reshape(-1) * np.int64(weight)
+        return keys
+
+    def pairs(self, rows: np.ndarray) -> list[tuple[SubfileId, int]]:
+        """The pairs of key rows, in row order."""
+        p = self.params
+        file, tx, *groups, rx = (rows[:, w] // weight % radix for (w, weight), radix in zip(self.places, self.radices))
+        if self.mode == SUBSET_MODE:
+            txs = map(tuple, subsets_of_ranks(tx, p.k_t, p.mu_t).tolist())
+        else:
+            txs = (tx + 1).tolist()
+        rx_sets, zf_sets, irs_sets = (
+            map(tuple, subsets_of_ranks(g, p.k_r, k).tolist()) for g, k in zip(groups, self.sizes)
+        )
+        return [
+            (SubfileId(f, t, r, z, i), j)
+            for f, t, r, z, i, j in zip((file + 1).tolist(), txs, rx_sets, zf_sets, irs_sets, (rx + 1).tolist())
+        ]
+
+
+@dataclass(frozen=True, eq=False)
+class SubfileKeys:
+    """A set of distinct (subfile, intended receiver) pairs as key rows of
+    ``codec``, one row per pair."""
+
+    codec: SubfileKeyCodec
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __contains__(self, pair) -> bool:
+        digits = self.codec.pair_digits(pair)
+        if min(digits) < 0:
+            return False
+        return bool((self.rows == self.codec.encode(*digits)).all(axis=1).any())
+
+    def pairs(self) -> list[tuple[SubfileId, int]]:
+        """Every pair as ``(SubfileId, receiver)``, in row order."""
+        return self.codec.pairs(self.rows)
+
+
+def demanded_for_schedule(universe: SubfileUniverse, schedule: Schedule) -> SubfileKeys:
+    """Every (subfile, intended receiver) pair the schedule must deliver.
+
+    Receiver ``j`` needs each subfile of its file whose caching receivers
+    exclude ``j``, split further by zero-forcing set (``mu_t - 1`` of its
+    other receivers) and, in partial-activity schedules, by surface set
+    (``l_size`` of the rest). The other receivers are sorted, so one fixed
+    pattern of positions among them gives every pair's split.
+    """
     p = schedule.params
+    if universe.params != p or universe.mode != schedule.tx_mode:
+        raise SchedulingError(
+            f"the universe is split for {universe.params} in {universe.mode!r} mode but the "
+            f"schedule is for {p} in {schedule.tx_mode!r} mode"
+        )
+    if len(schedule.demand.d) > p.k_r:
+        raise SchedulingError(f"the demand names {len(schedule.demand.d)} receivers but the network has {p.k_r}")
     partial = p.mu_r + p.mu_t + schedule.l_size < p.k_r
-    l_size = schedule.l_size if partial else 0
-    if not t_split and l_size == 0:
-        return base
-    refined, _ = refine_subfiles(sorted(base), universe.params, t_split, l_size)
-    return frozenset(refined)
+    zf_size, irs_size = p.mu_t - 1, schedule.l_size if partial else 0
+    codec = SubfileKeyCodec(p, universe.mode, zf_size, irs_size)
+    n_others = p.k_r - 1 - p.mu_r
+    pattern = [
+        (zf, irs)
+        for zf in combinations(range(n_others), zf_size)
+        for irs in combinations([i for i in range(n_others) if i not in zf], irs_size)
+    ]
+    zf_at = np.array([zf for zf, _ in pattern], dtype=np.intp).reshape(len(pattern), zf_size)
+    irs_at = np.array([irs for _, irs in pattern], dtype=np.intp).reshape(len(pattern), irs_size)
+    rx_sets = np.array(enumerate_subsets(p.k_r, p.mu_r), dtype=np.intp)
+    cached = np.zeros((len(rx_sets), p.k_r + 1), dtype=bool)
+    cached[np.arange(len(rx_sets))[:, None], rx_sets] = True
+    tx = np.arange(codec.radices[1])[:, None]
+    keys = [np.empty((0, codec.width), dtype=np.int64)]
+    for j, file in enumerate(schedule.demand.d, start=1):
+        rx = np.flatnonzero(~cached[:, j])
+        free = ~cached[rx]
+        free[:, [0, j]] = False
+        others = np.nonzero(free)[1].reshape(len(rx), n_others)
+        zf = subset_ranks(others[:, zf_at].reshape(len(rx) * len(pattern), zf_size), p.k_r)
+        irs = subset_ranks(others[:, irs_at].reshape(len(rx) * len(pattern), irs_size), p.k_r)
+        keys.append(codec.encode(file - 1, tx, np.repeat(rx, len(pattern)), zf, irs, j - 1))
+    return SubfileKeys(codec, np.concatenate(keys))
 
 
 class _SingleTxRotator:
@@ -378,25 +533,64 @@ class PartitionReport:
         return "; ".join(parts)
 
 
-def verify_schedule_partition(
-    schedule: Schedule, demanded: frozenset[tuple[SubfileId, int]]
-) -> PartitionReport:
+class _Digits(dict):
+    """Memo of one digit function over the values a schedule repeats."""
+
+    def __init__(self, digit):
+        super().__init__()
+        self.digit = digit
+
+    def __missing__(self, value):
+        self[value] = self.digit(value)
+        return self[value]
+
+
+def verify_schedule_partition(schedule: Schedule, demanded: SubfileKeys) -> PartitionReport:
     """Check the exact-cover property: every demanded (subfile, receiver)
-    pair is delivered exactly once and nothing else is delivered."""
-    counts: dict[tuple[SubfileId, int], int] = {}
-    for block in schedule.blocks:
-        for dl in block.deliveries:
-            key = (dl.subfile, dl.intended_rx)
-            counts[key] = counts.get(key, 0) + 1
-    delivered = set(counts)
-    missing = tuple(sorted(demanded - delivered))
-    extra = tuple(sorted(delivered - demanded))
-    duplicates = tuple(sorted(k for k, c in counts.items() if c > 1))
+    pair is delivered exactly once and nothing else is delivered.
+
+    Each delivery is keyed once with the demanded set's codec; one with a
+    digit out of range has no key and is undemanded. One stable sort of the
+    demanded and delivered keys together then groups equal keys: a group
+    without a demanded key is undemanded, one without a delivery is missing,
+    one with several deliveries is duplicated. Undemanded and duplicated
+    pairs are the deliveries' own; missing ones are decoded from their keys.
+    """
+    codec = demanded.codec
+    deliveries = [dl for block in schedule.blocks for dl in block.deliveries]
+    subfiles = [dl.subfile for dl in deliveries]
+    fields = [map(attrgetter(name), subfiles) for name in ("file", "tx_index", "rx_set", "zf_set", "irs_set")]
+    fields.append(map(attrgetter("intended_rx"), deliveries))
+    digits = np.empty((6, len(deliveries)), dtype=np.int64)
+    for row, digit, values in zip(digits, codec.digit_of, fields):
+        row[:] = np.fromiter(map(_Digits(digit).__getitem__, values), np.int64, len(deliveries))
+
+    def pair(i):
+        return deliveries[i].subfile, deliveries[i].intended_rx
+
+    keyed = (digits >= 0).all(axis=0)
+    unkeyed = Counter(pair(i) for i in np.flatnonzero(~keyed))
+    keyed = np.flatnonzero(keyed)
+    n_demanded = len(demanded)
+    rows = np.concatenate([demanded.rows, codec.encode(*digits[:, keyed])])
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    is_demanded = order[starts] < n_demanded
+    count = np.diff(np.r_[starts, len(rows)]) - is_demanded
+    hit = count > 0
+    first = np.zeros(len(starts), dtype=np.intp)
+    first[hit] = keyed[order[starts[hit] + is_demanded[hit]] - n_demanded]
+    missing = tuple(codec.pairs(rows[starts[~hit]]))
+    extra = [pair(i) for i in first[~is_demanded]] + list(unkeyed)
+    duplicates = [pair(i) for i in first[count > 1]] + [p for p, c in unkeyed.items() if c > 1]
     return PartitionReport(
         ok=not (missing or extra or duplicates),
         missing=missing,
-        extra=extra,
-        duplicates=duplicates,
+        extra=tuple(sorted(extra)),
+        duplicates=tuple(sorted(duplicates)),
     )
 
 

@@ -4,16 +4,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from reference_cover import demanded_subfiles, refine_subfiles
 
 from irs_cache_dof.params import ParameterError, SystemParams
 from irs_cache_dof.placement import (
     SubfileId,
     place_caches,
-    refine_subfiles,
     split_library,
     verify_cache_budgets,
 )
-from irs_cache_dof.scheduler import demanded_subfiles, worst_case_demand
+from irs_cache_dof.scheduler import worst_case_demand
 
 EX = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1, q_elements=6)
 

@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from reference_cover import demanded_subfiles
 
 from irs_cache_dof.combinatorics import SubsetPartitionSystem, enumerate_ordered_partitions, find_subset_partition
 from irs_cache_dof.params import SystemParams
@@ -13,7 +14,6 @@ from irs_cache_dof.scheduler import (
     DemandVector,
     SchedulingError,
     demanded_for_schedule,
-    demanded_subfiles,
     make_schedule,
     verify_schedule_partition,
     worst_case_demand,

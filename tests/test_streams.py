@@ -1,7 +1,8 @@
 """Re-keyed block streams against numpy's own ``SeedSequence``-seeded
-``PCG64``: the vectorized seed hash, every draw of a chunk on both sides of
-the stream crossover, re-keying after partial draws, keys past 32 bits,
-and that a chunk constructs no generator per block."""
+``PCG64``: the vectorized seed hash for one- and two-word seeds, every draw
+of a chunk on both sides of the stream crossover, re-keying after partial
+draws, keys past 32 bits, and that a chunk constructs no generator per
+block."""
 
 import math
 import sys
@@ -24,6 +25,14 @@ CHUNKS = [
 ]
 _WORD = int(_RNG.integers(0, TOP, endpoint=True))
 CHUNKS += [(seed, stream, [0, TOP, _WORD]) for seed in (0, TOP, _WORD) for stream in (0, TOP, _WORD)]
+#: two-word seeds: 2**32, 2**64 - 1 and 200 random ones in between, each with
+#: random chunks of 8 blocks and the extreme block and stream words
+_SEEDS64 = [2**32, 2**64 - 1, *(int(s) for s in _RNG.integers(2**32, 2**64 - 1, 200, dtype=np.uint64))]
+CHUNKS64 = [
+    (seed, int(_RNG.integers(0, TOP, endpoint=True)), [int(b) for b in _RNG.integers(0, TOP, 8, endpoint=True)])
+    for seed in _SEEDS64
+]
+CHUNKS64 += [(seed, stream, [0, TOP, _WORD]) for seed in _SEEDS64[:2] for stream in (0, TOP)]
 
 
 def numpy_generator(seed, block, stream):
@@ -33,7 +42,7 @@ def numpy_generator(seed, block, stream):
 
 def test_seed_hash_equals_seed_sequence():
     assert sum(len(blocks) for _, _, blocks in CHUNKS[:250]) == 2000
-    for seed, stream, blocks in CHUNKS:
+    for seed, stream, blocks in CHUNKS + CHUNKS64:
         got = np.array(_pcg64_seeds(seed, blocks, stream), dtype=np.uint64)
         for block, words in zip(blocks, got):
             want = np.random.SeedSequence((seed, block, stream)).generate_state(4, np.uint64)
@@ -68,6 +77,8 @@ def test_rekey_after_a_partial_draw():
 
 
 def test_keys_past_32_bits_take_block_rng(monkeypatch):
+    """A block or stream past 32 bits, or a seed past 64, is drawn through
+    ``block_rng`` per block; a two-word seed is re-keyed like a one-word one."""
     calls = []
     real = channel.block_rng
 
@@ -77,11 +88,12 @@ def test_keys_past_32_bits_take_block_rng(monkeypatch):
 
     monkeypatch.setattr(channel, "block_rng", counted)
     blocks = list(range(40))
-    cases = ((2**32, 0, blocks), (2**64 - 1, 1, blocks), (3, 2**32, blocks), (3, 0, [*blocks, 2**32]))
-    for seed, stream, chunk in cases:
+    rekeyed = ((2**32, 0, blocks), (2**64 - 1, 1, blocks))
+    per_block = ((2**64, 0, blocks), (3, 2**32, blocks), (3, 0, [*blocks, 2**32]))
+    for seed, stream, chunk in rekeyed + per_block:
         calls.clear()
         out = fill_block_streams(np.empty((len(chunk), 6)), seed, chunk, stream)
-        assert calls == [(seed, block, stream) for block in chunk]
+        assert calls == ([] if (seed, stream, chunk) in rekeyed else [(seed, block, stream) for block in chunk])
         for row, block in zip(out, chunk):
             assert np.array_equal(row, numpy_generator(seed, block, stream).standard_normal(6))
     with pytest.raises(ValueError):
