@@ -17,7 +17,6 @@ from .analytics import (
 from .channel import (
     ChannelRealization,
     IrsConfig,
-    NetworkMatrix,
     SingularChannelError,
     equivalent_channel,
     network_indicator,
@@ -32,8 +31,7 @@ from .combinatorics import (
     find_subset_partition,
     verify_subset_partition,
 )
-from .irs import NullSet, required_nulls, residuals, solve_irs
-from .lowering import LoweredPlan, lower_plan
+from .irs import required_nulls, residuals, solve_irs
 from .params import ParameterError, SystemParams
 from .placement import (
     CacheAssignment,
@@ -47,6 +45,7 @@ from .scheduler import (
     BlockPlan,
     DemandVector,
     Delivery,
+    Design,
     Schedule,
     SchedulingError,
     demanded_for_schedule,
@@ -63,6 +62,6 @@ from .simulator import (
     run_episode,
     transmit_block,
 )
-from .zf import BeamformerSet, select_binary_beamformers, solve_joint_block_zf, solve_single_subfile_zf
+from .zf import BeamformerSet
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -308,17 +308,10 @@ def equivalent_channel(ch: ChannelRealization, irs: IrsConfig) -> np.ndarray:
     return equivalent_channels(ch, irs.q)
 
 
-@dataclass(frozen=True)
-class NetworkMatrix:
-    """Binary topology matrix: ``n[i-1, j-1] = 1`` iff the transmitter-``i``
-    to receiver-``j`` link survives (its equivalent gain exceeds ``tol``)."""
-
-    n: np.ndarray
-    tol: float
-
-
-def network_indicator(h_eq: np.ndarray, tol: float | None = None) -> NetworkMatrix:
-    """Classify equivalent-channel entries as present/eliminated links.
+def network_indicator(h_eq: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Binary topology matrix of an equivalent channel: entry ``[i-1, j-1]``
+    is 1 iff the transmitter-``i`` to receiver-``j`` link survives (its
+    gain exceeds ``tol``), as uint8.
 
     Without an explicit ``tol``, zero is classified relative to the largest
     entry so the matrix is invariant to overall channel scale.
@@ -327,19 +320,4 @@ def network_indicator(h_eq: np.ndarray, tol: float | None = None) -> NetworkMatr
         tol = DEFAULT_ZERO_TOL * float(np.abs(h_eq).max())
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    return NetworkMatrix(n=(np.abs(h_eq.T) > tol).astype(np.uint8), tol=tol)
-
-
-def realization_to_jsonable(ch: ChannelRealization) -> dict:
-    """Plain-text form of a realization ([re, im] pairs) for fixture files."""
-
-    def encode(a: np.ndarray) -> list:
-        return [[[float(v.real), float(v.imag)] for v in row] for row in a]
-
-    return {
-        "block_index": ch.block_index,
-        "seed": ch.seed,
-        "direct": encode(ch.direct),
-        "tx_to_irs": encode(ch.tx_to_irs),
-        "irs_to_rx": encode(ch.irs_to_rx),
-    }
+    return (np.abs(h_eq.T) > tol).astype(np.uint8)

@@ -33,8 +33,14 @@ from .channel import SingularChannelError
 from .combinatorics import find_subset_partition, verify_subset_partition
 from .params import ParameterError, SystemParams
 from .placement import assignment_to_jsonable, place_caches, split_library, verify_cache_budgets
-from .scheduler import SchedulingError, demanded_for_schedule, schedule_to_jsonable, verify_schedule_partition
-from .simulator import REGIME_THM1, REGIMES, SimOptions, build_schedule, episode_to_jsonable, run_episode
+from .scheduler import (
+    Design,
+    SchedulingError,
+    demanded_for_schedule,
+    schedule_to_jsonable,
+    verify_schedule_partition,
+)
+from .simulator import SimOptions, build_schedule, episode_to_jsonable, run_episode
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
@@ -52,6 +58,15 @@ PRESETS: dict[str, dict] = {
 
 PARAM_KEYS = ("k_t", "k_r", "n_files", "f_packets", "mu_t", "mu_r", "q_elements")
 
+#: the JSON type of each setting that is not a string
+SETTING_TYPES = {
+    **dict.fromkeys(PARAM_KEYS, "integer"),
+    **dict.fromkeys(("seed", "l_size", "m", "design_mu_t", "axis_start", "axis_stop", "axis_step"), "integer"),
+    "noise_variance": "number",
+    "disable_irs": "boolean",
+}
+_PYTHON_TYPES = {"integer": int, "number": (int, float), "boolean": bool, "string": str}
+
 
 @dataclass
 class RunConfig:
@@ -59,7 +74,7 @@ class RunConfig:
 
     command: str
     params: SystemParams | None = None
-    regime: str = REGIME_THM1
+    regime: str | None = None
     seed: int = 0
     strictness: str = STRICT_Q
     out: str | None = None
@@ -97,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu-t", type=int, dest="mu_t")
         p.add_argument("--mu-r", type=int, dest="mu_r")
         p.add_argument("--q-elements", type=int, dest="q_elements")
-        p.add_argument("--regime", choices=REGIMES, default=None)
+        p.add_argument("--regime", choices=[design.value for design in Design], default=None)
         p.add_argument("--l-size", type=int, default=None, help="override the element-derived null count L")
 
     p_find = sub.add_parser("partition-find", help="construct a parallel-class transmitter design")
@@ -140,6 +155,15 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _check_types(settings: dict) -> None:
+    """Reject a setting whose JSON type is not its key's (see
+    ``SETTING_TYPES``); a boolean is no integer or number."""
+    for key, value in settings.items():
+        kind = SETTING_TYPES.get(key, "string")
+        if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _PYTHON_TYPES[kind]):
+            raise ParameterError(f"setting {key!r} must be a JSON {kind}, got {json.dumps(value)}")
+
+
 def _merged(args: argparse.Namespace) -> dict:
     """Config-file values overridden by any flag the user actually set. A
     config key must be the destination of one of the subcommand's flags."""
@@ -149,6 +173,7 @@ def _merged(args: argparse.Namespace) -> dict:
         unknown = sorted(set(merged) - set(vars(args)) - {"command", "config"})
         if unknown:
             raise ParameterError(f"config file {args.config} has unknown keys: {', '.join(unknown)}")
+        _check_types(merged)
     for key, value in vars(args).items():
         if key in ("config", "command") or value is None:
             continue
@@ -160,7 +185,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     """Merge config file and flags into a validated RunConfig."""
     merged = _merged(args)
     cfg = RunConfig(command=args.command)
-    cfg.seed = int(merged.get("seed", 0))
+    cfg.seed = merged.get("seed", 0)
     if not 0 <= cfg.seed <= 0xFFFFFFFFFFFFFFFF:
         raise ParameterError("seed must be a nonnegative 64-bit integer")
     cfg.strictness = merged.get("strictness", STRICT_Q)
@@ -172,10 +197,11 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     if not (math.isfinite(cfg.noise_variance) and cfg.noise_variance >= 0.0):
         raise ParameterError(f"noise variance must be finite and nonnegative, got {cfg.noise_variance}")
     cfg.l_size = merged.get("l_size")
-    cfg.disable_irs = bool(merged.get("disable_irs", False))
-    regime_given = "regime" in merged
-    cfg.regime = merged.get("regime", REGIME_THM1)
+    cfg.disable_irs = merged.get("disable_irs", False)
+    cfg.regime = merged.get("regime")
     cfg.preset = merged.get("preset")
+    if cfg.preset is not None and cfg.preset not in PRESETS:
+        raise ParameterError(f"unknown preset {cfg.preset!r}; expected one of {', '.join(sorted(PRESETS))}")
 
     preset = dict(PRESETS[cfg.preset]) if cfg.preset else {}
     for key in PARAM_KEYS:
@@ -185,18 +211,20 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     if args.command == "partition-find":
         if "m" not in merged or "design_mu_t" not in merged:
             raise ParameterError("partition-find needs --m and --design-mu-t")
-        cfg.design_m, cfg.design_mu_t = int(merged["m"]), int(merged["design_mu_t"])
+        cfg.design_m, cfg.design_mu_t = merged["m"], merged["design_mu_t"]
         return cfg
 
     if args.command == "dof-sweep":
         cfg.axis = merged.get("axis", preset.get("axis"))
         if cfg.axis is None:
             raise ParameterError("dof-sweep needs --preset or --axis")
+        if cfg.axis not in SWEEP_AXES:
+            raise ParameterError(f"unknown sweep axis {cfg.axis!r}; expected one of {', '.join(SWEEP_AXES)}")
         if "axis_start" in merged or "axis_stop" in merged:
             if "axis_start" not in merged or "axis_stop" not in merged:
                 raise ParameterError("custom sweeps need both --axis-start and --axis-stop")
-            step = int(merged.get("axis_step", 1))
-            cfg.axis_values = list(range(int(merged["axis_start"]), int(merged["axis_stop"]) + 1, step))
+            step = merged.get("axis_step", 1)
+            cfg.axis_values = list(range(merged["axis_start"], merged["axis_stop"] + 1, step))
         else:
             cfg.axis_values = preset.get("values")
         if not cfg.axis_values:
@@ -224,8 +252,8 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     )
     # the regime default follows the cache regime; an explicit choice is kept
     # (and rejected downstream if it contradicts mu_t)
-    if not regime_given and cfg.params.mu_t >= 2:
-        cfg.regime = "thm2-partition"
+    if cfg.regime is None:
+        cfg.regime = (Design.THM1 if cfg.params.mu_t == 1 else Design.THM2_PARTITION).value
     return cfg
 
 

@@ -116,14 +116,6 @@ class SubsetPartitionSystem:
         c, p = divmod(kappa - 1, self.m)
         return self.classes[c][p]
 
-    def number_of(self, subset: Subset) -> int:
-        key = tuple(sorted(subset))
-        for c, cls in enumerate(self.classes):
-            for p, s in enumerate(cls):
-                if s == key:
-                    return c * self.m + p + 1
-        raise KeyError(f"subset {subset} not in system")
-
 
 @dataclass(frozen=True)
 class PartitionCheck:
@@ -306,12 +298,6 @@ class OrderedPartitionSystem:
         if not 1 <= kappa <= self.count:
             raise ValueError(f"partition number {kappa} outside [1, {self.count}]")
         return self.partitions[kappa - 1]
-
-    def number_of(self, partition: tuple[Subset, ...]) -> int:
-        try:
-            return self.partitions.index(partition) + 1
-        except ValueError:
-            raise KeyError(f"{partition} is not a partition of this system") from None
 
     def number_from_coords(self, window: int, lead: int, remainder: int) -> int:
         """Inverse of the (window, lead, remainder) decomposition; all 1-based."""

@@ -12,7 +12,7 @@ reports rather than hides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .channel import (
     equivalent_channel,
     solve_each,
 )
-from .lowering import lower_plan
 
 if TYPE_CHECKING:
     from .scheduler import BlockPlan
@@ -33,57 +32,10 @@ STATUS_EXACT = "exact"
 STATUS_INFEASIBLE = "infeasible"
 
 
-class NullSet:
-    """Transmitter-receiver pairs whose links the surface must cut.
-
-    Given as ``links`` (1-based pairs) or as ``pairs``, the same links
-    sorted, as 0-based indices: transmitters in row 0, receivers in row 1.
-    The other form is derived on first use.
-    """
-
-    def __init__(self, links: Iterable[tuple[int, int]] | None = None, *, pairs: np.ndarray | None = None):
-        if (links is None) == (pairs is None):
-            raise TypeError("give exactly one of links and pairs")
-        self._links = None if links is None else frozenset(links)
-        self._pairs = pairs
-
-    @property
-    def links(self) -> frozenset[tuple[int, int]]:
-        if self._links is None:
-            self._links = frozenset((tx + 1, rx + 1) for tx, rx in zip(*self._pairs.tolist()))
-        return self._links
-
-    @property
-    def pairs(self) -> np.ndarray:
-        if self._pairs is None:
-            self._pairs = np.array(self.sorted_links(), dtype=np.intp).reshape(-1, 2).T - 1
-        return self._pairs
-
-    def __len__(self) -> int:
-        return self._pairs.shape[1] if self._links is None else len(self._links)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, NullSet) and self.links == other.links
-
-    def __hash__(self) -> int:
-        return hash(self.links)
-
-    def __repr__(self) -> str:
-        return f"NullSet({self.sorted_links()})"
-
-    def sorted_links(self) -> list[tuple[int, int]]:
-        return sorted(self.links)
-
-
-def required_nulls(plan: "BlockPlan") -> NullSet:
-    """Cross-links a block's topology eliminates (``BlockPlan.null_links``).
-
-    A plan already lowered for simulation hands over its sorted index pairs
-    as they are; a fresh one is not lowered here.
-    """
-    if plan.lowering is None:
-        return NullSet(plan.null_links)
-    return NullSet(pairs=lower_plan(plan).null_pairs)
+def required_nulls(plan: "BlockPlan") -> frozenset[tuple[int, int]]:
+    """Cross-links a block's topology eliminates, as 1-based (transmitter,
+    receiver) pairs (``BlockPlan.null_links``)."""
+    return plan.null_links
 
 
 @dataclass(frozen=True)
@@ -95,9 +47,9 @@ class IrsSolveInfo:
 
 
 def solve_irs_stack(ch: ChannelStack, pairs: Sequence[np.ndarray]) -> tuple[np.ndarray, list[IrsSolveInfo]]:
-    """Surface coefficients ``q[b]`` that cut the links ``pairs[b]`` (a
-    null set's sorted index pairs, see :class:`NullSet`) in block ``b`` of
-    ``ch``, and each block's solve info.
+    """Surface coefficients ``q[b]`` that cut the links ``pairs[b]`` (sorted
+    0-based index pairs: transmitters in row 0, receivers in row 1) in block
+    ``b`` of ``ch``, and each block's solve info.
 
     The square systems (as many links as elements) are gathered and solved
     in one stacked call; the others take the least-squares path one block
@@ -147,16 +99,18 @@ def solve_irs_stack(ch: ChannelStack, pairs: Sequence[np.ndarray]) -> tuple[np.n
     return q, infos
 
 
-def solve_irs(ch: ChannelRealization, nulls: NullSet) -> tuple[IrsConfig, IrsSolveInfo]:
-    """Solve for surface coefficients that cut every link in ``nulls``: the
-    one-block case of :func:`solve_irs_stack`."""
-    q, (info,) = solve_irs_stack(ChannelStack.of(ch), [nulls.pairs])
+def solve_irs(ch: ChannelRealization, links: frozenset[tuple[int, int]]) -> tuple[IrsConfig, IrsSolveInfo]:
+    """Solve for surface coefficients that cut every 1-based (transmitter,
+    receiver) link in ``links``: the one-block case of
+    :func:`solve_irs_stack`."""
+    pairs = np.array(sorted(links), dtype=np.intp).reshape(-1, 2).T - 1
+    q, (info,) = solve_irs_stack(ChannelStack.of(ch), [pairs])
     return IrsConfig(q=q[0]), info
 
 
-def residuals(irs: IrsConfig, ch: ChannelRealization, nulls: NullSet) -> float:
-    """Largest surviving equivalent-channel magnitude over the null set."""
-    if not nulls.links:
+def residuals(irs: IrsConfig, ch: ChannelRealization, links: frozenset[tuple[int, int]]) -> float:
+    """Largest surviving equivalent-channel magnitude over the links."""
+    if not links:
         return 0.0
     h_eq = equivalent_channel(ch, irs)
-    return max(abs(h_eq[j - 1, i - 1]) for i, j in nulls.links)
+    return max(abs(h_eq[j - 1, i - 1]) for i, j in links)

@@ -9,7 +9,7 @@ indices in the buffer are 0-based.
 
 Buffer layout: the header ``(D, G, N, C, Z, R)`` — deliveries,
 serving-group size, null links, cached receivers, zero-forcing receivers,
-joint zero-forcing rows — then the sections :class:`LoweredPlan` reads,
+joint zero-forcing rows — then the sections :class:`PlanStack` reads,
 in the order of its section numbers.
 """
 
@@ -63,12 +63,13 @@ def _section_ends(header: list[int]) -> list[int]:
     return list(accumulate(sizes, initial=_HEADER))
 
 
-class _Sections:
-    """Integer array views of the gather sections of one lowered buffer, or
-    of a stack of buffers with one header (one buffer per row; every view
-    then gains the leading stack axis), with the header's counts:
-    ``n_deliveries``, ``n_joint`` (the lead group's deliveries) and
-    ``group`` (the serving-group size).
+class PlanStack:
+    """Integer array views of the gather sections of the lowered buffers
+    of plans with one header, stacked one per row (every view has the
+    leading stack axis), so a stage gathers for all of them at once, with
+    the header's counts: ``n_deliveries``, ``n_joint`` (the lead group's
+    deliveries) and ``group`` (the serving-group size). One plan is a stack
+    of one, ``PlanStack([plan_buffer(plan)])``.
 
     ``delivery_rx`` holds each delivery's receiver, ``serving_tx`` its
     serving transmitters (one row per delivery, in group order) and
@@ -87,17 +88,18 @@ class _Sections:
 
     __slots__ = ("buf", "n_deliveries", "n_joint", "group", "_ends")
 
-    def _read_header(self, header: list[int]) -> None:
+    def __init__(self, bufs: list[np.ndarray]):
+        self.buf = np.array(bufs)
+        header = self.buf[0, :_HEADER].tolist()
         d, g, _, c, z, _ = header
         self.n_deliveries, self.group, self.n_joint = d, g, 1 + c + z
         self._ends = _section_ends(header)
 
     def _array(self, section: int) -> np.ndarray:
-        return self.buf[..., self._ends[section] : self._ends[section + 1]]
+        return self.buf[:, self._ends[section] : self._ends[section + 1]]
 
     def _matrix(self, section: int, cols: int) -> np.ndarray:
-        flat = self._array(section)
-        return flat.reshape(*flat.shape[:-1], self.n_deliveries, cols)
+        return self._array(section).reshape(len(self.buf), self.n_deliveries, cols)
 
     @property
     def delivery_rx(self) -> np.ndarray:
@@ -121,8 +123,7 @@ class _Sections:
 
     @property
     def null_pairs(self) -> np.ndarray:
-        pairs = self._array(_NULL_PAIRS)
-        return pairs.reshape(*pairs.shape[:-1], 2, -1)
+        return self._array(_NULL_PAIRS).reshape(len(self.buf), 2, -1)
 
     @property
     def joint_rx(self) -> np.ndarray:
@@ -139,28 +140,6 @@ class _Sections:
     @property
     def idle_tx(self) -> np.ndarray:
         return self._array(_IDLE_TX)
-
-
-class LoweredPlan(_Sections):
-    """One plan's lowered buffer, read through the array views of
-    ``_Sections``."""
-
-    __slots__ = ()
-
-    def __init__(self, buf: np.ndarray):
-        self.buf = buf
-        self._read_header(buf[:_HEADER].tolist())
-
-
-class PlanStack(_Sections):
-    """The lowered buffers of plans with one header, stacked one per row,
-    so a stage gathers for all of them at once (see ``_Sections``)."""
-
-    __slots__ = ()
-
-    def __init__(self, bufs: list[np.ndarray]):
-        self.buf = np.array(bufs)
-        self._read_header(self.buf[0, :_HEADER].tolist())
 
 
 class JointLayout(NamedTuple):
@@ -232,30 +211,12 @@ def _lower(plan: "BlockPlan") -> np.ndarray:
     return buf
 
 
-#: the last plan read and its ``LoweredPlan``, as one tuple so a reader
-#: never pairs one plan with another's fields: the stages of one block ask
-#: for the same plan in turn, so its buffer is read once per block. Holding
-#: the plan keeps the identity test exact.
-_recent: tuple[object, LoweredPlan | None] = (None, None)
-
-
 def plan_buffer(plan: "BlockPlan") -> np.ndarray:
     """The plan's lowered buffer, built on the first call and cached on
     the plan (one buffer per plan) for every later block stage."""
     if plan.lowering is None:
         object.__setattr__(plan, "lowering", _lower(plan))
     return plan.lowering
-
-
-def lower_plan(plan: "BlockPlan") -> LoweredPlan:
-    """The plan's lowered form, read from :func:`plan_buffer`."""
-    global _recent
-    last, lowered = _recent
-    if last is plan:
-        return lowered
-    lowered = LoweredPlan(plan_buffer(plan))
-    _recent = plan, lowered
-    return lowered
 
 
 def stack_plans(plans: "Sequence[BlockPlan]") -> list[tuple[list[int], PlanStack]]:

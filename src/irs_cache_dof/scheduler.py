@@ -16,6 +16,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from operator import attrgetter
@@ -73,7 +74,7 @@ class BlockPlan:
     Receivers not in ``active_rxs`` are untouched this block.
 
     ``lowering`` caches the plan's integer form; it stays ``None`` until
-    the first block stage asks :func:`lowering.lower_plan` for it.
+    the first block stage asks :func:`lowering.plan_buffer` for it.
     """
 
     block_index: int
@@ -121,6 +122,10 @@ class BlockPlan:
 
 @dataclass(frozen=True)
 class Schedule:
+    """The blocks of a delivery horizon. ``regime`` is the paper's label
+    for the schedule (say ``T2-II``) and ``tx_mode`` the placement mode its
+    subfiles are split in; together they name its :class:`Design`."""
+
     regime: str
     tx_mode: str
     params: SystemParams
@@ -131,6 +136,14 @@ class Schedule:
     @property
     def h_blocks(self) -> int:
         return len(self.blocks)
+
+    @property
+    def design(self) -> Design:
+        """The one design whose placement mode and labels match."""
+        for design in Design:
+            if design.tx_mode == self.tx_mode and self.regime in design.labels:
+                return design
+        raise SchedulingError(f"no design has regime {self.regime!r} in {self.tx_mode!r} mode")
 
 
 #: an int64 word of a subfile key holds digits whose radices multiply to at most this
@@ -306,12 +319,8 @@ def demanded_for_schedule(universe: SubfileUniverse, schedule: Schedule) -> Subf
 class _SingleTxRotator:
     """mu_t = 1: slots are single transmitters, rotated cyclically."""
 
-    regimes = ("T1-I", "T1-II")
-    tx_mode = SUBSET_MODE
-
-    def __init__(self, k_t: int):
-        self.k_t = k_t
-        self.slots = k_t
+    def __init__(self, params: SystemParams, system: None):
+        self.k_t = self.slots = params.k_t
 
     def coords(self):
         for k2 in range(1, self.k_t + 1):
@@ -329,10 +338,10 @@ class _ParallelClassRotator:
     so each slot visits every subset exactly once while the groups inside a
     block always come from one class (hence stay disjoint)."""
 
-    regimes = ("T2-IA", "T2-II")
-    tx_mode = SUBSET_MODE
-
-    def __init__(self, system: SubsetPartitionSystem):
+    def __init__(self, params: SystemParams, system: SubsetPartitionSystem):
+        check = verify_subset_partition(system)
+        if not check.ok:
+            raise SchedulingError(f"invalid subset-partition system: {check.violation}")
         self.system = system
         self.slots = system.m
 
@@ -354,10 +363,7 @@ class _OrderedPartitionRotator:
     cyclically (keeping the block's groups disjoint), while the arrangement
     remainder and the unordered-partition window advance independently."""
 
-    regimes = ("T2-IB", "T2-II")
-    tx_mode = ORDERED_MODE
-
-    def __init__(self, system: OrderedPartitionSystem):
+    def __init__(self, params: SystemParams, system: OrderedPartitionSystem):
         self.system = system
         self.m = self.slots = system.m
         self.sub_count = math.factorial(self.m - 1)
@@ -373,6 +379,38 @@ class _OrderedPartitionRotator:
         lead = cyclic_shift(slot, k2 - 1, self.m)
         kappa = self.system.number_from_coords(window=k4, lead=lead, remainder=k3)
         return kappa, self.system.partition_by_number(kappa)[0]
+
+
+class Design(Enum):
+    """How a schedule's serving transmitter groups rotate across blocks:
+    single transmitters (Theorem 1), or the groups of a parallel-class
+    design or of ordered arrangements (Theorem 2). A member's value is its
+    name in the command line and episode reports; it carries the placement
+    mode its subfiles are split in, its paper labels for full and for
+    partial activity, and its rotator."""
+
+    THM1 = ("thm1", SUBSET_MODE, ("T1-I", "T1-II"), _SingleTxRotator)
+    THM2_PARTITION = ("thm2-partition", SUBSET_MODE, ("T2-IA", "T2-II"), _ParallelClassRotator)
+    THM2_ORDERED = ("thm2-ordered", ORDERED_MODE, ("T2-IB", "T2-II"), _OrderedPartitionRotator)
+
+    def __new__(cls, value: str, tx_mode: str, labels: tuple[str, str], rotator: type):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.tx_mode, member.labels, member.rotator = tx_mode, labels, rotator
+        return member
+
+    @classmethod
+    def _missing_(cls, value):
+        raise SchedulingError(f"unknown regime {value!r}; expected one of {tuple(d.value for d in cls)}")
+
+    def check(self, params: SystemParams) -> None:
+        """Raise :class:`SchedulingError` unless ``params.mu_t`` fits the
+        design: 1 for single transmitters, at least 2 for groups."""
+        single = self.rotator is _SingleTxRotator
+        if single and params.mu_t != 1:
+            raise SchedulingError(f"mu_t = {params.mu_t} needs a transmitter design, not regime {self.value!r}")
+        if not single and params.mu_t < 2:
+            raise SchedulingError(f"regime {self.value!r} needs mu_t >= 2, got mu_t = {params.mu_t}")
 
 
 def _rt_pairs(active: Subset, lead: int, mu_r: int, mu_t: int) -> list[tuple[Subset, Subset]]:
@@ -448,9 +486,9 @@ def make_schedule(
     ``system`` picks how serving groups rotate across blocks: ``None`` for
     disjoint transmitter caches (mu_t = 1, single transmitters), a
     parallel-class design or an ordered-arrangement system for overlapping
-    ones (mu_t >= 2). Slot 1 of a block is the lead group; slots 2.. serve
-    the idle receivers, one disjoint group each. Each rotator also names
-    the schedule's regime, for full and for partial activity.
+    ones (mu_t >= 2): the schedule's :class:`Design`, which also names its
+    regime, for full and for partial activity. Slot 1 of a block is the
+    lead group; slots 2.. serve the idle receivers, one disjoint group each.
 
     When ``mu_r + mu_t + l_size`` reaches ``K_R`` the surface protects every
     receiver at once: ``l_size`` is cut to ``K_R - mu_r - mu_t`` and every
@@ -462,24 +500,16 @@ def make_schedule(
     """
     mu_r, mu_t, k_r = params.mu_r, params.mu_t, params.k_r
     if system is None:
-        if mu_t != 1:
-            raise SchedulingError(f"mu_t = {mu_t} needs a transmitter design")
-        rotator = _SingleTxRotator(params.k_t)
+        design = Design.THM1
     else:
-        if mu_t < 2:
-            raise SchedulingError("a transmitter design needs mu_t >= 2")
-        if (system.m, system.mu_t) != (params.m_groups, mu_t):
-            raise SchedulingError(
-                f"design is for (m={system.m}, mu_t={system.mu_t}) but parameters need "
-                f"(m={params.m_groups}, mu_t={mu_t})"
-            )
-        if isinstance(system, SubsetPartitionSystem):
-            check = verify_subset_partition(system)
-            if not check.ok:
-                raise SchedulingError(f"invalid subset-partition system: {check.violation}")
-            rotator = _ParallelClassRotator(system)
-        else:
-            rotator = _OrderedPartitionRotator(system)
+        design = Design.THM2_PARTITION if isinstance(system, SubsetPartitionSystem) else Design.THM2_ORDERED
+    design.check(params)
+    if system is not None and (system.m, system.mu_t) != (params.m_groups, mu_t):
+        raise SchedulingError(
+            f"design is for (m={system.m}, mu_t={system.mu_t}) but parameters need "
+            f"(m={params.m_groups}, mu_t={mu_t})"
+        )
+    rotator = design.rotator(params, system)
     if mu_r + mu_t > k_r:
         raise SchedulingError(
             f"mu_r + mu_t = {mu_r + mu_t} exceeds k_r = {k_r}; the joint decoding group does not fit"
@@ -504,8 +534,8 @@ def make_schedule(
             for r_set, t_set in pairs:
                 blocks.append(_block_plan(len(blocks) + 1, demand, active, r_set, t_set, rotator, coords, partial))
     return Schedule(
-        regime=rotator.regimes[partial],
-        tx_mode=rotator.tx_mode,
+        regime=design.labels[partial],
+        tx_mode=design.tx_mode,
         params=params,
         demand=demand,
         l_size=l_size,

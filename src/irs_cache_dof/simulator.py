@@ -23,6 +23,7 @@ from .params import SystemParams
 from .scheduler import (
     BlockPlan,
     DemandVector,
+    Design,
     Schedule,
     SchedulingError,
     achieved_dof,
@@ -30,11 +31,6 @@ from .scheduler import (
     worst_case_demand,
 )
 from .zf import BeamformerSet, zero_forcing_weights
-
-REGIME_THM1 = "thm1"
-REGIME_THM2_PARTITION = "thm2-partition"
-REGIME_THM2_ORDERED = "thm2-ordered"
-REGIMES = (REGIME_THM1, REGIME_THM2_PARTITION, REGIME_THM2_ORDERED)
 
 IRS_DISABLED = "disabled"
 
@@ -167,33 +163,24 @@ def receiver_decode(
     h_eq: np.ndarray,
     beams: BeamformerSet,
     symbols: np.ndarray,
-) -> tuple[complex, float] | list[tuple[complex, float]]:
+) -> tuple[complex, float]:
     """Cache-subtract and normalize to estimate the intended symbol.
 
     The receiver knows channels, coefficients, and every cached scheduled
     subfile (those whose caching receivers include it), so it subtracts
     their exact contributions, divides by its own aggregate gain, and is
     left with its symbol plus whatever interference survived. Returns the
-    estimate and its distance from the sent symbol.
-
-    ``y`` and ``rx`` may also be equal-length sequences, one entry per
-    decoding receiver; the result is then a list of (estimate, residual)
-    pairs, each equal to its scalar call's. The one-block case of the
-    stacked back end.
+    estimate and its distance from the sent symbol. The one-block case of
+    the stacked back end.
     """
     stack = _one_block(plan, beams, symbols)
-    single = isinstance(rx, (int, np.integer))
-    rxs = [rx] if single else list(rx)
     receivers = stack.delivery_rx[0].tolist()
-    for r in rxs:
-        if r - 1 not in receivers:
-            raise ScheduleConsistencyError(f"block {plan.block_index}: receiver {r} has no delivery in this block")
-    slots = [receivers.index(r - 1) for r in rxs]
+    if rx - 1 not in receivers:
+        raise ScheduleConsistencyError(f"block {plan.block_index}: receiver {rx} has no delivery in this block")
+    slot = [receivers.index(rx - 1)]
     own, cached = _gains_and_cached(stack, h_eq[None], beams.weights[None], symbols[None])
-    ys = np.array([y] if single else y, dtype=complex)
-    estimates, residuals = _decode(ys, own[0, slots], cached[0, slots], symbols[slots])
-    decoded = list(zip(estimates.tolist(), residuals.tolist()))
-    return decoded[0] if single else decoded
+    estimate, residual = _decode(np.array([y], dtype=complex), own[0, slot], cached[0, slot], symbols[slot])
+    return complex(estimate[0]), float(residual[0])
 
 
 @dataclass(frozen=True)
@@ -211,7 +198,7 @@ class BlockRecord:
 @dataclass(frozen=True)
 class EpisodeReport:
     params: SystemParams
-    regime: str
+    regime: Design
     schedule_regime: str
     seed: int
     strictness: str
@@ -233,28 +220,38 @@ class EpisodeReport:
         return len(self.blocks)
 
 
-def build_schedule(params: SystemParams, regime: str, options: SimOptions) -> Schedule:
-    """Construct the schedule an episode will run: full activity when the
-    null count covers all receivers at once, partial activity otherwise."""
-    if regime not in REGIMES:
-        raise SchedulingError(f"unknown regime {regime!r}; expected one of {REGIMES}")
-    if regime == REGIME_THM1 and params.mu_t != 1:
-        raise SchedulingError("regime 'thm1' requires mu_t = 1")
-    if regime != REGIME_THM1 and params.mu_t < 2:
-        raise SchedulingError(f"regime {regime!r} requires mu_t >= 2")
+def build_schedule(params: SystemParams, regime: str | Design, options: SimOptions) -> Schedule:
+    """Construct the schedule an episode will run with the design named
+    ``regime``: full activity when the null count covers all receivers at
+    once, partial activity otherwise."""
+    design = Design(regime)
+    design.check(params)  # before building a transmitter design, which can be large
     demand = options.demand if options.demand is not None else worst_case_demand(params)
     l_size = options.l_size
     if l_size is None:
         l_size = max_feasible_L(params.q_elements, params, options.strictness)
     system = None
     try:
-        if regime == REGIME_THM2_PARTITION:
+        if design is Design.THM2_PARTITION:
             system = find_subset_partition(params.m_groups, params.mu_t)
-        elif regime == REGIME_THM2_ORDERED:
+        elif design is Design.THM2_ORDERED:
             system = enumerate_ordered_partitions(params.m_groups, params.mu_t)
     except ValueError as exc:  # the design is past its size guard
         raise SchedulingError(str(exc)) from exc
     return make_schedule(params, demand, l_size, system)
+
+
+def _schedule_for(params: SystemParams, design: Design, options: SimOptions, schedule: Schedule | None) -> Schedule:
+    """A prebuilt ``schedule``, once checked to be for ``params`` and
+    ``design``; without one, a new build."""
+    if schedule is None:
+        return build_schedule(params, design, options)
+    if schedule.params != params or schedule.design is not design:
+        raise SchedulingError(
+            f"the schedule is for {schedule.params} with regime {schedule.design.value!r}, "
+            f"not for {params} with regime {design.value!r}"
+        )
+    return schedule
 
 
 #: bytes of stacked channel draws and systems one chunk of blocks may hold;
@@ -469,7 +466,7 @@ def simulate_block(
 
 def run_episode(
     params: SystemParams,
-    regime: str,
+    regime: str | Design,
     seed: int,
     options: SimOptions = SimOptions(),
     schedule: Schedule | None = None,
@@ -477,12 +474,12 @@ def run_episode(
     """Place, schedule, and simulate a whole delivery horizon.
 
     A prebuilt ``schedule`` (from :func:`build_schedule` with the same
-    parameters) skips reconstruction so many seeds can share one schedule.
-    The achieved rate counts only deliveries whose residual beat the
-    threshold, as an exact rational over the block count.
+    parameters and regime) skips reconstruction so many seeds can share one
+    schedule. The achieved rate counts only deliveries whose residual beat
+    the threshold, as an exact rational over the block count.
     """
-    if schedule is None:
-        schedule = build_schedule(params, regime, options)
+    design = Design(regime)
+    schedule = _schedule_for(params, design, options, schedule)
     fronts = block_fronts(schedule.blocks, params, seed, options)
     backs = block_backs(schedule.blocks, fronts, params, seed, options)
     # one simulate_block call per block, looked up by name (perfbench's traced run wraps it)
@@ -493,7 +490,7 @@ def run_episode(
     sum_dof = achieved_dof(schedule, total_delivered)
     return EpisodeReport(
         params=params,
-        regime=regime,
+        regime=design,
         schedule_regime=schedule.regime,
         seed=seed,
         strictness=options.strictness,
@@ -525,7 +522,7 @@ class SlopeEstimate:
 
 def estimate_dof_slope(
     params: SystemParams,
-    regime: str,
+    regime: str | Design,
     seed: int,
     powers: tuple[float, ...],
     options: SimOptions = SimOptions(),
@@ -540,8 +537,7 @@ def estimate_dof_slope(
     """
     if len(powers) < 2 or any(p < 1e3 for p in powers) or list(powers) != sorted(set(powers)):
         raise ValueError("powers must be >= 1e3, strictly increasing, and at least two")
-    if schedule is None:
-        schedule = build_schedule(params, regime, options)
+    schedule = _schedule_for(params, Design(regime), options, schedule)
     h = schedule.h_blocks
     rates = np.zeros((len(powers), params.k_r))
     fronts = block_fronts(schedule.blocks, params, seed, options)
@@ -571,7 +567,7 @@ def estimate_dof_slope(
 def episode_to_jsonable(report: EpisodeReport) -> dict:
     """Summary plus one record per block, for the structured-text report."""
     return {
-        "regime": report.regime,
+        "regime": report.regime.value,
         "schedule_regime": report.schedule_regime,
         "seed": report.seed,
         "strictness": report.strictness,

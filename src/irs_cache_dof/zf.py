@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import SingularChannelError, solve_each
-from .combinatorics import Subset
-from .lowering import JointLayout, LoweredPlan, PlanStack, joint_zf_layout, lower_plan
+from .lowering import PlanStack, joint_zf_layout, plan_buffer
 from .placement import SubfileId
 from .scheduler import BlockPlan, Delivery
 
@@ -38,15 +37,6 @@ class BeamformerSet:
         return 0.0 + 0.0j
 
 
-def select_binary_beamformers(plan: BlockPlan) -> BeamformerSet:
-    """Unit coefficient for every scheduled (subfile, serving transmitter);
-    a transmitter serving several subfiles sends their sum."""
-    low = lower_plan(plan)
-    if low.group != 1:
-        raise ValueError("binary selection applies to single-transmitter serving groups")
-    return BeamformerSet(plan.deliveries, np.ones((low.n_deliveries, 1), dtype=complex))
-
-
 def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the stack of systems ``a x = b`` and tell which hold.
 
@@ -58,85 +48,10 @@ def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, np.abs(a @ x - b).max(axis=(1, 2)) <= 1e-8
 
 
-def _joint_systems(h_eq: np.ndarray, h_rx, h_tx, layout: JointLayout) -> np.ndarray:
-    """One joint system per channel ``h_eq[s]``, filled by one scatter of
-    its entries ``(h_rx[s], h_tx[s])`` onto ``layout.pos``; one unknown per
-    (slot, serving transmitter), slot-major."""
-    n = len(h_eq)
-    a = np.zeros((n, layout.dim**2), dtype=complex)
-    a[:, layout.pos] = h_eq[np.arange(n)[:, None], h_rx, h_tx]
-    return a.reshape(n, layout.dim, layout.dim)
-
-
-def _stacked_rhs(rhs: np.ndarray, n: int) -> np.ndarray:
-    """``rhs`` as the right-hand side of each of ``n`` stacked systems."""
-    return rhs[None, :, None].repeat(n, axis=0)
-
-
-def _singular(what: str) -> SingularChannelError:
-    return SingularChannelError(f"{what} system is singular; the episode aborts")
-
-
-def solve_single_subfile_zf(
-    h_eq: np.ndarray, serving: Subset, intended: int, zf_targets: Subset
-) -> np.ndarray:
-    """Coefficients (one per serving transmitter) giving aggregate gain 1 at
-    the intended receiver and 0 at each zero-forcing target.
-
-    Square system of size ``len(serving)``; requires exactly
-    ``len(serving) - 1`` targets, none of them the intended receiver.
-    """
-    mu_t = len(serving)
-    if len(zf_targets) != mu_t - 1:
-        raise ValueError(f"need {mu_t - 1} zero-forcing targets, got {len(zf_targets)}")
-    if intended in zf_targets:
-        raise ValueError("intended receiver cannot be a zero-forcing target")
-    rows = np.array((intended, *sorted(zf_targets))) - 1
-    a = h_eq[np.ix_(rows, np.array(serving) - 1)]
-    b = np.zeros((1, mu_t, 1), dtype=complex)
-    b[0, 0] = 1.0
-    x, ok = _solve(a[None], b)
-    if not ok[0]:
-        raise _singular("zero-forcing")
-    return x[0, :, 0]
-
-
-def solve_joint_block_zf(
-    h_eq: np.ndarray,
-    serving: Subset,
-    receivers: Sequence[int],
-    subfiles: Sequence[SubfileId],
-) -> BeamformerSet:
-    """Joint coefficients for one serving group delivering a subfile to each
-    of ``mu_t + mu_r`` receivers simultaneously.
-
-    ``receivers`` lists the lead first, then the ``mu_r`` receivers whose
-    caches cover the other lead-family subfiles, then the ``mu_t - 1``
-    zero-forcing targets; ``subfiles[s]`` is what ``receivers[s]`` decodes.
-    The constraints (see ``joint_zf_rows``) are: unit gain at every
-    receiver for its own subfile; zero gain at the lead and at each target
-    for every subfile the receiver's cache does not cover. Cache-covered
-    cross terms stay unconstrained (the receiver subtracts them).
-    """
-    if len(subfiles) != len(receivers):
-        raise ValueError("need one subfile per receiver slot")
-    layout = joint_zf_layout(len(receivers), len(serving))
-    h_rx = [receivers[s] - 1 for s in layout.rx_slot]
-    a = _joint_systems(h_eq[None], [h_rx], [[tx - 1 for tx in serving] * layout.dim], layout)
-    x, ok = _solve(a, _stacked_rhs(layout.rhs, 1))
-    if not ok[0]:
-        raise _singular("joint zero-forcing")
-    deliveries = tuple(Delivery(sub, rx, tuple(serving)) for sub, rx in zip(subfiles, receivers))
-    return BeamformerSet(deliveries, x.reshape(len(receivers), len(serving)))
-
-
-def zero_forcing_weights(
-    plans: PlanStack | LoweredPlan, h_eq: np.ndarray, blocks: Sequence[int], mu_t: int
-) -> np.ndarray:
+def zero_forcing_weights(plans: PlanStack, h_eq: np.ndarray, blocks: Sequence[int], mu_t: int) -> np.ndarray:
     """Coefficients for every delivery of each plan of ``plans``, as an
     ``(S, D, G)`` array, given plan ``s``'s equivalent channel ``h_eq[s]``
-    (the plan is block ``blocks[s]``, which errors name). One lowered plan
-    counts as a stack of one.
+    (the plan is block ``blocks[s]``, which errors name).
 
     Binary selection when serving groups are single transmitters;
     otherwise, per plan, a joint solve for the lead group and a square
@@ -151,8 +66,10 @@ def zero_forcing_weights(
             raise ValueError("binary selection applies to single-transmitter serving groups")
         return np.ones((n, d, 1), dtype=complex)
     layout = joint_zf_layout(plans.n_joint, g)
-    a = _joint_systems(h_eq, plans.joint_rx, plans.joint_tx, layout)
-    x, joint_ok = _solve(a, _stacked_rhs(layout.rhs, n))
+    # one unknown per (slot, serving transmitter), slot-major; one scatter fills every system
+    a = np.zeros((n, layout.dim**2), dtype=complex)
+    a[:, layout.pos] = h_eq[np.arange(n)[:, None], plans.joint_rx, plans.joint_tx]
+    x, joint_ok = _solve(a.reshape(n, layout.dim, layout.dim), layout.rhs[None, :, None].repeat(n, axis=0))
     weights = [x.reshape(n, plans.n_joint, g)]
     idle_ok = True
     n_idle = d - plans.n_joint
@@ -166,12 +83,13 @@ def zero_forcing_weights(
     failed = ~(joint_ok & idle_ok)
     if failed.any():
         s = np.flatnonzero(failed)[0]
-        raise _singular(f"block {blocks[s]}: {'idle-group' if joint_ok[s] else 'joint'} zero-forcing")
+        kind = "idle-group" if joint_ok[s] else "joint"
+        raise SingularChannelError(f"block {blocks[s]}: {kind} zero-forcing system is singular; the episode aborts")
     return np.concatenate(weights, axis=1)
 
 
 def beamformers_for_block(plan: BlockPlan, h_eq: np.ndarray, mu_t: int) -> BeamformerSet:
     """Coefficients for every delivery of a block: the one-block case of
     :func:`zero_forcing_weights`."""
-    weights = zero_forcing_weights(lower_plan(plan), h_eq[None], (plan.block_index,), mu_t)
+    weights = zero_forcing_weights(PlanStack([plan_buffer(plan)]), h_eq[None], (plan.block_index,), mu_t)
     return BeamformerSet(plan.deliveries, weights[0])

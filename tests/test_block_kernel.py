@@ -29,7 +29,7 @@ from irs_cache_dof.simulator import (
     simulate_block,
     transmit_block,
 )
-from irs_cache_dof.zf import beamformers_for_block, solve_single_subfile_zf
+from irs_cache_dof.zf import beamformers_for_block
 
 EX = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1, q_elements=6)
 
@@ -118,7 +118,7 @@ def test_batched_idle_solves_equal_single_solves(name):
         lead = 1 + len(plan.cached_rxs) + len(plan.zf_rxs)
         assert len(plan.deliveries) > lead
         for dl, row in zip(plan.deliveries[lead:], beams.weights[lead:]):
-            single = solve_single_subfile_zf(h_eq, dl.serving_txs, dl.intended_rx, plan.zf_rxs)
+            single = reference_block._single_zf(h_eq, dl.serving_txs, dl.intended_rx, plan.zf_rxs)
             assert np.array_equal(row, single)
 
 

@@ -263,3 +263,86 @@ def test_simulate_artifacts_reproducible(tmp_path):
         assert code == EXIT_OK
         outs.append((out.read_bytes(), rows.read_bytes()))
     assert outs[0] == outs[1]
+
+
+EXAMPLE_SETTINGS = {"k_t": 3, "k_r": 4, "n_files": 12, "f_packets": 12, "mu_t": 1, "mu_r": 1, "q_elements": 6}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("l_size", "1"),
+        ("k_t", "3"),
+        ("mu_r", 1.5),
+        ("k_r", 4.0),
+        ("seed", True),
+        ("disable_irs", "false"),
+        ("disable_irs", 0),
+        ("noise_variance", "1e-3"),
+        ("noise_variance", False),
+        ("regime", 1),
+        ("out", 5),
+    ],
+)
+def test_config_file_setting_of_the_wrong_json_type_rejected(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**EXAMPLE_SETTINGS, key: value}))
+    out = tmp_path / "episode.json"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(key) in err
+    assert not out.exists()
+
+
+def test_config_file_typed_settings_accepted(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**EXAMPLE_SETTINGS, "disable_irs": False, "noise_variance": 0, "regime": "thm1"}))
+    out = tmp_path / "episode.json"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["noise_variance"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "settings, name",
+    [
+        ({"preset": "fig9"}, "fig9"),
+        ({"axis": "q_size", "k_t": 6, "k_r": 6, "mu_t": 1, "mu_r": 2, "axis_start": 0, "axis_stop": 3}, "q_size"),
+    ],
+    ids=["preset", "axis"],
+)
+def test_config_file_unknown_sweep_name_rejected(tmp_path, capsys, settings, name):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(settings))
+    assert main(["dof-sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == EXIT_CONFIG
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, regime, label, tx_mode",
+    [
+        (EXAMPLE_FLAGS, "thm1", "T1-I", "subset"),
+        (["--k-t", "3", "--k-r", "4", "--mu-t", "1", "--mu-r", "1", "--q-elements", "2"], "thm1", "T1-II", "subset"),
+        (["--k-t", "4", "--k-r", "4", "--mu-t", "2", "--mu-r", "1", "--q-elements", "4"],
+         "thm2-partition", "T2-IA", "subset"),
+        (["--k-t", "4", "--k-r", "5", "--mu-t", "2", "--mu-r", "1", "--q-elements", "4", "--regime", "thm2-partition"],
+         "thm2-partition", "T2-II", "subset"),
+        (["--k-t", "4", "--k-r", "4", "--mu-t", "2", "--mu-r", "1", "--q-elements", "4", "--regime", "thm2-ordered"],
+         "thm2-ordered", "T2-IB", "ordered"),
+        (["--k-t", "4", "--k-r", "5", "--mu-t", "2", "--mu-r", "1", "--q-elements", "4", "--regime", "thm2-ordered"],
+         "thm2-ordered", "T2-II", "ordered"),
+    ],
+)
+def test_design_names_in_artifacts(tmp_path, capsys, flags, regime, label, tx_mode):
+    """The design and its paper label reach every artifact as the plain
+    strings the command line and the paper use."""
+    episode, rows, verify = tmp_path / "episode.json", tmp_path / "blocks.csv", tmp_path / "verify.json"
+    flags = [*flags, "--sufficient-q"]
+    assert main(["simulate", *flags, "--out", str(episode), "--block-csv", str(rows)]) == EXIT_OK
+    assert main(["schedule-verify", *flags, "--out", str(verify)]) == EXIT_OK
+    simulated, verified = json.loads(episode.read_text()), json.loads(verify.read_text())
+    assert (simulated["regime"], simulated["schedule_regime"]) == (regime, label)
+    assert (verified["schedule"]["regime"], verified["schedule"]["tx_mode"]) == (label, tx_mode)
+    outputs = [episode.read_text(), rows.read_text(), verify.read_text(), *capsys.readouterr()]
+    assert not any("Design." in text for text in outputs)

@@ -192,7 +192,7 @@ def test_ordered_partitions_single_group():
     system = enumerate_ordered_partitions(1, 2)
     assert system.count == 1
     assert system.partitions == (((1, 2),),)
-    assert system.number_of(((1, 2),)) == 1
+    assert system.partition_by_number(1) == ((1, 2),)
 
 
 def test_ordered_partitions_3_2_count_by_factorials():
@@ -216,8 +216,7 @@ def test_ordered_partition_invariants(m, mu_t):
         assert len(set(window)) == system.window_size
     # numbering is a bijection
     assert len(set(system.partitions)) == system.count
-    for kappa in range(1, system.count + 1):
-        assert system.number_of(system.partition_by_number(kappa)) == kappa
+    assert [system.partition_by_number(kappa) for kappa in range(1, system.count + 1)] == list(system.partitions)
 
 
 def test_ordered_partition_coordinates_roundtrip():

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from irs_cache_dof.combinatorics import enumerate_ordered_partitions, find_subset_partition
-from irs_cache_dof.irs import NullSet, required_nulls
-from irs_cache_dof.lowering import joint_zf_layout, joint_zf_rows, lower_plan
+from irs_cache_dof.irs import required_nulls
+from irs_cache_dof.lowering import PlanStack, joint_zf_layout, joint_zf_rows, plan_buffer
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.scheduler import make_schedule, worst_case_demand
 
@@ -43,25 +43,21 @@ def _schedule(name):
 def test_lowering_round_trip(name):
     _, schedule = _schedule(name)
     for plan in schedule.blocks:
-        fresh_nulls = required_nulls(plan)
+        assert required_nulls(plan) == plan.null_links
         assert plan.lowering is None  # computing null links does not lower
-        low = lower_plan(plan)
+        stack = PlanStack([plan_buffer(plan)])
         deliveries = plan.deliveries
-        receivers_and_groups = zip(low.delivery_rx.tolist(), low.serving_tx.tolist())
+        receivers_and_groups = zip(stack.delivery_rx[0].tolist(), stack.serving_tx[0].tolist())
         assert [(rx + 1, tuple(tx + 1 for tx in txs)) for rx, txs in receivers_and_groups] == [
             (dl.intended_rx, dl.serving_txs) for dl in deliveries
         ]
-        assert tuple(j + 1 for j in low.cached_rxs.tolist()) == tuple(sorted(plan.cached_rxs))
-        assert tuple(j + 1 for j in low.zf_rxs.tolist()) == tuple(sorted(plan.zf_rxs))
-        assert low.n_joint == 1 + len(plan.cached_rxs) + len(plan.zf_rxs)
+        assert tuple(j + 1 for j in stack.cached_rxs[0].tolist()) == tuple(sorted(plan.cached_rxs))
+        assert tuple(j + 1 for j in stack.zf_rxs[0].tolist()) == tuple(sorted(plan.zf_rxs))
+        assert stack.n_joint == 1 + len(plan.cached_rxs) + len(plan.zf_rxs)
         for a, own in enumerate(deliveries):
-            assert low.cache_mask[a].tolist() == [int(own.intended_rx in dl.subfile.rx_set) for dl in deliveries]
-        lowered_nulls = required_nulls(plan)
-        assert lowered_nulls == fresh_nulls
-        assert lowered_nulls.links == plan.null_links
-        pairs = lowered_nulls.pairs
+            assert stack.cache_mask[0, a].tolist() == [int(own.intended_rx in dl.subfile.rx_set) for dl in deliveries]
+        pairs = stack.null_pairs[0]
         assert [tuple(p) for p in (pairs.T + 1).tolist()] == sorted(plan.null_links)
-        assert len(lowered_nulls) == len(plan.null_links)
 
 
 @pytest.mark.parametrize("name", ["T2-IA", "T2-II-ordered", "T2-mu3"])
@@ -72,8 +68,8 @@ def test_lowered_zero_forcing_layout(name):
     from its own serving group."""
     params, schedule = _schedule(name)
     for plan in schedule.blocks[:20]:
-        low = lower_plan(plan)
-        mu_t, n_joint = params.mu_t, low.n_joint
+        stack = PlanStack([plan_buffer(plan)])
+        mu_t, n_joint = params.mu_t, stack.n_joint
         rows = joint_zf_rows(n_joint, mu_t)
         dim = len(rows)
         lead = [tx - 1 for tx in plan.deliveries[0].serving_txs]
@@ -83,34 +79,35 @@ def test_lowered_zero_forcing_layout(name):
             for p in range(mu_t)
         ]
         layout = joint_zf_layout(n_joint, mu_t)
-        assert list(zip(low.joint_rx.tolist(), low.joint_tx.tolist(), layout.pos.tolist())) == expected
+        assert list(zip(stack.joint_rx[0].tolist(), stack.joint_tx[0].tolist(), layout.pos.tolist())) == expected
         assert layout.rhs.tolist() == [float(s == u) for s, u in rows]
         idle = plan.deliveries[n_joint:]
         zf = sorted(j - 1 for j in plan.zf_rxs)
-        assert low.idle_rx.tolist() == [
+        assert stack.idle_rx[0].tolist() == [
             r for dl in idle for r in (dl.intended_rx - 1, *zf) for _ in range(mu_t)
         ]
-        assert low.idle_tx.tolist() == [tx - 1 for dl in idle for _ in range(mu_t) for tx in dl.serving_txs]
+        assert stack.idle_tx[0].tolist() == [tx - 1 for dl in idle for _ in range(mu_t) for tx in dl.serving_txs]
 
 
 def test_lowering_is_one_small_buffer_per_plan():
     plan = _schedule("T2-II-ordered")[1].blocks[0]
-    low = lower_plan(plan)
-    assert isinstance(plan.lowering, np.ndarray) and plan.lowering.dtype == np.int8
-    assert not plan.lowering.flags.writeable
-    assert lower_plan(plan) is low  # the stages of one block share one read
+    buf = plan_buffer(plan)
+    assert plan.lowering is buf and buf.dtype == np.int8
+    assert not buf.flags.writeable
+    assert plan_buffer(plan) is buf  # every stage of the block reads the one buffer
     # the cache is not part of the plan's identity, and a changed plan is lowered afresh
     copy = dataclasses.replace(plan)
     assert copy == plan and copy.lowering is None
 
 
-def test_null_set_forms_agree():
-    links = {(1, 3), (2, 1), (1, 2)}
-    from_links = NullSet(links)
-    from_pairs = NullSet(pairs=np.array([[0, 0, 1], [1, 2, 0]]))
-    assert from_links == from_pairs and hash(from_links) == hash(from_pairs)
-    assert from_pairs.links == frozenset(links)
-    assert from_links.pairs.tolist() == [[0, 0, 1], [1, 2, 0]]
-    assert len(from_links) == len(from_pairs) == 3
-    with pytest.raises(TypeError):
-        NullSet()
+def test_malformed_plan_refused_when_lowered():
+    """A plan whose serving groups differ in size, or whose zero-forcing
+    group does not fit its serving groups, has no lowered form."""
+    plan = _schedule("T2-II-ordered")[1].blocks[0]
+    uneven = dataclasses.replace(plan.deliveries[-1], serving_txs=plan.deliveries[-1].serving_txs[:1])
+    for bad, message in [
+        (dataclasses.replace(plan, deliveries=(*plan.deliveries[:-1], uneven)), "serving groups differ in size"),
+        (dataclasses.replace(plan, zf_rxs=()), "need 1 zero-forcing receivers"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^block {plan.block_index}: {message}$"):
+            plan_buffer(bad)

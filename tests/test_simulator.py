@@ -10,7 +10,7 @@ import pytest
 from irs_cache_dof.channel import equivalent_channel, sample_block_channels, zero_irs
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.placement import SubfileId
-from irs_cache_dof.scheduler import DemandVector, make_schedule, worst_case_demand
+from irs_cache_dof.scheduler import DemandVector, SchedulingError, make_schedule, worst_case_demand
 from irs_cache_dof.simulator import (
     ScheduleConsistencyError,
     SimOptions,
@@ -21,16 +21,21 @@ from irs_cache_dof.simulator import (
     simulate_block,
     transmit_block,
 )
-from irs_cache_dof.zf import BeamformerSet, select_binary_beamformers
+from irs_cache_dof.zf import BeamformerSet
 
 EX = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1, q_elements=6)
+
+
+def _binary(plan):
+    """Unit coefficient for every delivery: the beamformers of single-transmitter serving groups."""
+    return BeamformerSet(plan.deliveries, np.ones((len(plan.deliveries), 1), dtype=complex))
 
 
 def test_single_delivery_transmit():
     p = SystemParams(k_t=4, k_r=2, n_files=2, f_packets=1, mu_t=1, mu_r=1)
     sched = make_schedule(p, worst_case_demand(p), p.k_r - p.mu_r - 1)
     plan = sched.blocks[0]
-    beams = select_binary_beamformers(plan)
+    beams = _binary(plan)
     symbols = np.ones(len(plan.deliveries), dtype=complex)
     x = transmit_block(plan, beams, symbols, p.k_t)
     serving = {d.serving_txs[0] for d in plan.deliveries}
@@ -63,7 +68,7 @@ def test_transmit_rejects_uncached_subfile():
 def test_transmit_lead_carries_linear_combination():
     sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     plan = sched.blocks[0]
-    beams = select_binary_beamformers(plan)
+    beams = _binary(plan)
     symbols = np.arange(1, len(plan.deliveries) + 1, dtype=complex)
     x = transmit_block(plan, beams, symbols, EX.k_t)
     lead_tx = plan.deliveries[0].serving_txs[0]
@@ -103,7 +108,7 @@ def test_decode_residual_measures_interference():
     plan = sched.blocks[0]
     ch = sample_block_channels(EX, plan.block_index, seed=3)
     h_eq = equivalent_channel(ch, zero_irs(6))  # surface off
-    beams = select_binary_beamformers(plan)
+    beams = _binary(plan)
     symbols = np.ones(len(plan.deliveries), dtype=complex)
     x = transmit_block(plan, beams, symbols, EX.k_t)
     y = h_eq @ x
@@ -117,14 +122,11 @@ def test_decode_at_a_receiver_without_a_delivery_names_block_and_receiver():
     plan = build_schedule(p, "thm1", SimOptions()).blocks[0]
     assert 4 not in {dl.intended_rx for dl in plan.deliveries}
     h_eq = equivalent_channel(sample_block_channels(p, plan.block_index, seed=0), zero_irs(2))
-    beams = select_binary_beamformers(plan)
+    beams = _binary(plan)
     symbols = np.ones(len(plan.deliveries), dtype=complex)
     message = rf"^block {plan.block_index}: receiver 4 has no delivery in this block$"
     with pytest.raises(ScheduleConsistencyError, match=message):
         receiver_decode(0j, 4, plan, h_eq, beams, symbols)
-    served = plan.deliveries[0].intended_rx
-    with pytest.raises(ScheduleConsistencyError, match=message):
-        receiver_decode([0j, 0j], [served, 4], plan, h_eq, beams, symbols)
 
 
 def test_episode_report_counts_and_identity():
@@ -218,6 +220,28 @@ def test_build_schedule_validates_regime():
     p2 = SystemParams(k_t=4, k_r=4, n_files=4, f_packets=1, mu_t=2, mu_r=1, q_elements=4)
     with pytest.raises(Exception):
         build_schedule(p2, "thm1", SimOptions())
+
+
+@pytest.mark.parametrize(
+    "params, regime",
+    [
+        (SystemParams(8, 8, 8, 1, 1, 1, 12), "thm1"),
+        (SystemParams(6, 6, 6, 1, 2, 1, 12), "thm2-partition"),
+        (SystemParams(6, 6, 6, 1, 2, 1, 16), "thm2-ordered"),
+    ],
+    ids=["other-params-and-design", "other-design", "other-params"],
+)
+def test_schedule_for_other_params_or_design_rejected(params, regime):
+    from irs_cache_dof.analytics import SUFFICIENT_Q
+
+    built = SystemParams(6, 6, 6, 1, 2, 1, 12)
+    options = SimOptions(strictness=SUFFICIENT_Q)
+    schedule = build_schedule(built, "thm2-ordered", options)
+    message = rf"the schedule is for .* with regime 'thm2-ordered', not for .* with regime '{regime}'"
+    with pytest.raises(SchedulingError, match=message):
+        run_episode(params, regime, 0, options, schedule=schedule)
+    with pytest.raises(SchedulingError, match=message):
+        estimate_dof_slope(params, regime, 0, (1e6, 1e8), options, schedule=schedule)
 
 
 def test_block_determinism():
