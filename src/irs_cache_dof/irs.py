@@ -12,7 +12,7 @@ reports rather than hides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,53 +46,50 @@ class IrsSolveInfo:
     q_elements: int
 
 
-def solve_irs_stack(ch: ChannelStack, pairs: Sequence[np.ndarray]) -> tuple[np.ndarray, list[IrsSolveInfo]]:
-    """Surface coefficients ``q[b]`` that cut the links ``pairs[b]`` (sorted
-    0-based index pairs: transmitters in row 0, receivers in row 1) in block
-    ``b`` of ``ch``, and each block's solve info.
+def solve_irs_stack(ch: ChannelStack, pairs: np.ndarray) -> tuple[np.ndarray, list[IrsSolveInfo]]:
+    """Surface coefficients ``q[b]`` that cut the links ``pairs[b]`` in
+    block ``b`` of ``ch``, and each block's solve info. ``pairs`` is
+    ``(S, 2, N)``: every block cuts ``N`` links, sorted 0-based index pairs
+    with transmitters in row 0 and receivers in row 1.
 
-    The square systems (as many links as elements) are gathered and solved
-    in one stacked call; the others take the least-squares path one block
-    at a time. A block whose null set fits the elements gets the
+    With as many links as elements, the square systems are solved in one
+    stacked call; with fewer or more, each block takes the least-squares
+    path alone. A block whose null set fits the elements gets the
     minimum-norm exact solution (status ``exact``), one with more links
     than elements the least-squares compromise with its residual (status
     ``infeasible``). An exactly singular system with enough elements is a
     probability-zero channel event: the first block with one raises.
     """
     n_blocks, q_count = ch.tx_to_irs.shape[:2]
-    n_links = [links.shape[1] for links in pairs]
+    n_links = pairs.shape[2]
     q = np.zeros((n_blocks, q_count), dtype=complex)
     residual = np.zeros(n_blocks)
     failed: dict[int, str] = {}
-    square = [b for b, n in enumerate(n_links) if n == q_count > 0]
-    if square:
-        at = np.array(square)[:, None]
-        tx, rx = np.array([pairs[b] for b in square]).transpose(1, 0, 2)
+    if n_links == q_count > 0:
+        at = np.arange(n_blocks)[:, None]
+        tx, rx = pairs.transpose(1, 0, 2)
         rows = ch.tx_to_irs.transpose(0, 2, 1)[at, tx] * ch.irs_to_rx[at, rx]
         rhs = -ch.direct[at, rx, tx]
         x, singular = solve_each(rows, rhs[..., None])
-        into = slice(None) if len(square) == n_blocks else square
-        q[into] = x[..., 0]
-        residual[into] = np.abs((rows @ x)[..., 0] - rhs).max(axis=1)
-        if singular.any():
-            for s in np.flatnonzero(singular).tolist():
-                failed[square[s]] = f"square null-steering system of size {q_count} is singular"
-    for b, n in enumerate(n_links):
-        if n == 0 or n == q_count:
-            continue
-        tx, rx = pairs[b]
-        rows = ch.tx_to_irs[b].T[tx] * ch.irs_to_rx[b][rx]
-        rhs = -ch.direct[b][rx, tx]
-        q[b], _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
-        if n <= q_count and rank < n:
-            failed[b] = f"null-steering system rank {rank} < {n} equations"
-        residual[b] = np.abs(rows @ q[b] - rhs).max()
+        q[:] = x[..., 0]
+        residual[:] = np.abs((rows @ x)[..., 0] - rhs).max(axis=1)
+        for b in np.flatnonzero(singular).tolist():
+            failed[b] = f"square null-steering system of size {q_count} is singular"
+    elif n_links:
+        for b, (tx, rx) in enumerate(pairs):
+            rows = ch.tx_to_irs[b].T[tx] * ch.irs_to_rx[b][rx]
+            rhs = -ch.direct[b][rx, tx]
+            q[b], _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
+            if n_links <= q_count and rank < n_links:
+                failed[b] = f"null-steering system rank {rank} < {n_links} equations"
+            residual[b] = np.abs(rows @ q[b] - rhs).max()
+    status = STATUS_EXACT if n_links <= q_count else STATUS_INFEASIBLE
     infos = []
-    for b, (n, res, scale) in enumerate(zip(n_links, residual.tolist(), ch.scale.tolist())):
+    for b, (res, scale) in enumerate(zip(residual.tolist(), ch.scale.tolist())):
         # a non-finite q leaves a non-finite residual, which fails the comparison
-        if n <= q_count and not res <= 1e-6 * scale:
+        if n_links <= q_count and not res <= 1e-6 * scale:
             failed.setdefault(b, f"null-steering solve left residual {res:.3e}")
-        infos.append(IrsSolveInfo(STATUS_EXACT if n <= q_count else STATUS_INFEASIBLE, res, n, q_count))
+        infos.append(IrsSolveInfo(status, res, n_links, q_count))
     if failed:
         b = min(failed)
         raise SingularChannelError(f"seed {ch.seed}, block {ch.blocks[b]}: {failed[b]}; the episode aborts")
@@ -104,7 +101,7 @@ def solve_irs(ch: ChannelRealization, links: frozenset[tuple[int, int]]) -> tupl
     receiver) link in ``links``: the one-block case of
     :func:`solve_irs_stack`."""
     pairs = np.array(sorted(links), dtype=np.intp).reshape(-1, 2).T - 1
-    q, (info,) = solve_irs_stack(ChannelStack.of(ch), [pairs])
+    q, (info,) = solve_irs_stack(ChannelStack.of(ch), pairs[None])
     return IrsConfig(q=q[0]), info
 
 

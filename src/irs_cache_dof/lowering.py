@@ -2,21 +2,26 @@
 
 The per-block stages (null steering, zero forcing, transmit, decode) index
 the channel matrices with a plan's node numbers over and over. Lowering
-turns a plan once into one small integer buffer (int8 when every entry
-fits, else int16), cached on the plan, so those stages run on index arrays
-instead of walking ``Delivery`` objects and hashing ``SubfileId`` keys. All
-indices in the buffer are 0-based.
+turns the plans of a schedule once into one integer stack, one row per
+plan (int8 when every entry fits, else int16), so those stages run on index
+arrays instead of walking ``Delivery`` objects and hashing ``SubfileId``
+keys. All indices in the stack are 0-based.
 
-Buffer layout: the header ``(D, G, N, C, Z, R)`` — deliveries,
-serving-group size, null links, cached receivers, zero-forcing receivers,
-joint zero-forcing rows — then the sections :class:`PlanStack` reads,
-in the order of its section numbers.
+Every block of a one-shot schedule has the same shape: it serves
+``mu_r + mu_t + L`` receivers through ``L + 1`` disjoint groups of ``mu_t``
+transmitters, each group cutting ``mu_t * L`` links. So its plans share one
+header ``(D, G, N, C, Z, R)`` — deliveries, serving-group size, null links,
+cached receivers, zero-forcing receivers, joint zero-forcing rows — which
+fixes the length of every section of a row; a row holds the sections
+:class:`PlanStack` reads, in the order of its section numbers.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice, pairwise
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -24,11 +29,7 @@ import numpy as np
 if TYPE_CHECKING:
     from .scheduler import BlockPlan
 
-_HEADER = 6
 _MAX_INDEX = np.iinfo(np.int16).max
-# buffer sections after the header, in order
-(_RX, _SERVING, _CACHED, _NULL_PAIRS, _CACHED_RXS, _ZF_RXS,
- _JOINT_RX, _JOINT_TX, _IDLE_RX, _IDLE_TX) = range(10)
 
 
 def joint_zf_rows(n_slots: int, mu_t: int) -> list[tuple[int, int]]:
@@ -55,30 +56,26 @@ def joint_zf_rows(n_slots: int, mu_t: int) -> list[tuple[int, int]]:
     return rows
 
 
-def _section_ends(header: list[int]) -> list[int]:
-    """Where each buffer section ends, from the header's counts."""
-    d, g, n, c, z, r = header
-    idle = (d - 1 - c - z) * g * g if r else 0
-    sizes = (d, d * g, d * d, 2 * n, c, z, r * g, r * g, idle, idle)
-    return list(accumulate(sizes, initial=_HEADER))
+class ShapeMismatchError(ValueError):
+    """Plans of more than one lowered shape (header) were to be stacked."""
 
 
+@dataclass(frozen=True, eq=False)
 class PlanStack:
-    """Integer array views of the gather sections of the lowered buffers
-    of plans with one header, stacked one per row (every view has the
-    leading stack axis), so a stage gathers for all of them at once, with
-    the header's counts: ``n_deliveries``, ``n_joint`` (the lead group's
-    deliveries) and ``group`` (the serving-group size). One plan is a stack
-    of one, ``PlanStack([plan_buffer(plan)])``.
+    """Integer arrays of the lowered plans of one ``header`` ``(D, G, N, C,
+    Z, R)``, one row per plan (every array has the leading stack axis), so
+    a stage gathers for all of them at once. ``stack[a:b]`` is the stack of plans ``a..b-1``,
+    whose arrays are views of these. One plan is a stack of one,
+    ``lower([plan])``.
 
     ``delivery_rx`` holds each delivery's receiver, ``serving_tx`` its
     serving transmitters (one row per delivery, in group order) and
     ``cache_mask`` the cache relation: entry ``(a, b)`` is 1 when delivery
-    ``a``'s receiver caches delivery ``b``'s subfile. ``cached_rxs`` and
-    ``zf_rxs`` are the block's common receiver groups, each sorted.
-    ``null_pairs`` holds the cut links sorted by (transmitter, receiver):
-    transmitters in row 0, receivers in row 1. For the joint zero-forcing
-    system of the lead group's ``n_joint`` deliveries, ``joint_rx`` and
+    ``a``'s receiver caches delivery ``b``'s subfile. ``null_pairs`` holds
+    the cut links sorted by (transmitter, receiver): transmitters in row 0,
+    receivers in row 1. ``cached_rxs`` and ``zf_rxs`` are the block's
+    common receiver groups, each sorted. For the joint zero-forcing system
+    of the lead group's ``n_joint`` deliveries, ``joint_rx`` and
     ``joint_tx`` give the ``h_eq`` entry of each nonzero in
     ``joint_zf_layout`` order; for the square system of each idle delivery
     after them, ``idle_rx`` and ``idle_tx`` give the ``h_eq`` entry of
@@ -86,60 +83,38 @@ class PlanStack:
     zero-forcing ones, columns its serving group.
     """
 
-    __slots__ = ("buf", "n_deliveries", "n_joint", "group", "_ends")
-
-    def __init__(self, bufs: list[np.ndarray]):
-        self.buf = np.array(bufs)
-        header = self.buf[0, :_HEADER].tolist()
-        d, g, _, c, z, _ = header
-        self.n_deliveries, self.group, self.n_joint = d, g, 1 + c + z
-        self._ends = _section_ends(header)
-
-    def _array(self, section: int) -> np.ndarray:
-        return self.buf[:, self._ends[section] : self._ends[section + 1]]
-
-    def _matrix(self, section: int, cols: int) -> np.ndarray:
-        return self._array(section).reshape(len(self.buf), self.n_deliveries, cols)
+    header: tuple[int, ...]
+    delivery_rx: np.ndarray
+    serving_tx: np.ndarray
+    cache_mask: np.ndarray
+    null_pairs: np.ndarray
+    cached_rxs: np.ndarray
+    zf_rxs: np.ndarray
+    joint_rx: np.ndarray
+    joint_tx: np.ndarray
+    idle_rx: np.ndarray
+    idle_tx: np.ndarray
 
     @property
-    def delivery_rx(self) -> np.ndarray:
-        return self._array(_RX)
+    def n_deliveries(self) -> int:
+        return self.header[0]
 
     @property
-    def serving_tx(self) -> np.ndarray:
-        return self._matrix(_SERVING, self.group)
+    def group(self) -> int:
+        """The serving-group size."""
+        return self.header[1]
 
     @property
-    def cache_mask(self) -> np.ndarray:
-        return self._matrix(_CACHED, self.n_deliveries)
+    def n_joint(self) -> int:
+        """The lead group's deliveries: the lead's, the cached receivers'
+        and the zero-forcing receivers'."""
+        return 1 + self.header[3] + self.header[4]
 
-    @property
-    def cached_rxs(self) -> np.ndarray:
-        return self._array(_CACHED_RXS)
+    def __len__(self) -> int:
+        return len(self.delivery_rx)
 
-    @property
-    def zf_rxs(self) -> np.ndarray:
-        return self._array(_ZF_RXS)
-
-    @property
-    def null_pairs(self) -> np.ndarray:
-        return self._array(_NULL_PAIRS).reshape(len(self.buf), 2, -1)
-
-    @property
-    def joint_rx(self) -> np.ndarray:
-        return self._array(_JOINT_RX)
-
-    @property
-    def joint_tx(self) -> np.ndarray:
-        return self._array(_JOINT_TX)
-
-    @property
-    def idle_rx(self) -> np.ndarray:
-        return self._array(_IDLE_RX)
-
-    @property
-    def idle_tx(self) -> np.ndarray:
-        return self._array(_IDLE_TX)
+    def __getitem__(self, plans: slice) -> "PlanStack":
+        return PlanStack(self.header, *(getattr(self, f.name)[plans] for f in fields(self)[1:]))
 
 
 class JointLayout(NamedTuple):
@@ -169,7 +144,8 @@ def joint_zf_layout(n_slots: int, mu_t: int) -> JointLayout:
     return JointLayout(tuple(s for s, _ in rows for _ in range(mu_t)), pos, rhs)
 
 
-def _lower(plan: "BlockPlan") -> np.ndarray:
+def _lower(plan: "BlockPlan") -> tuple[tuple[int, ...], list[int]]:
+    """The plan's header and its row."""
     deliveries = plan.deliveries
     group = len(deliveries[0].serving_txs)
     if any(len(dl.serving_txs) != group for dl in deliveries):
@@ -190,7 +166,7 @@ def _lower(plan: "BlockPlan") -> np.ndarray:
             idle_rx += [j for j in (r, *zf_rxs) for _ in txs]
             idle_tx += txs * group
     links = sorted(plan.null_links)
-    header = [len(deliveries), group, len(links), len(plan.cached_rxs), len(zf_rxs), len(joint[0]) // group]
+    header = (len(deliveries), group, len(links), len(plan.cached_rxs), len(zf_rxs), len(joint[0]) // group)
     sections = [
         rx,
         [tx for txs in serving for tx in txs],
@@ -202,29 +178,32 @@ def _lower(plan: "BlockPlan") -> np.ndarray:
         idle_rx,
         idle_tx,
     ]
-    values = header + list(chain.from_iterable(sections))
-    largest = max(values)
-    if largest > _MAX_INDEX:
+    values = list(chain.from_iterable(sections))
+    if max(values) > _MAX_INDEX:
         raise ValueError(f"block {plan.block_index} is too large to lower to int16 indices")
-    buf = np.array(values, dtype=np.int8 if largest <= np.iinfo(np.int8).max else np.int16)
-    buf.setflags(write=False)
-    return buf
+    return header, values
 
 
-def plan_buffer(plan: "BlockPlan") -> np.ndarray:
-    """The plan's lowered buffer, built on the first call and cached on
-    the plan (one buffer per plan) for every later block stage."""
-    if plan.lowering is None:
-        object.__setattr__(plan, "lowering", _lower(plan))
-    return plan.lowering
-
-
-def stack_plans(plans: "Sequence[BlockPlan]") -> list[tuple[list[int], PlanStack]]:
-    """The plans grouped by header (so by the shape of every section),
-    each group as the positions of its plans in ``plans`` and their
-    stacked buffers, groups in order of first appearance."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    bufs = [plan_buffer(plan) for plan in plans]
-    for position, buf in enumerate(bufs):
-        groups.setdefault(tuple(buf[:_HEADER].tolist()), []).append(position)
-    return [(positions, PlanStack([bufs[p] for p in positions])) for positions in groups.values()]
+def lower(plans: "Sequence[BlockPlan]") -> PlanStack:
+    """The plans lowered and stacked, one row per plan, in order. They must
+    share one shape: the first plan whose header differs from the first
+    plan's raises :class:`ShapeMismatchError`."""
+    lowered = map(_lower, plans)
+    header, values = next(lowered)
+    rows = np.empty((len(plans), len(values)), dtype=np.int16)
+    rows[0] = values
+    for row, plan, (shape, values) in zip(rows[1:], islice(plans, 1, None), lowered):
+        if shape != header:
+            raise ShapeMismatchError(
+                f"block {plan.block_index} lowers to header {shape}, not to the {header} of block "
+                f"{plans[0].block_index}; the blocks of one schedule share one shape"
+            )
+        row[:] = values
+    if rows.max() <= np.iinfo(np.int8).max:
+        rows = rows.astype(np.int8)
+    rows.setflags(write=False)
+    d, g, n, c, z, r = header
+    idle = (d - 1 - c - z) * g * g if r else 0
+    shapes = ((d,), (d, g), (d, d), (2, n), (c,), (z,), (r * g,), (r * g,), (idle,), (idle,))
+    ends = pairwise(accumulate(map(math.prod, shapes), initial=0))
+    return PlanStack(header, *(rows[:, a:b].reshape(len(plans), *shape) for (a, b), shape in zip(ends, shapes)))

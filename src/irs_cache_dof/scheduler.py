@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -33,6 +33,7 @@ from .combinatorics import (
     subsets_of_ranks,
     verify_subset_partition,
 )
+from .lowering import PlanStack, lower
 from .params import SystemParams
 from .placement import ORDERED_MODE, SUBSET_MODE, SubfileId, SubfileUniverse
 
@@ -72,9 +73,6 @@ class BlockPlan:
     information and zero-forcing targets); ``idle_rxs`` are the active
     receivers outside them, each served by its own transmitter group.
     Receivers not in ``active_rxs`` are untouched this block.
-
-    ``lowering`` caches the plan's integer form; it stays ``None`` until
-    the first block stage asks :func:`lowering.plan_buffer` for it.
     """
 
     block_index: int
@@ -84,7 +82,6 @@ class BlockPlan:
     cached_rxs: Subset
     zf_rxs: Subset
     idle_rxs: Subset
-    lowering: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def null_links(self) -> frozenset[tuple[int, int]]:
@@ -136,6 +133,12 @@ class Schedule:
     @property
     def h_blocks(self) -> int:
         return len(self.blocks)
+
+    @functools.cached_property
+    def lowered(self) -> PlanStack:
+        """The blocks lowered to one integer stack (:func:`lowering.lower`),
+        on first use; building or verifying the schedule lowers nothing."""
+        return lower(self.blocks)
 
     @property
     def design(self) -> Design:
@@ -504,6 +507,10 @@ def make_schedule(
     else:
         design = Design.THM2_PARTITION if isinstance(system, SubsetPartitionSystem) else Design.THM2_ORDERED
     design.check(params)
+    if len(demand.d) != k_r or not all(_is_int(f) and 1 <= f <= params.n_files for f in demand.d):
+        raise SchedulingError(
+            f"the demand {demand.d} must name one file in 1..{params.n_files} for each of the {k_r} receivers"
+        )
     if system is not None and (system.m, system.mu_t) != (params.m_groups, mu_t):
         raise SchedulingError(
             f"design is for (m={system.m}, mu_t={system.mu_t}) but parameters need "

@@ -18,7 +18,7 @@ from .analytics import STRICT_Q, max_feasible_L
 from .channel import SingularChannelError, equivalent_channels, fill_block_streams, sample_channels
 from .combinatorics import enumerate_ordered_partitions, find_subset_partition
 from .irs import STATUS_INFEASIBLE, IrsSolveInfo, solve_irs_stack
-from .lowering import PlanStack, plan_buffer, stack_plans
+from .lowering import PlanStack, lower
 from .params import SystemParams
 from .scheduler import (
     BlockPlan,
@@ -138,7 +138,7 @@ def _one_block(plan: BlockPlan, beams: BeamformerSet, symbols: np.ndarray) -> Pl
             f"block {plan.block_index}: beamformers are for deliveries {beams.deliveries}, "
             "not this block's serving groups"
         )
-    stack = PlanStack([plan_buffer(plan)])
+    stack = lower([plan])
     shape = (stack.n_deliveries, stack.group)
     if beams.weights.shape != shape or len(symbols) != shape[0]:
         raise ScheduleConsistencyError(
@@ -227,9 +227,6 @@ def build_schedule(params: SystemParams, regime: str | Design, options: SimOptio
     design = Design(regime)
     design.check(params)  # before building a transmitter design, which can be large
     demand = options.demand if options.demand is not None else worst_case_demand(params)
-    l_size = options.l_size
-    if l_size is None:
-        l_size = max_feasible_L(params.q_elements, params, options.strictness)
     system = None
     try:
         if design is Design.THM2_PARTITION:
@@ -238,18 +235,35 @@ def build_schedule(params: SystemParams, regime: str | Design, options: SimOptio
             system = enumerate_ordered_partitions(params.m_groups, params.mu_t)
     except ValueError as exc:  # the design is past its size guard
         raise SchedulingError(str(exc)) from exc
-    return make_schedule(params, demand, l_size, system)
+    return make_schedule(params, demand, _l_size(params, options), system)
+
+
+def _l_size(params: SystemParams, options: SimOptions) -> int:
+    """The null count ``L`` of an episode's schedule: ``options.l_size``,
+    or else the largest the elements support under ``options.strictness``,
+    cut to ``K_R - mu_r - mu_t`` as :func:`make_schedule` cuts it."""
+    l_size = options.l_size
+    if l_size is None:
+        l_size = max_feasible_L(params.q_elements, params, options.strictness)
+    return min(l_size, params.k_r - params.mu_r - params.mu_t)
 
 
 def _schedule_for(params: SystemParams, design: Design, options: SimOptions, schedule: Schedule | None) -> Schedule:
-    """A prebuilt ``schedule``, once checked to be for ``params`` and
-    ``design``; without one, a new build."""
+    """A prebuilt ``schedule``, once checked to be for ``params``,
+    ``design`` and the null count ``options`` derive; without one, a new
+    build."""
     if schedule is None:
         return build_schedule(params, design, options)
     if schedule.params != params or schedule.design is not design:
         raise SchedulingError(
             f"the schedule is for {schedule.params} with regime {schedule.design.value!r}, "
             f"not for {params} with regime {design.value!r}"
+        )
+    l_size = _l_size(params, options)
+    if schedule.l_size != l_size:
+        raise SchedulingError(
+            f"the schedule has l_size = {schedule.l_size}, but the options "
+            f"(l_size = {options.l_size}, strictness {options.strictness!r}) give l_size = {l_size}"
         )
     return schedule
 
@@ -282,58 +296,49 @@ def _block_bytes(params: SystemParams) -> int:
 
 
 def block_fronts(
-    plans: Sequence[BlockPlan], params: SystemParams, seed: int, options: SimOptions
+    plans: Sequence[BlockPlan], stack: PlanStack, params: SystemParams, seed: int, options: SimOptions
 ) -> Iterator[BlockFront]:
     """The front of every plan, in order, computed chunk by chunk: each
-    chunk draws its channels into one buffer and runs the surface solve,
-    the equivalent channel and the zero-forcing solves as stacked calls.
-    With numpy on OpenBLAS every number equals the one-block computation's
-    bit for bit; a singular solve raises the error the block-by-block order
-    meets first."""
+    chunk of plans, with its rows of ``stack`` (the plans lowered), draws
+    its channels into one buffer and runs the surface solve, the equivalent
+    channel and the zero-forcing solves as stacked calls. With numpy on
+    OpenBLAS every number equals the one-block computation's bit for bit; a
+    singular solve raises the error the block-by-block order meets first."""
     step = max(1, FRONT_CHUNK_BYTES // _block_bytes(params))
     for start in range(0, len(plans), step):
-        chunk = plans[start : start + step]
+        chunk, rows = plans[start : start + step], stack[start : start + step]
         try:
-            fronts = _stacked_fronts(chunk, params, seed, options)
+            fronts = _stacked_fronts(chunk, rows, params, seed, options)
         except SingularChannelError:
             # the stages ran across blocks: rerun them block by block, so the
             # error raised is that of the first block (and stage) to fail
-            for plan in chunk:
-                _stacked_fronts([plan], params, seed, options)
+            for at in range(len(chunk)):
+                _stacked_fronts(chunk[at : at + 1], rows[at : at + 1], params, seed, options)
             raise
         yield from fronts
 
 
 def _stacked_fronts(
-    plans: Sequence[BlockPlan], params: SystemParams, seed: int, options: SimOptions
+    plans: Sequence[BlockPlan], stack: PlanStack, params: SystemParams, seed: int, options: SimOptions
 ) -> list[BlockFront]:
     """Sample the channels, steer the surface onto each block's null links
     (or leave it off), and form the equivalent channels and the
     beamformers, one stacked call per stage."""
     ch = sample_channels(params, [plan.block_index for plan in plans], seed)
-    stacks = stack_plans(plans)
-    pairs = [None] * len(plans)
-    for positions, stack in stacks:
-        for at, links in zip(positions, stack.null_pairs):
-            pairs[at] = links
-    q_count = params.q_elements
+    n_links, q_count = stack.null_pairs.shape[2], params.q_elements
     if options.disable_irs:
         q = np.zeros((len(plans), q_count), dtype=complex)
-        infos = [IrsSolveInfo(IRS_DISABLED, 0.0, links.shape[1], q_count) for links in pairs]
+        infos = [IrsSolveInfo(IRS_DISABLED, 0.0, n_links, q_count)] * len(plans)
     else:
-        q, infos = solve_irs_stack(ch, pairs)
+        q, infos = solve_irs_stack(ch, stack.null_pairs)
     h_eq = equivalent_channels(ch, q)
-    weights = [None] * len(plans)
     try:
-        for positions, stack in stacks:
-            blocks = [ch.blocks[at] for at in positions]
-            for at, w in zip(positions, zero_forcing_weights(stack, h_eq[positions], blocks, params.mu_t)):
-                weights[at] = w
+        weights = zero_forcing_weights(stack, h_eq, ch.blocks, params.mu_t)
     except SingularChannelError as exc:
         raise SingularChannelError(f"seed {seed}, {exc}") from exc
     return [
-        BlockFront(scale, links.shape[1], info, h, BeamformerSet(plan.deliveries, w))
-        for plan, scale, links, info, h, w in zip(plans, ch.scale.tolist(), pairs, infos, h_eq, weights)
+        BlockFront(scale, n_links, info, h, BeamformerSet(plan.deliveries, w))
+        for plan, scale, info, h, w in zip(plans, ch.scale.tolist(), infos, h_eq, weights)
     ]
 
 
@@ -346,9 +351,9 @@ class BlockBack(NamedTuple):
 
 
 class _StackedBack(NamedTuple):
-    """The back of a stack of blocks of one lowered shape: symbols ``(S, D)``,
-    transmit signals ``(S, k_t)``, noise-free received signals ``(S, k_r)``,
-    and each delivery's own gain and cached sum at its receiver ``(S, D)``."""
+    """The back of a stack of blocks: symbols ``(S, D)``, transmit signals
+    ``(S, k_t)``, noise-free received signals ``(S, k_r)``, and each
+    delivery's own gain and cached sum at its receiver ``(S, D)``."""
 
     symbols: np.ndarray
     x: np.ndarray
@@ -368,30 +373,29 @@ def _back_bytes(params: SystemParams) -> int:
 
 
 def _back_chunks(
-    plans: Sequence[BlockPlan], fronts: Iterable[BlockFront], params: SystemParams
-) -> Iterator[tuple[Sequence[BlockPlan], list[BlockFront]]]:
-    """The plans with their fronts, in chunks of the back's own size."""
+    plans: Sequence[BlockPlan], stack: PlanStack, fronts: Iterable[BlockFront], params: SystemParams
+) -> Iterator[tuple[Sequence[BlockPlan], PlanStack, list[BlockFront]]]:
+    """The plans with their rows of ``stack`` and their fronts, in chunks
+    of the back's own size."""
     fronts = iter(fronts)
     step = max(1, FRONT_CHUNK_BYTES // _back_bytes(params))
     for start in range(0, len(plans), step):
         chunk = plans[start : start + step]
-        yield chunk, list(islice(fronts, len(chunk)))
+        yield chunk, stack[start : start + step], list(islice(fronts, len(chunk)))
 
 
-def _shape_backs(
-    plans: Sequence[BlockPlan], fronts: Sequence[BlockFront], params: SystemParams, seed: int
-) -> Iterator[tuple[list[int], PlanStack, _StackedBack]]:
+def _back_signals(
+    plans: Sequence[BlockPlan], stack: PlanStack, fronts: Sequence[BlockFront], params: SystemParams, seed: int
+) -> _StackedBack:
     """Draw the symbols, transmit, propagate and cache-subtract for the
-    plans of each lowered shape in one stacked call per stage, yielding the
-    positions of the plans in ``plans``, their stack and their back."""
-    for positions, stack in stack_plans(plans):
-        h_eq = np.stack([fronts[at].h_eq for at in positions])
-        weights = np.stack([fronts[at].beams.weights for at in positions])
-        symbols = _draw_symbols([plans[at].block_index for at in positions], stack.n_deliveries, seed)
-        x = _transmit(stack, weights, symbols, params.k_t)
-        y = np.matmul(h_eq, x[:, :, None])[:, :, 0]
-        own, cached = _gains_and_cached(stack, h_eq, weights, symbols)
-        yield positions, stack, _StackedBack(symbols, x, y, own, cached)
+    plans, one stacked call per stage."""
+    h_eq = np.stack([front.h_eq for front in fronts])
+    weights = np.stack([front.beams.weights for front in fronts])
+    symbols = _draw_symbols([plan.block_index for plan in plans], stack.n_deliveries, seed)
+    x = _transmit(stack, weights, symbols, params.k_t)
+    y = np.matmul(h_eq, x[:, :, None])[:, :, 0]
+    own, cached = _gains_and_cached(stack, h_eq, weights, symbols)
+    return _StackedBack(symbols, x, y, own, cached)
 
 
 def _noise(blocks: Sequence[int], k_r: int, seed: int) -> np.ndarray:
@@ -402,55 +406,60 @@ def _noise(blocks: Sequence[int], k_r: int, seed: int) -> np.ndarray:
 
 
 def _stacked_backs(
-    plans: Sequence[BlockPlan], fronts: Sequence[BlockFront], params: SystemParams, seed: int, options: SimOptions
-) -> list[BlockBack]:
-    """The back of every plan given its front, one stacked call per stage
-    and lowered shape: symbols, transmit, propagation with noise, and every
-    receiver's decode."""
-    backs = [None] * len(plans)
-    for positions, stack, back in _shape_backs(plans, fronts, params, seed):
-        y = back.y
-        if options.noise_variance > 0.0:
-            noise = _noise([plans[at].block_index for at in positions], params.k_r, seed)
-            y = y + noise * math.sqrt(options.noise_variance / 2.0)
-        rx = stack.delivery_rx.astype(np.intp)
-        _, residuals = _decode(np.take_along_axis(y, rx, axis=1), back.own, back.cached, back.symbols)
-        for at, rxs, errors in zip(positions, (rx + 1).tolist(), residuals.tolist()):
-            backs[at] = BlockBack(fronts[at], tuple(zip(rxs, errors)))
-    return backs
-
-
-def block_backs(
-    plans: Sequence[BlockPlan], fronts: Iterable[BlockFront], params: SystemParams, seed: int, options: SimOptions
-) -> Iterator[BlockBack]:
-    """The back of every plan, in order, given the plans' fronts in order
-    (see :func:`block_fronts`), computed chunk by chunk. Its chunks hold
-    more blocks than the front's where a block's front is large: the back
-    only stacks equivalent channels and per-delivery values. Every number
-    equals the one-block computation's bit for bit."""
-    for chunk, chunk_fronts in _back_chunks(plans, fronts, params):
-        yield from _stacked_backs(chunk, chunk_fronts, params, seed, options)
-
-
-def simulate_block(
-    plan: BlockPlan,
+    plans: Sequence[BlockPlan],
+    stack: PlanStack,
+    fronts: Sequence[BlockFront],
     params: SystemParams,
     seed: int,
     options: SimOptions,
-    front: BlockFront | None = None,
-    back: BlockBack | None = None,
+) -> list[BlockBack]:
+    """The back of every plan given its front, one stacked call per stage:
+    symbols, transmit, propagation with noise, and every receiver's
+    decode."""
+    back = _back_signals(plans, stack, fronts, params, seed)
+    y = back.y
+    if options.noise_variance > 0.0:
+        noise = _noise([plan.block_index for plan in plans], params.k_r, seed)
+        y = y + noise * math.sqrt(options.noise_variance / 2.0)
+    rx = stack.delivery_rx.astype(np.intp)
+    _, residuals = _decode(np.take_along_axis(y, rx, axis=1), back.own, back.cached, back.symbols)
+    return [
+        BlockBack(front, tuple(zip(rxs, errors)))
+        for front, rxs, errors in zip(fronts, (rx + 1).tolist(), residuals.tolist())
+    ]
+
+
+def block_backs(
+    plans: Sequence[BlockPlan],
+    stack: PlanStack,
+    fronts: Iterable[BlockFront],
+    params: SystemParams,
+    seed: int,
+    options: SimOptions,
+) -> Iterator[BlockBack]:
+    """The back of every plan, in order, given the plans lowered to
+    ``stack`` and their fronts in order (see :func:`block_fronts`),
+    computed chunk by chunk. Its chunks hold more blocks than the front's
+    where a block's front is large: the back only stacks equivalent
+    channels and per-delivery values. Every number equals the one-block
+    computation's bit for bit."""
+    for chunk, rows, chunk_fronts in _back_chunks(plans, stack, fronts, params):
+        yield from _stacked_backs(chunk, rows, chunk_fronts, params, seed, options)
+
+
+def simulate_block(
+    plan: BlockPlan, params: SystemParams, seed: int, options: SimOptions, back: BlockBack | None = None
 ) -> BlockRecord:
     """Run one block end to end and measure every intended residual.
 
-    ``back`` is the block's back (which holds its front) and ``front`` its
-    front, when a caller has already computed them with others' (see
-    :func:`block_backs` and :func:`block_fronts`); what is not given, the
-    block computes alone.
+    ``back`` is the block's back (which holds its front), when a caller
+    has already computed it with others' (see :func:`block_backs`);
+    without it, the block computes its own alone.
     """
     if back is None:
-        if front is None:
-            [front] = _stacked_fronts([plan], params, seed, options)
-        [back] = _stacked_backs([plan], [front], params, seed, options)
+        stack = lower([plan])
+        fronts = _stacked_fronts([plan], stack, params, seed, options)
+        [back] = _stacked_backs([plan], stack, fronts, params, seed, options)
     front, errors = back
     return BlockRecord(
         block_index=plan.block_index,
@@ -480,10 +489,11 @@ def run_episode(
     """
     design = Design(regime)
     schedule = _schedule_for(params, design, options, schedule)
-    fronts = block_fronts(schedule.blocks, params, seed, options)
-    backs = block_backs(schedule.blocks, fronts, params, seed, options)
+    plans, stack = schedule.blocks, schedule.lowered
+    fronts = block_fronts(plans, stack, params, seed, options)
+    backs = block_backs(plans, stack, fronts, params, seed, options)
     # one simulate_block call per block, looked up by name (perfbench's traced run wraps it)
-    records = [simulate_block(plan, params, seed, options, back=back) for plan, back in zip(schedule.blocks, backs)]
+    records = [simulate_block(plan, params, seed, options, back=back) for plan, back in zip(plans, backs)]
     total_deliveries = sum(len(b.deliveries) for b in schedule.blocks)
     total_delivered = sum(r.delivered for r in records)
     infeasible = sum(1 for r in records if r.irs_status == STATUS_INFEASIBLE)
@@ -540,25 +550,23 @@ def estimate_dof_slope(
     schedule = _schedule_for(params, Design(regime), options, schedule)
     h = schedule.h_blocks
     rates = np.zeros((len(powers), params.k_r))
-    fronts = block_fronts(schedule.blocks, params, seed, options)
-    for plans, chunk_fronts in _back_chunks(schedule.blocks, fronts, params):
-        blocks = [None] * len(plans)
-        for positions, stack, back in _shape_backs(plans, chunk_fronts, params, seed):
-            rx = stack.delivery_rx.astype(np.intp)
-            y = np.take_along_axis(back.y, rx, axis=1)
-            peaks = [float(np.abs(x).max()) for x in back.x]
-            values = (rx.tolist(), y.tolist(), back.own.tolist(), back.cached.tolist(), back.symbols.tolist())
-            for at, peak, *block in zip(positions, peaks, *values):
-                blocks[at] = peak, zip(*block)
-        for peak, receivers in blocks:
+    plans, stack = schedule.blocks, schedule.lowered
+    fronts = block_fronts(plans, stack, params, seed, options)
+    for chunk, rows, chunk_fronts in _back_chunks(plans, stack, fronts, params):
+        back = _back_signals(chunk, rows, chunk_fronts, params, seed)
+        rx = rows.delivery_rx.astype(np.intp)
+        y = np.take_along_axis(back.y, rx, axis=1)
+        peaks = [float(np.abs(x).max()) for x in back.x]
+        values = (rx.tolist(), y.tolist(), back.own.tolist(), back.cached.tolist(), back.symbols.tolist())
+        for peak, *block in zip(peaks, *values):
             if peak == 0.0:
                 continue
-            for rx, y_rx, own_gain, cached, symbol in receivers:
+            for j, y_rx, own_gain, cached, symbol in zip(*block):
                 leak = y_rx - cached - own_gain * symbol
                 for n, p in enumerate(powers):
                     alpha2 = p / peak**2
                     sinr = alpha2 * abs(own_gain) ** 2 / (1.0 + alpha2 * abs(leak) ** 2)
-                    rates[n, rx] += math.log2(1.0 + sinr) / h
+                    rates[n, j] += math.log2(1.0 + sinr) / h
     logp = np.log2(np.asarray(powers, dtype=float))
     slopes = tuple(float(np.polyfit(logp, rates[:, j], 1)[0]) for j in range(params.k_r))
     return SlopeEstimate(per_receiver=slopes, mean=float(np.mean(slopes)), powers=tuple(powers))

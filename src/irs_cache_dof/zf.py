@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import SingularChannelError, solve_each
-from .lowering import PlanStack, joint_zf_layout, plan_buffer
+from .lowering import PlanStack, joint_zf_layout, lower
 from .placement import SubfileId
 from .scheduler import BlockPlan, Delivery
 
@@ -91,5 +91,5 @@ def zero_forcing_weights(plans: PlanStack, h_eq: np.ndarray, blocks: Sequence[in
 def beamformers_for_block(plan: BlockPlan, h_eq: np.ndarray, mu_t: int) -> BeamformerSet:
     """Coefficients for every delivery of a block: the one-block case of
     :func:`zero_forcing_weights`."""
-    weights = zero_forcing_weights(PlanStack([plan_buffer(plan)]), h_eq[None], (plan.block_index,), mu_t)
+    weights = zero_forcing_weights(lower([plan]), h_eq[None], (plan.block_index,), mu_t)
     return BeamformerSet(plan.deliveries, weights[0])

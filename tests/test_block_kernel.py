@@ -16,12 +16,11 @@ from irs_cache_dof import channel, simulator
 from irs_cache_dof.analytics import STRICT_Q, SUFFICIENT_Q
 from irs_cache_dof.channel import SingularChannelError, block_rng, equivalent_channel, sample_block_channels
 from irs_cache_dof.irs import required_nulls, solve_irs
-from irs_cache_dof.lowering import plan_buffer
+from irs_cache_dof.lowering import ShapeMismatchError
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.simulator import (
     SimOptions,
     _symbols_for,
-    block_fronts,
     build_schedule,
     estimate_dof_slope,
     receiver_decode,
@@ -167,21 +166,20 @@ def test_chunked_episode_equals_blocks_one_at_a_time(monkeypatch, name):
             assert record.decode_errors == want.decode_errors
 
 
-def test_chunk_mixing_two_lowered_shapes():
-    """Plans of two null counts on the same network (square null-steering
-    systems and none at all) share chunks; each front equals its block's
-    own."""
+def test_schedule_of_two_lowered_shapes_is_refused():
+    """A schedule spliced from an L = 1 and an L = 0 schedule holds blocks
+    of two lowered shapes (square null-steering systems and none at all):
+    an episode or a slope estimate on it raises at the first block of the
+    second shape and returns nothing."""
     params = SystemParams(4, 5, 5, 1, 2, 1, 4)
     options = SimOptions(strictness=SUFFICIENT_Q)
-    square = build_schedule(params, "thm2-ordered", options).blocks[:12]
-    bare = build_schedule(params, "thm2-ordered", SimOptions(strictness=SUFFICIENT_Q, l_size=0)).blocks[12:24]
-    plans = [plan for pair in zip(square, bare) for plan in pair]
-    assert len({tuple(plan_buffer(plan)[:6].tolist()) for plan in plans}) == 2
-    fronts = list(block_fronts(plans, params, 3, options))
-    assert len(fronts) == len(plans)
-    for plan, front in zip(plans, fronts):
-        assert simulate_block(plan, params, 3, options, front) == simulate_block(plan, params, 3, options)
-        assert front.n_nulls == len(required_nulls(plan))
+    with_nulls, bare = (build_schedule(params, "thm2-ordered", replace(options, l_size=size)) for size in (1, 0))
+    spliced = replace(with_nulls, blocks=with_nulls.blocks[:12] + bare.blocks[12:24])
+    message = r"^block 13 lowers to header \(3, 2, 0, 1, 1, 6\), not to the \(4, 2, 4, 1, 1, 6\) of block 1;"
+    with pytest.raises(ShapeMismatchError, match=message):
+        run_episode(params, "thm2-ordered", 3, options, schedule=spliced)
+    with pytest.raises(ShapeMismatchError, match=message):
+        estimate_dof_slope(params, "thm2-ordered", 3, (1e3, 1e6), options, schedule=spliced)
 
 
 def _both_sides_of_the_crossover(seeds):
@@ -228,8 +226,9 @@ class _ZeroDraw:
     "params, regime, options, zeroed",
     [
         # the block at position 7 (the middle of the second back chunk) has an
-        # all-zero channel: with mu_t = 1 nothing is solved, and every own gain is 0
-        (EX, "thm1", SimOptions(), 7),
+        # all-zero channel: with mu_t = 1 and L = 0 nothing is solved, and every
+        # own gain is 0
+        (EX, "thm1", SimOptions(l_size=0), 7),
         (
             SystemParams(4, 5, 5, 1, 2, 1, 4),
             "thm2-ordered",
@@ -240,20 +239,20 @@ class _ZeroDraw:
 )
 def test_back_chunks_across_front_chunks_equal_the_reference(monkeypatch, params, regime, options, zeroed):
     """The back runs in chunks of 5 blocks over a front in chunks of 7, so
-    their boundaries do not line up, and plans of two lowered shapes (one
-    and no null-steering links) alternate, so each full back chunk stacks
-    both. Every record equals the reference's exactly."""
-    with_nulls, bare = (build_schedule(params, regime, replace(options, l_size=size)) for size in (1, 0))
-    plans = [plan for pair in zip(with_nulls.blocks[:8], bare.blocks[8:16]) for plan in pair]
-    assert len({plan.block_index for plan in plans}) == len(plans) == 16
-    schedule = replace(with_nulls, blocks=tuple(plans))
+    their boundaries do not line up; every back chunk reads its rows as a
+    view of the schedule's one lowered stack. Every record equals the
+    reference's exactly."""
+    built = build_schedule(params, regime, options)
+    schedule = replace(built, blocks=built.blocks[:16])
+    plans = schedule.blocks
+    assert [plan.block_index for plan in plans] == list(range(1, 17))
     _chunk_sizes(monkeypatch, front=7, back=5)
     chunks = []
     stacked_backs = simulator._stacked_backs
 
-    def recorded(chunk, *args):
-        chunks.append(chunk)
-        return stacked_backs(chunk, *args)
+    def recorded(chunk, rows, *args):
+        chunks.append((chunk, rows))
+        return stacked_backs(chunk, rows, *args)
 
     monkeypatch.setattr(simulator, "_stacked_backs", recorded)
     if zeroed is not None:
@@ -269,8 +268,11 @@ def test_back_chunks_across_front_chunks_equal_the_reference(monkeypatch, params
         monkeypatch.setattr(channel, "STREAM_CROSSOVER", crossover)
         chunks.clear()
         episode = run_episode(params, regime, seed, options, schedule=schedule)
-        assert [len(chunk) for chunk in chunks] == [5, 5, 5, 1]
-        assert all(len({tuple(plan_buffer(plan)[:6].tolist()) for plan in chunk}) == 2 for chunk in chunks[:3])
+        assert [len(chunk) for chunk, _ in chunks] == [5, 5, 5, 1]
+        for start, (chunk, rows) in zip(range(0, 16, 5), chunks):
+            assert chunk == plans[start : start + 5]
+            assert rows.delivery_rx.base is schedule.lowered.delivery_rx.base
+            assert np.array_equal(rows.delivery_rx, schedule.lowered.delivery_rx[start : start + 5])
         for plan, record in zip(plans, episode.blocks):
             assert record == reference_simulate_block(plan, params, seed, options)
         if zeroed is not None:

@@ -1,6 +1,8 @@
-"""Round trip of block-plan lowering: the integer buffer must give back
-every delivery's receiver and serving group, the common receiver groups,
-the cache relation and the null links of the plan it came from."""
+"""Round trip of block-plan lowering: each row of a schedule's integer
+stack must give back every delivery's receiver and serving group, the
+common receiver groups, the cache relation and the null links of the plan
+it came from; and every schedule lowers to the one header its parameters
+fix."""
 
 import dataclasses
 
@@ -9,7 +11,7 @@ import pytest
 
 from irs_cache_dof.combinatorics import enumerate_ordered_partitions, find_subset_partition
 from irs_cache_dof.irs import required_nulls
-from irs_cache_dof.lowering import PlanStack, joint_zf_layout, joint_zf_rows, plan_buffer
+from irs_cache_dof.lowering import joint_zf_layout, joint_zf_rows, lower
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.scheduler import make_schedule, worst_case_demand
 
@@ -28,6 +30,7 @@ SCHEDULES = {
     "T2-II-partition": (T2_II, 1, lambda: find_subset_partition(2, 2), "T2-II"),
     "T2-II-ordered": (T2_II, 1, lambda: enumerate_ordered_partitions(2, 2), "T2-II"),
     "T2-l0": (T2_II, 0, lambda: find_subset_partition(2, 2), "T2-II"),
+    "T2-l0-ordered": (T2_II, 0, lambda: enumerate_ordered_partitions(2, 2), "T2-II"),
     "T2-mu3": (T2_MU3, 1, lambda: enumerate_ordered_partitions(2, 3), "T2-II"),
 }
 
@@ -44,19 +47,21 @@ def test_lowering_round_trip(name):
     _, schedule = _schedule(name)
     for plan in schedule.blocks:
         assert required_nulls(plan) == plan.null_links
-        assert plan.lowering is None  # computing null links does not lower
-        stack = PlanStack([plan_buffer(plan)])
+    assert "lowered" not in vars(schedule)  # computing null links does not lower
+    stack = schedule.lowered
+    assert len(stack) == schedule.h_blocks
+    for at, plan in enumerate(schedule.blocks):
         deliveries = plan.deliveries
-        receivers_and_groups = zip(stack.delivery_rx[0].tolist(), stack.serving_tx[0].tolist())
+        receivers_and_groups = zip(stack.delivery_rx[at].tolist(), stack.serving_tx[at].tolist())
         assert [(rx + 1, tuple(tx + 1 for tx in txs)) for rx, txs in receivers_and_groups] == [
             (dl.intended_rx, dl.serving_txs) for dl in deliveries
         ]
-        assert tuple(j + 1 for j in stack.cached_rxs[0].tolist()) == tuple(sorted(plan.cached_rxs))
-        assert tuple(j + 1 for j in stack.zf_rxs[0].tolist()) == tuple(sorted(plan.zf_rxs))
+        assert tuple(j + 1 for j in stack.cached_rxs[at].tolist()) == tuple(sorted(plan.cached_rxs))
+        assert tuple(j + 1 for j in stack.zf_rxs[at].tolist()) == tuple(sorted(plan.zf_rxs))
         assert stack.n_joint == 1 + len(plan.cached_rxs) + len(plan.zf_rxs)
         for a, own in enumerate(deliveries):
-            assert stack.cache_mask[0, a].tolist() == [int(own.intended_rx in dl.subfile.rx_set) for dl in deliveries]
-        pairs = stack.null_pairs[0]
+            assert stack.cache_mask[at, a].tolist() == [int(own.intended_rx in dl.subfile.rx_set) for dl in deliveries]
+        pairs = stack.null_pairs[at]
         assert [tuple(p) for p in (pairs.T + 1).tolist()] == sorted(plan.null_links)
 
 
@@ -67,8 +72,8 @@ def test_lowered_zero_forcing_layout(name):
     each idle system reads its own receiver, then the zero-forcing ones,
     from its own serving group."""
     params, schedule = _schedule(name)
-    for plan in schedule.blocks[:20]:
-        stack = PlanStack([plan_buffer(plan)])
+    for at, plan in enumerate(schedule.blocks[:20]):
+        stack = schedule.lowered[at : at + 1]
         mu_t, n_joint = params.mu_t, stack.n_joint
         rows = joint_zf_rows(n_joint, mu_t)
         dim = len(rows)
@@ -89,15 +94,43 @@ def test_lowered_zero_forcing_layout(name):
         assert stack.idle_tx[0].tolist() == [tx - 1 for dl in idle for _ in range(mu_t) for tx in dl.serving_txs]
 
 
-def test_lowering_is_one_small_buffer_per_plan():
-    plan = _schedule("T2-II-ordered")[1].blocks[0]
-    buf = plan_buffer(plan)
-    assert plan.lowering is buf and buf.dtype == np.int8
-    assert not buf.flags.writeable
-    assert plan_buffer(plan) is buf  # every stage of the block reads the one buffer
-    # the cache is not part of the plan's identity, and a changed plan is lowered afresh
-    copy = dataclasses.replace(plan)
-    assert copy == plan and copy.lowering is None
+@pytest.mark.parametrize("name", SCHEDULES)
+def test_schedule_lowers_to_the_closed_form_header(name):
+    """Every block serves mu_r + mu_t + L receivers through L + 1 disjoint
+    groups of mu_t transmitters, each cutting mu_t L links, so a schedule
+    lowers to the one header (mu_r + mu_t + L, mu_t, (L + 1) mu_t L, mu_r,
+    mu_t - 1, R), with R the joint zero-forcing rows when mu_t > 1."""
+    params, schedule = _schedule(name)
+    mu_r, mu_t, l_size = params.mu_r, params.mu_t, schedule.l_size
+    joint_rows = len(joint_zf_rows(mu_r + mu_t, mu_t)) if mu_t > 1 else 0
+    header = (mu_r + mu_t + l_size, mu_t, (l_size + 1) * mu_t * l_size, mu_r, mu_t - 1, joint_rows)
+    assert schedule.lowered.header == header
+    assert schedule.lowered is schedule.lowered
+
+
+def test_lowering_is_one_small_stack_per_schedule():
+    schedule = _schedule("T2-II-ordered")[1]
+    stack = schedule.lowered
+    names = [f.name for f in dataclasses.fields(stack)[1:]]
+    # one read-only int8 buffer of one row per plan, which every array views
+    buffer = stack.delivery_rx.base
+    assert buffer.dtype == np.int8 and len(buffer) == schedule.h_blocks and not buffer.flags.writeable
+    assert all(getattr(stack, name).base is buffer for name in names)
+    assert schedule.lowered is stack  # every stage of every episode reads the one stack
+    # a slice of the stack views its rows
+    part = stack[3:7]
+    assert len(part) == 4 and part.header == stack.header
+    for name in names:
+        assert getattr(part, name).base is buffer
+        assert np.array_equal(getattr(part, name), getattr(stack, name)[3:7])
+    # one plan lowered alone is its row of the stack
+    alone = lower([schedule.blocks[5]])
+    assert alone.header == stack.header
+    for name in names:
+        assert np.array_equal(getattr(alone, name), getattr(stack, name)[5:6])
+    # the stack is not part of the schedule's identity, and a changed schedule is lowered afresh
+    copy = dataclasses.replace(schedule)
+    assert copy == schedule and "lowered" not in vars(copy)
 
 
 def test_malformed_plan_refused_when_lowered():
@@ -110,4 +143,4 @@ def test_malformed_plan_refused_when_lowered():
         (dataclasses.replace(plan, zf_rxs=()), "need 1 zero-forcing receivers"),
     ]:
         with pytest.raises(ValueError, match=rf"^block {plan.block_index}: {message}$"):
-            plan_buffer(bad)
+            lower([bad])

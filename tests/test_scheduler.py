@@ -1,6 +1,7 @@
 """Delivery-schedule construction and exact-cover verification."""
 
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -300,10 +301,23 @@ def test_make_schedule_preconditions(params, l_size, system, message):
 
 def test_repeated_demands_are_distinct_deliveries():
     p = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1)
-    demand = DemandVector(d=(5, 5, 7, 7))
     uni = split_library(p)
-    sched = make_schedule(p, demand, p.k_r - p.mu_r - 1)
-    assert verify_schedule_partition(sched, demanded_for_schedule(uni, sched)).ok
+    for d in ((5, 5, 7, 7), (1, 1, 1, 1)):
+        sched = make_schedule(p, DemandVector(d=d), p.k_r - p.mu_r - 1)
+        assert verify_schedule_partition(sched, demanded_for_schedule(uni, sched)).ok
+
+
+@pytest.mark.parametrize(
+    "demand",
+    [(1, 2, 3), (0, 1, 2, 3), (1, 2, 3, 13), (1, 2, 3, 4, 5)],
+    ids=["too-few-receivers", "file-0", "file-past-n", "too-many-receivers"],
+)
+def test_malformed_demand_refused(demand):
+    """The demand names one file in 1..N for each receiver: 4 receivers and
+    N = 12 files here."""
+    message = rf"^the demand {re.escape(str(demand))} must name one file in 1\.\.12 for each of the 4 receivers$"
+    with pytest.raises(SchedulingError, match=message):
+        make_schedule(EX, DemandVector(d=demand), 2)
 
 
 def test_serving_groups_cache_their_subfiles():

@@ -244,6 +244,29 @@ def test_schedule_for_other_params_or_design_rejected(params, regime):
         estimate_dof_slope(params, regime, 0, (1e6, 1e8), options, schedule=schedule)
 
 
+def test_schedule_for_other_l_size_rejected():
+    """A schedule built under the sufficient accounting (L = 0 on two
+    elements) is refused by strict options, which derive L = 1; an explicit
+    l_size past full activity is cut as the build cuts it."""
+    from irs_cache_dof.analytics import STRICT_Q, SUFFICIENT_Q
+
+    params = SystemParams(4, 4, 4, 1, 2, 1, 2)
+    schedule = build_schedule(params, "thm2-partition", SimOptions(strictness=SUFFICIENT_Q))
+    assert schedule.l_size == 0
+    strict = SimOptions(strictness=STRICT_Q)
+    message = r"^the schedule has l_size = 0, but the options \(l_size = None, strictness 'strict'\) give l_size = 1$"
+    with pytest.raises(SchedulingError, match=message):
+        run_episode(params, "thm2-partition", 0, strict, schedule=schedule)
+    with pytest.raises(SchedulingError, match=message):
+        estimate_dof_slope(params, "thm2-partition", 0, (1e6, 1e8), strict, schedule=schedule)
+    fresh = run_episode(params, "thm2-partition", 0, strict)
+    assert (fresh.l_size, fresh.infeasible_blocks, fresh.sum_dof) == (1, 36, 2)
+    past_full = SimOptions(l_size=5)
+    schedule = build_schedule(EX, "thm1", past_full)
+    assert schedule.l_size == 2
+    assert run_episode(EX, "thm1", 0, past_full, schedule=schedule).all_passed
+
+
 def test_block_determinism():
     sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     a = simulate_block(sched.blocks[0], EX, seed=77, options=SimOptions())
