@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -194,8 +193,6 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     cfg.out = merged.get("out")
     cfg.block_csv = merged.get("block_csv")
     cfg.noise_variance = float(merged.get("noise_variance", 0.0))
-    if not (math.isfinite(cfg.noise_variance) and cfg.noise_variance >= 0.0):
-        raise ParameterError(f"noise variance must be finite and nonnegative, got {cfg.noise_variance}")
     cfg.l_size = merged.get("l_size")
     cfg.disable_irs = merged.get("disable_irs", False)
     cfg.regime = merged.get("regime")

@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .channel import SingularChannelError, equivalent_channels, fill_block_strea
 from .combinatorics import enumerate_ordered_partitions, find_subset_partition
 from .irs import STATUS_INFEASIBLE, IrsSolveInfo, solve_irs_stack
 from .lowering import PlanStack, lower
-from .params import SystemParams
+from .params import ParameterError, SystemParams
 from .scheduler import (
     BlockPlan,
     DemandVector,
@@ -53,6 +53,10 @@ class SimOptions:
     disable_irs: bool = False
     l_size: int | None = None
     demand: DemandVector | None = None
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.noise_variance) and self.noise_variance >= 0.0):
+            raise ParameterError(f"noise variance must be finite and nonnegative, got {self.noise_variance}")
 
 
 def _draw_symbols(blocks: Sequence[int], n: int, seed: int) -> np.ndarray:
@@ -183,6 +187,10 @@ def receiver_decode(
     return complex(estimate[0]), float(residual[0])
 
 
+#: a block's (receiver, residual) pairs, one per delivery in delivery order
+DecodeErrors = tuple[tuple[int, float], ...]
+
+
 @dataclass(frozen=True)
 class BlockRecord:
     block_index: int
@@ -191,7 +199,7 @@ class BlockRecord:
     irs_status: str
     irs_residual: float
     channel_scale: float
-    decode_errors: tuple[tuple[int, float], ...]
+    decode_errors: DecodeErrors
     delivered: int
 
 
@@ -226,7 +234,6 @@ def build_schedule(params: SystemParams, regime: str | Design, options: SimOptio
     once, partial activity otherwise."""
     design = Design(regime)
     design.check(params)  # before building a transmitter design, which can be large
-    demand = options.demand if options.demand is not None else worst_case_demand(params)
     system = None
     try:
         if design is Design.THM2_PARTITION:
@@ -235,7 +242,13 @@ def build_schedule(params: SystemParams, regime: str | Design, options: SimOptio
             system = enumerate_ordered_partitions(params.m_groups, params.mu_t)
     except ValueError as exc:  # the design is past its size guard
         raise SchedulingError(str(exc)) from exc
-    return make_schedule(params, demand, _l_size(params, options), system)
+    return make_schedule(params, _demand(params, options), _l_size(params, options), system)
+
+
+def _demand(params: SystemParams, options: SimOptions) -> DemandVector:
+    """The demand an episode's schedule serves: ``options.demand``, or
+    else the worst case, every receiver asking for a different file."""
+    return options.demand if options.demand is not None else worst_case_demand(params)
 
 
 def _l_size(params: SystemParams, options: SimOptions) -> int:
@@ -250,8 +263,8 @@ def _l_size(params: SystemParams, options: SimOptions) -> int:
 
 def _schedule_for(params: SystemParams, design: Design, options: SimOptions, schedule: Schedule | None) -> Schedule:
     """A prebuilt ``schedule``, once checked to be for ``params``,
-    ``design`` and the null count ``options`` derive; without one, a new
-    build."""
+    ``design``, and the null count and demand ``options`` derive; without
+    one, a new build."""
     if schedule is None:
         return build_schedule(params, design, options)
     if schedule.params != params or schedule.design is not design:
@@ -265,65 +278,64 @@ def _schedule_for(params: SystemParams, design: Design, options: SimOptions, sch
             f"the schedule has l_size = {schedule.l_size}, but the options "
             f"(l_size = {options.l_size}, strictness {options.strictness!r}) give l_size = {l_size}"
         )
+    demand = _demand(params, options)
+    if schedule.demand != demand:
+        raise SchedulingError(f"the schedule serves demand {schedule.demand.d}, but the options give demand {demand.d}")
     return schedule
 
 
-#: bytes of stacked channel draws and systems one chunk of blocks may hold;
-#: a block's share is estimated by :func:`_block_bytes`
+#: bytes of stacked channel draws and systems one front piece of blocks may
+#: hold, and of stacked back values one chunk may hold; a block's share of
+#: each is estimated by :func:`_block_bytes` and :func:`_back_bytes`
 FRONT_CHUNK_BYTES = 512 * 1024
 
 
-class BlockFront(NamedTuple):
-    """Everything a block produces before its transmitters and receivers
-    act: the channel scale, the null count, the surface solve, the
-    equivalent channel and the beamformers."""
-
-    channel_scale: float
-    n_nulls: int
-    irs: IrsSolveInfo
-    h_eq: np.ndarray
-    beams: BeamformerSet
-
-
 def _block_bytes(params: SystemParams) -> int:
-    """Bytes one block adds to a chunk: its channel draw and equivalent
-    channel, a square null-steering system, and its joint and idle
-    zero-forcing systems."""
+    """Bytes one block adds to a front piece: its channel draw and
+    equivalent channel, a square null-steering system, and its joint and
+    idle zero-forcing systems."""
     k_t, k_r, q, mu_t = params.k_t, params.k_r, params.q_elements, params.mu_t
     entries = k_r * k_t + q * k_t + k_r * q + q * q + k_r * k_t
     entries += ((params.mu_r + mu_t) * mu_t) ** 2 + k_r * mu_t**2
     return 16 * entries
 
 
-def block_fronts(
-    plans: Sequence[BlockPlan], stack: PlanStack, params: SystemParams, seed: int, options: SimOptions
-) -> Iterator[BlockFront]:
-    """The front of every plan, in order, computed chunk by chunk: each
-    chunk of plans, with its rows of ``stack`` (the plans lowered), draws
-    its channels into one buffer and runs the surface solve, the equivalent
-    channel and the zero-forcing solves as stacked calls. With numpy on
-    OpenBLAS every number equals the one-block computation's bit for bit; a
-    singular solve raises the error the block-by-block order meets first."""
-    step = max(1, FRONT_CHUNK_BYTES // _block_bytes(params))
-    for start in range(0, len(plans), step):
-        chunk, rows = plans[start : start + step], stack[start : start + step]
-        try:
-            fronts = _stacked_fronts(chunk, rows, params, seed, options)
-        except SingularChannelError:
-            # the stages ran across blocks: rerun them block by block, so the
-            # error raised is that of the first block (and stage) to fail
-            for at in range(len(chunk)):
-                _stacked_fronts(chunk[at : at + 1], rows[at : at + 1], params, seed, options)
-            raise
-        yield from fronts
+def _back_bytes(params: SystemParams) -> int:
+    """Bytes one block adds to a chunk's back: its equivalent channel (held
+    by its front piece, then joined), the channel entries, terms, gains and
+    contributions of every pair of deliveries (at most one per receiver),
+    and its signals."""
+    k_t, k_r = params.k_t, params.k_r
+    entries = 2 * k_r * k_t + k_r * k_r * (3 * params.mu_t + 3) + 2 * (k_t + k_r)
+    return 16 * entries
 
 
-def _stacked_fronts(
+class Chunk(NamedTuple):
+    """A run of consecutive blocks of a schedule, as columns with a leading
+    block axis: the plans and their rows of the lowered stack, each block's
+    channel scale and surface solve info, and its symbols ``(S, D)``,
+    transmit signals ``(S, k_t)``, noise-free received signals ``(S,
+    k_r)``, and each delivery's own gain and cached sum at its receiver
+    ``(S, D)``."""
+
+    plans: Sequence[BlockPlan]
+    rows: PlanStack
+    scales: list[float]
+    infos: list[IrsSolveInfo]
+    symbols: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    own: np.ndarray
+    cached: np.ndarray
+
+
+def _front(
     plans: Sequence[BlockPlan], stack: PlanStack, params: SystemParams, seed: int, options: SimOptions
-) -> list[BlockFront]:
+) -> tuple[list[float], list[IrsSolveInfo], np.ndarray, np.ndarray]:
     """Sample the channels, steer the surface onto each block's null links
     (or leave it off), and form the equivalent channels and the
-    beamformers, one stacked call per stage."""
+    beamformers, one stacked call per stage: each block's channel scale,
+    solve info, ``h_eq`` and zero-forcing weights."""
     ch = sample_channels(params, [plan.block_index for plan in plans], seed)
     n_links, q_count = stack.null_pairs.shape[2], params.q_elements
     if options.disable_irs:
@@ -336,138 +348,85 @@ def _stacked_fronts(
         weights = zero_forcing_weights(stack, h_eq, ch.blocks, params.mu_t)
     except SingularChannelError as exc:
         raise SingularChannelError(f"seed {seed}, {exc}") from exc
-    return [
-        BlockFront(scale, n_links, info, h, BeamformerSet(plan.deliveries, w))
-        for plan, scale, info, h, w in zip(plans, ch.scale.tolist(), infos, h_eq, weights)
-    ]
+    return ch.scale.tolist(), infos, h_eq, weights
 
 
-class BlockBack(NamedTuple):
-    """A block's front and what its receivers made of it: one (receiver,
-    residual) pair per delivery, in delivery order."""
-
-    front: BlockFront
-    decode_errors: tuple[tuple[int, float], ...]
-
-
-class _StackedBack(NamedTuple):
-    """The back of a stack of blocks: symbols ``(S, D)``, transmit signals
-    ``(S, k_t)``, noise-free received signals ``(S, k_r)``, and each
-    delivery's own gain and cached sum at its receiver ``(S, D)``."""
-
-    symbols: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    own: np.ndarray
-    cached: np.ndarray
-
-
-def _back_bytes(params: SystemParams) -> int:
-    """Bytes one block adds to a back chunk: its equivalent channel (held
-    in its front, then stacked), the channel entries, terms, gains and
-    contributions of every pair of deliveries (at most one per receiver),
-    and its signals."""
-    k_t, k_r = params.k_t, params.k_r
-    entries = 2 * k_r * k_t + k_r * k_r * (3 * params.mu_t + 3) + 2 * (k_t + k_r)
-    return 16 * entries
-
-
-def _back_chunks(
-    plans: Sequence[BlockPlan], stack: PlanStack, fronts: Iterable[BlockFront], params: SystemParams
-) -> Iterator[tuple[Sequence[BlockPlan], PlanStack, list[BlockFront]]]:
-    """The plans with their rows of ``stack`` and their fronts, in chunks
-    of the back's own size."""
-    fronts = iter(fronts)
+def _chunks(
+    plans: Sequence[BlockPlan], stack: PlanStack, params: SystemParams, seed: int, options: SimOptions
+) -> Iterator[Chunk]:
+    """Every block of ``plans`` (lowered to ``stack``), in order, in chunks
+    of the back's size. Each chunk runs its front in pieces of the front's
+    size, which is smaller where a block's systems are large (one block
+    with a 132-element surface), then draws the symbols, transmits,
+    propagates and cache-subtracts for the whole chunk, one stacked call
+    per stage. With numpy on OpenBLAS every number equals the one-block
+    computation's bit for bit; a singular solve raises the error the
+    block-by-block order meets first."""
     step = max(1, FRONT_CHUNK_BYTES // _back_bytes(params))
+    piece = max(1, FRONT_CHUNK_BYTES // _block_bytes(params))
     for start in range(0, len(plans), step):
-        chunk = plans[start : start + step]
-        yield chunk, stack[start : start + step], list(islice(fronts, len(chunk)))
+        chunk, rows = plans[start : start + step], stack[start : start + step]
+        fronts = []
+        for at in range(0, len(chunk), piece):
+            part = slice(at, at + piece)
+            try:
+                fronts.append(_front(chunk[part], rows[part], params, seed, options))
+            except SingularChannelError:
+                # the stages ran across blocks: rerun them block by block, so
+                # the error raised is that of the first block (and stage) to fail
+                for one in range(at, min(at + piece, len(chunk))):
+                    _front(chunk[one : one + 1], rows[one : one + 1], params, seed, options)
+                raise
+        scales, infos, h_eq, weights = zip(*fronts)
+        h_eq, weights = np.concatenate(h_eq), np.concatenate(weights)
+        symbols = _draw_symbols([plan.block_index for plan in chunk], rows.n_deliveries, seed)
+        x = _transmit(rows, weights, symbols, params.k_t)
+        y = np.matmul(h_eq, x[:, :, None])[:, :, 0]
+        own, cached = _gains_and_cached(rows, h_eq, weights, symbols)
+        yield Chunk(chunk, rows, [*chain(*scales)], [*chain(*infos)], symbols, x, y, own, cached)
 
 
-def _back_signals(
-    plans: Sequence[BlockPlan], stack: PlanStack, fronts: Sequence[BlockFront], params: SystemParams, seed: int
-) -> _StackedBack:
-    """Draw the symbols, transmit, propagate and cache-subtract for the
-    plans, one stacked call per stage."""
-    h_eq = np.stack([front.h_eq for front in fronts])
-    weights = np.stack([front.beams.weights for front in fronts])
-    symbols = _draw_symbols([plan.block_index for plan in plans], stack.n_deliveries, seed)
-    x = _transmit(stack, weights, symbols, params.k_t)
-    y = np.matmul(h_eq, x[:, :, None])[:, :, 0]
-    own, cached = _gains_and_cached(stack, h_eq, weights, symbols)
-    return _StackedBack(symbols, x, y, own, cached)
-
-
-def _noise(blocks: Sequence[int], k_r: int, seed: int) -> np.ndarray:
-    """Unit-variance complex receiver noise of each block, from its stream
-    2: the real parts, then the imaginary parts."""
-    draws = fill_block_streams(np.empty((len(blocks), 2, k_r)), seed, blocks, 2)
-    return draws[:, 0] + 1j * draws[:, 1]
-
-
-def _stacked_backs(
-    plans: Sequence[BlockPlan],
-    stack: PlanStack,
-    fronts: Sequence[BlockFront],
-    params: SystemParams,
-    seed: int,
-    options: SimOptions,
-) -> list[BlockBack]:
-    """The back of every plan given its front, one stacked call per stage:
-    symbols, transmit, propagation with noise, and every receiver's
-    decode."""
-    back = _back_signals(plans, stack, fronts, params, seed)
-    y = back.y
+def _decode_errors(chunk: Chunk, params: SystemParams, seed: int, options: SimOptions) -> list[DecodeErrors]:
+    """Each block's (receiver, residual) pairs, one per delivery in
+    delivery order, once the receivers hear the chunk's signals plus their
+    noise: unit-variance complex noise from each block's stream 2 (the real
+    parts, then the imaginary parts), scaled to the noise variance."""
+    y = chunk.y
     if options.noise_variance > 0.0:
-        noise = _noise([plan.block_index for plan in plans], params.k_r, seed)
-        y = y + noise * math.sqrt(options.noise_variance / 2.0)
-    rx = stack.delivery_rx.astype(np.intp)
-    _, residuals = _decode(np.take_along_axis(y, rx, axis=1), back.own, back.cached, back.symbols)
-    return [
-        BlockBack(front, tuple(zip(rxs, errors)))
-        for front, rxs, errors in zip(fronts, (rx + 1).tolist(), residuals.tolist())
-    ]
-
-
-def block_backs(
-    plans: Sequence[BlockPlan],
-    stack: PlanStack,
-    fronts: Iterable[BlockFront],
-    params: SystemParams,
-    seed: int,
-    options: SimOptions,
-) -> Iterator[BlockBack]:
-    """The back of every plan, in order, given the plans lowered to
-    ``stack`` and their fronts in order (see :func:`block_fronts`),
-    computed chunk by chunk. Its chunks hold more blocks than the front's
-    where a block's front is large: the back only stacks equivalent
-    channels and per-delivery values. Every number equals the one-block
-    computation's bit for bit."""
-    for chunk, rows, chunk_fronts in _back_chunks(plans, stack, fronts, params):
-        yield from _stacked_backs(chunk, rows, chunk_fronts, params, seed, options)
+        blocks = [plan.block_index for plan in chunk.plans]
+        draws = fill_block_streams(np.empty((len(blocks), 2, params.k_r)), seed, blocks, 2)
+        y = y + (draws[:, 0] + 1j * draws[:, 1]) * math.sqrt(options.noise_variance / 2.0)
+    rx = chunk.rows.delivery_rx.astype(np.intp)
+    _, residuals = _decode(np.take_along_axis(y, rx, axis=1), chunk.own, chunk.cached, chunk.symbols)
+    return [tuple(zip(rxs, errors)) for rxs, errors in zip((rx + 1).tolist(), residuals.tolist())]
 
 
 def simulate_block(
-    plan: BlockPlan, params: SystemParams, seed: int, options: SimOptions, back: BlockBack | None = None
+    plan: BlockPlan,
+    params: SystemParams,
+    seed: int,
+    options: SimOptions,
+    back: tuple[Chunk, int, DecodeErrors] | None = None,
 ) -> BlockRecord:
     """Run one block end to end and measure every intended residual.
 
-    ``back`` is the block's back (which holds its front), when a caller
-    has already computed it with others' (see :func:`block_backs`);
+    ``back`` is ``(chunk, position, decode_errors)``: the chunk that holds
+    the block at ``position`` and the block's residuals, when a caller has
+    already computed them with other blocks' (see :func:`_chunks`);
     without it, the block computes its own alone.
     """
     if back is None:
-        stack = lower([plan])
-        fronts = _stacked_fronts([plan], stack, params, seed, options)
-        [back] = _stacked_backs([plan], stack, fronts, params, seed, options)
-    front, errors = back
+        chunk = next(_chunks([plan], lower([plan]), params, seed, options))
+        back = chunk, 0, _decode_errors(chunk, params, seed, options)[0]
+    chunk, at, errors = back
+    irs = chunk.infos[at]
     return BlockRecord(
         block_index=plan.block_index,
-        n_nulls=front.n_nulls,
+        n_nulls=irs.n_links,
         q_elements=params.q_elements,
-        irs_status=front.irs.status,
-        irs_residual=front.irs.residual,
-        channel_scale=front.channel_scale,
+        irs_status=irs.status,
+        irs_residual=irs.residual,
+        channel_scale=chunk.scales[at],
         decode_errors=errors,
         delivered=sum(residual < options.success_threshold for _, residual in errors),
     )
@@ -483,18 +442,20 @@ def run_episode(
     """Place, schedule, and simulate a whole delivery horizon.
 
     A prebuilt ``schedule`` (from :func:`build_schedule` with the same
-    parameters and regime) skips reconstruction so many seeds can share one
-    schedule. The achieved rate counts only deliveries whose residual beat
-    the threshold, as an exact rational over the block count.
+    parameters, regime and options) skips reconstruction so many seeds can
+    share one schedule. The achieved rate counts only deliveries whose
+    residual beat the threshold, as an exact rational over the block count.
     """
     design = Design(regime)
     schedule = _schedule_for(params, design, options, schedule)
     plans, stack = schedule.blocks, schedule.lowered
-    fronts = block_fronts(plans, stack, params, seed, options)
-    backs = block_backs(plans, stack, fronts, params, seed, options)
-    # one simulate_block call per block, looked up by name (perfbench's traced run wraps it)
-    records = [simulate_block(plan, params, seed, options, back=back) for plan, back in zip(plans, backs)]
-    total_deliveries = sum(len(b.deliveries) for b in schedule.blocks)
+    records = []
+    for chunk in _chunks(plans, stack, params, seed, options):
+        errors = _decode_errors(chunk, params, seed, options)
+        # one simulate_block call per block, looked up by name (perfbench's traced run wraps it)
+        for at, plan in enumerate(chunk.plans):
+            records.append(simulate_block(plan, params, seed, options, back=(chunk, at, errors[at])))
+    total_deliveries = len(plans) * stack.n_deliveries
     total_delivered = sum(r.delivered for r in records)
     infeasible = sum(1 for r in records if r.irs_status == STATUS_INFEASIBLE)
     sum_dof = achieved_dof(schedule, total_delivered)
@@ -550,14 +511,11 @@ def estimate_dof_slope(
     schedule = _schedule_for(params, Design(regime), options, schedule)
     h = schedule.h_blocks
     rates = np.zeros((len(powers), params.k_r))
-    plans, stack = schedule.blocks, schedule.lowered
-    fronts = block_fronts(plans, stack, params, seed, options)
-    for chunk, rows, chunk_fronts in _back_chunks(plans, stack, fronts, params):
-        back = _back_signals(chunk, rows, chunk_fronts, params, seed)
-        rx = rows.delivery_rx.astype(np.intp)
-        y = np.take_along_axis(back.y, rx, axis=1)
-        peaks = [float(np.abs(x).max()) for x in back.x]
-        values = (rx.tolist(), y.tolist(), back.own.tolist(), back.cached.tolist(), back.symbols.tolist())
+    for chunk in _chunks(schedule.blocks, schedule.lowered, params, seed, options):
+        rx = chunk.rows.delivery_rx.astype(np.intp)
+        y = np.take_along_axis(chunk.y, rx, axis=1)
+        peaks = [float(np.abs(x).max()) for x in chunk.x]
+        values = (rx.tolist(), y.tolist(), chunk.own.tolist(), chunk.cached.tolist(), chunk.symbols.tolist())
         for peak, *block in zip(peaks, *values):
             if peak == 0.0:
                 continue

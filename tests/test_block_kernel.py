@@ -2,9 +2,10 @@
 ``reference_block.py``, and the exactness properties the kernel keeps:
 single-draw channels, batched idle-group solves and per-receiver decodes
 equal to their unbatched forms bit for bit, and episodes run chunk by
-chunk through stacked front and back stages equal to blocks run one at a
-time."""
+chunk through stacked stages, each chunk's front in pieces, equal to
+blocks run one at a time."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -138,14 +139,14 @@ def test_block_decode_equals_per_receiver_decodes(name):
 
 
 def _chunks_of(monkeypatch, params, blocks):
-    """Make an episode's front run in chunks of ``blocks`` blocks."""
+    """Make an episode's front run in pieces of ``blocks`` blocks."""
     monkeypatch.setattr(simulator, "FRONT_CHUNK_BYTES", blocks * simulator._block_bytes(params))
 
 
 @pytest.mark.parametrize("name", NETWORKS)
 def test_chunked_episode_equals_blocks_one_at_a_time(monkeypatch, name):
-    """``run_episode`` runs the front in stacked chunks (7 blocks here, so
-    chunk boundaries fall inside every schedule); every record equals the
+    """``run_episode`` runs the front in stacked pieces (7 blocks here, so
+    piece boundaries fall inside every schedule); every record equals the
     block run alone and the reference's, bit for bit, whether every chunk
     draws through re-keyed streams or through ``block_rng``."""
     params, regime, options = NETWORKS[name]
@@ -205,11 +206,32 @@ def _zero_streams(monkeypatch, zeroed):
 
 
 def _chunk_sizes(monkeypatch, front, back):
-    """Make an episode's front run in chunks of ``front`` blocks and its
-    back in chunks of ``back``."""
+    """Make an episode run in chunks of ``back`` blocks, each running its
+    front in pieces of ``front`` blocks (or of the whole chunk, when that
+    is shorter)."""
     monkeypatch.setattr(simulator, "FRONT_CHUNK_BYTES", front * back)
     monkeypatch.setattr(simulator, "_block_bytes", lambda params: back)
     monkeypatch.setattr(simulator, "_back_bytes", lambda params: front)
+
+
+def _recorded_chunks(monkeypatch):
+    """Record every chunk ``_chunks`` yields and the size of every front
+    piece ``_front`` runs, in the order they run."""
+    chunks, pieces = [], []
+    real_chunks, real_front = simulator._chunks, simulator._front
+
+    def recorded_chunks(*args):
+        for chunk in real_chunks(*args):
+            chunks.append(chunk)
+            yield chunk
+
+    def recorded_front(plans, *args):
+        pieces.append(len(plans))
+        return real_front(plans, *args)
+
+    monkeypatch.setattr(simulator, "_chunks", recorded_chunks)
+    monkeypatch.setattr(simulator, "_front", recorded_front)
+    return chunks, pieces
 
 
 class _ZeroDraw:
@@ -222,10 +244,14 @@ class _ZeroDraw:
         return out
 
 
+#: front piece size -> the pieces each episode of 16 blocks in chunks of 5 runs
+_PIECES = {2: [2, 2, 1] * 3 + [1], 7: [5, 5, 5, 1]}
+
+
 @pytest.mark.parametrize(
     "params, regime, options, zeroed",
     [
-        # the block at position 7 (the middle of the second back chunk) has an
+        # the block at position 7 (the middle of the second chunk) has an
         # all-zero channel: with mu_t = 1 and L = 0 nothing is solved, and every
         # own gain is 0
         (EX, "thm1", SimOptions(l_size=0), 7),
@@ -238,23 +264,16 @@ class _ZeroDraw:
     ],
 )
 def test_back_chunks_across_front_chunks_equal_the_reference(monkeypatch, params, regime, options, zeroed):
-    """The back runs in chunks of 5 blocks over a front in chunks of 7, so
-    their boundaries do not line up; every back chunk reads its rows as a
-    view of the schedule's one lowered stack. Every record equals the
-    reference's exactly."""
+    """An episode runs in chunks of 5 blocks, each running its front in
+    pieces of 2 (so a full chunk runs pieces of 2, 2 and 1), or in one
+    piece when the front's size (7) exceeds the chunk; every chunk reads
+    its rows as a view of the schedule's one lowered stack. Every record
+    equals the reference's exactly."""
     built = build_schedule(params, regime, options)
     schedule = replace(built, blocks=built.blocks[:16])
     plans = schedule.blocks
     assert [plan.block_index for plan in plans] == list(range(1, 17))
-    _chunk_sizes(monkeypatch, front=7, back=5)
-    chunks = []
-    stacked_backs = simulator._stacked_backs
-
-    def recorded(chunk, rows, *args):
-        chunks.append((chunk, rows))
-        return stacked_backs(chunk, rows, *args)
-
-    monkeypatch.setattr(simulator, "_stacked_backs", recorded)
+    chunks, pieces = _recorded_chunks(monkeypatch)
     if zeroed is not None:
         real, zero_block = channel.block_rng, plans[zeroed].block_index
         assert not plans[zeroed].null_links
@@ -264,22 +283,79 @@ def test_back_chunks_across_front_chunks_equal_the_reference(monkeypatch, params
 
         _zero_streams(monkeypatch, {zero_block: None})
         monkeypatch.setattr(reference_block, "block_rng", zero_draw)
-    for seed, crossover in _both_sides_of_the_crossover((0, 7)):
-        monkeypatch.setattr(channel, "STREAM_CROSSOVER", crossover)
-        chunks.clear()
-        episode = run_episode(params, regime, seed, options, schedule=schedule)
-        assert [len(chunk) for chunk, _ in chunks] == [5, 5, 5, 1]
-        for start, (chunk, rows) in zip(range(0, 16, 5), chunks):
-            assert chunk == plans[start : start + 5]
-            assert rows.delivery_rx.base is schedule.lowered.delivery_rx.base
-            assert np.array_equal(rows.delivery_rx, schedule.lowered.delivery_rx[start : start + 5])
-        for plan, record in zip(plans, episode.blocks):
-            assert record == reference_simulate_block(plan, params, seed, options)
-        if zeroed is not None:
-            lost = episode.blocks[zeroed]
-            assert lost.delivered == 0 and {error for _, error in lost.decode_errors} == {np.inf}
-        if options.noise_variance:
-            assert 0 < episode.max_decode_error < options.success_threshold
+    for front, expected_pieces in _PIECES.items():
+        _chunk_sizes(monkeypatch, front=front, back=5)
+        for seed, crossover in _both_sides_of_the_crossover((0, 7)):
+            monkeypatch.setattr(channel, "STREAM_CROSSOVER", crossover)
+            chunks.clear()
+            pieces.clear()
+            episode = run_episode(params, regime, seed, options, schedule=schedule)
+            assert [len(chunk.plans) for chunk in chunks] == [5, 5, 5, 1]
+            assert pieces == expected_pieces
+            for start, chunk in zip(range(0, 16, 5), chunks):
+                assert chunk.plans == plans[start : start + 5]
+                assert chunk.rows.delivery_rx.base is schedule.lowered.delivery_rx.base
+                assert np.array_equal(chunk.rows.delivery_rx, schedule.lowered.delivery_rx[start : start + 5])
+            for plan, record in zip(plans, episode.blocks, strict=True):
+                assert record == reference_simulate_block(plan, params, seed, options)
+            if zeroed is not None:
+                lost = episode.blocks[zeroed]
+                assert lost.delivered == 0 and {error for _, error in lost.decode_errors} == {np.inf}
+            if options.noise_variance:
+                assert 0 < episode.max_decode_error < options.success_threshold
+
+
+def _counted_streams(monkeypatch):
+    """Count the rows every (block, stream) pair draws: those of each
+    ``fill_block_streams`` call, and the generators ``block_rng`` makes
+    outside one."""
+    counts, inside = Counter(), []
+    real_fill, real_rng = channel.fill_block_streams, channel.block_rng
+
+    def counted_fill(out, seed, blocks, stream, draw="standard_normal"):
+        counts.update((block, stream) for block in blocks)
+        inside.append(True)
+        try:
+            return real_fill(out, seed, blocks, stream, draw)
+        finally:
+            inside.pop()
+
+    def counted_rng(seed, block, stream=0):
+        if not inside:
+            counts[block, stream] += 1
+        return real_rng(seed, block, stream)
+
+    for module in (channel, simulator):
+        monkeypatch.setattr(module, "fill_block_streams", counted_fill)
+    monkeypatch.setattr(channel, "block_rng", counted_rng)
+    return counts
+
+
+@pytest.mark.parametrize("noise_variance", [0.0, 1e-6])
+def test_each_block_draws_its_streams_once(monkeypatch, noise_variance):
+    """An episode draws every block's channels (stream 0) and symbols
+    (stream 1) once, and its noise (stream 2) once when there is noise; a
+    slope estimate draws streams 0 and 1 once. This holds with front pieces
+    inside chunks, with a front piece larger than the chunk, and at the
+    default sizes, on both sides of the stream crossover."""
+    params = SystemParams(4, 5, 5, 1, 2, 1, 4)
+    options = SimOptions(strictness=SUFFICIENT_Q, noise_variance=noise_variance)
+    built = build_schedule(params, "thm2-ordered", options)
+    schedule = replace(built, blocks=built.blocks[:16])
+    blocks = [plan.block_index for plan in schedule.blocks]
+    counts = _counted_streams(monkeypatch)
+    episode_streams = (0, 1, 2) if noise_variance else (0, 1)
+    for sizes in (None, (2, 5), (7, 5)):
+        if sizes is not None:
+            _chunk_sizes(monkeypatch, *sizes)
+        for crossover in (1, 1 << 30):
+            monkeypatch.setattr(channel, "STREAM_CROSSOVER", crossover)
+            counts.clear()
+            run_episode(params, "thm2-ordered", 3, options, schedule=schedule)
+            assert counts == Counter({(block, stream): 1 for block in blocks for stream in episode_streams})
+            counts.clear()
+            estimate_dof_slope(params, "thm2-ordered", 3, (1e3, 1e6), options, schedule=schedule)
+            assert counts == Counter({(block, stream): 1 for block in blocks for stream in (0, 1)})
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from irs_cache_dof.channel import equivalent_channel, sample_block_channels, zero_irs
-from irs_cache_dof.params import SystemParams
+from irs_cache_dof.params import ParameterError, SystemParams
 from irs_cache_dof.placement import SubfileId
 from irs_cache_dof.scheduler import DemandVector, SchedulingError, make_schedule, worst_case_demand
 from irs_cache_dof.simulator import (
@@ -265,6 +265,41 @@ def test_schedule_for_other_l_size_rejected():
     schedule = build_schedule(EX, "thm1", past_full)
     assert schedule.l_size == 2
     assert run_episode(EX, "thm1", 0, past_full, schedule=schedule).all_passed
+
+
+@pytest.mark.parametrize(
+    "built, run, served, given",
+    [
+        # options without a demand run the worst case, receiver j asking for file j
+        (DemandVector((5, 5, 5, 5)), None, "5, 5, 5, 5", "1, 2, 3, 4"),
+        (None, DemandVector((5, 5, 5, 5)), "1, 2, 3, 4", "5, 5, 5, 5"),
+        (DemandVector((2, 3, 4, 5)), DemandVector((5, 4, 3, 2)), "2, 3, 4, 5", "5, 4, 3, 2"),
+    ],
+    ids=["built-for-a-demand", "run-with-a-demand", "two-demands"],
+)
+def test_schedule_for_other_demand_rejected(built, run, served, given):
+    """A prebuilt schedule serves the demand it was built for; options that
+    give another one are refused, not run on the schedule's demand."""
+    message = rf"^the schedule serves demand \({served}\), but the options give demand \({given}\)$"
+    schedule = build_schedule(EX, "thm1", SimOptions(demand=built))
+    options = SimOptions(demand=run)
+    with pytest.raises(SchedulingError, match=message):
+        run_episode(EX, "thm1", 3, options, schedule=schedule)
+    with pytest.raises(SchedulingError, match=message):
+        estimate_dof_slope(EX, "thm1", 3, (1e6, 1e8), options, schedule=schedule)
+    same = SimOptions(demand=built)
+    assert run_episode(EX, "thm1", 3, same, schedule=schedule) == run_episode(EX, "thm1", 3, same)
+
+
+@pytest.mark.parametrize("variance", [float("nan"), float("inf"), -1.0, -1e-300])
+def test_noise_variance_not_finite_and_nonnegative_rejected_by_options(variance):
+    """A variance the receivers cannot add is refused when the options are
+    made, instead of running the episode noise-free."""
+    with pytest.raises(ParameterError, match=r"^noise variance must be finite and nonnegative"):
+        SimOptions(noise_variance=variance)
+    with pytest.raises(ParameterError, match=r"^noise variance"):
+        replace(SimOptions(), noise_variance=variance)
+    assert SimOptions(noise_variance=0.0).noise_variance == 0.0
 
 
 def test_block_determinism():
