@@ -87,34 +87,17 @@ class BlockPlan:
     def null_links(self) -> frozenset[tuple[int, int]]:
         """Cross-links the block's topology eliminates.
 
-        Every serving group keeps its links only to the receivers it is
-        allowed to reach (its own receiver plus the cached and zero-forcing
-        groups); its links to the remaining active receivers are cut.
-        Transmitters not serving this block stay fully connected and
-        contribute no pairs.
+        The lead group's own receiver is the lead, and the group serving
+        idle receiver ``j`` owns ``j``. Every serving group keeps its links
+        to its own receiver and to the cached and zero-forcing groups; its
+        links to the remaining active receivers are cut. Transmitters not
+        serving this block stay fully connected and contribute no pairs.
         """
-        links: set[tuple[int, int]] = set()
-        for serving, allowed in self.serving_groups():
-            for i in serving:
-                links.update((i, r) for r in self.active_rxs if r not in allowed)
-        return frozenset(links)
-
-    def serving_groups(self) -> list[tuple[Subset, frozenset[int]]]:
-        """Each distinct serving group with the receivers it may reach.
-
-        The lead group may reach the lead, cached, and zero-forcing
-        receivers; the group serving idle receiver ``j`` may reach
-        ``{j}``, the cached, and the zero-forcing receivers. Everything
-        else among the active receivers must be cut by the surface.
-        """
-        base = set(self.cached_rxs) | set(self.zf_rxs)
-        groups: list[tuple[Subset, frozenset[int]]] = []
-        lead_serving = self.deliveries[0].serving_txs
-        groups.append((lead_serving, frozenset(base | {self.lead_rx})))
-        for dl in self.deliveries:
-            if dl.intended_rx in self.idle_rxs:
-                groups.append((dl.serving_txs, frozenset(base | {dl.intended_rx})))
-        return groups
+        kept = {*self.cached_rxs, *self.zf_rxs}
+        cut = [r for r in self.active_rxs if r not in kept]
+        owners = [(self.deliveries[0].serving_txs, self.lead_rx)]
+        owners += [(dl.serving_txs, dl.intended_rx) for dl in self.deliveries if dl.intended_rx in self.idle_rxs]
+        return frozenset((i, r) for serving, own in owners for i in serving for r in cut if r != own)
 
 
 @dataclass(frozen=True)
@@ -416,66 +399,33 @@ class Design(Enum):
             raise SchedulingError(f"regime {self.value!r} needs mu_t >= 2, got mu_t = {params.mu_t}")
 
 
-def _rt_pairs(active: Subset, lead: int, mu_r: int, mu_t: int) -> list[tuple[Subset, Subset]]:
-    """All (cached receivers, zero-forcing receivers) pairs drawn from the
-    active set minus the lead, in lexicographic order."""
-    others = [j for j in active if j != lead]
-    pairs = []
+def _active_table(active: Subset, demand: DemandVector, mu_r: int, mu_t: int, partial: bool) -> list:
+    """The blocks of one active set, one entry per (cached, zero-forcing)
+    pair in lexicographic order: the block's ``(lead, cached, zero-forcing,
+    idle)`` receiver groups, and each delivery's ``(file, receiver, slot,
+    rx_set, zf_set, irs_set)``. Slot 0 is the lead group; the idle
+    receivers take slots 1.. in order. In partial-activity schedules
+    (``partial``) a subfile's surface split is the active receivers outside
+    its own groups. Every block of the active set shares these tuples,
+    whatever its rotator coordinates."""
+    lead, *others = active
+
+    def without(group, j):
+        return tuple(sorted({lead, *group} - {j}))
+
+    file = demand.file_for
+    table = []
     for r_set in combinations(others, mu_r):
         rest = [j for j in others if j not in r_set]
         for t_set in combinations(rest, mu_t - 1):
-            pairs.append((r_set, t_set))
-    return pairs
-
-
-def _block_plan(
-    index: int,
-    demand: DemandVector,
-    active: Subset,
-    r_set: Subset,
-    t_set: Subset,
-    rotator,
-    coords: tuple[int, ...],
-    include_lset: bool,
-) -> BlockPlan:
-    """One block delivering one subfile to every receiver in ``active``.
-
-    ``include_lset`` marks partial-activity schedules whose subfiles carry
-    the surface-split index (the active receivers outside each subfile's
-    own groups).
-    """
-    lead = active[0]
-    in_groups = {lead, *r_set, *t_set}
-    idle = tuple(j for j in active if j not in in_groups)
-    lead_lset = idle if include_lset else ()
-    lead_index, lead_serving = rotator.serving(1, coords)
-
-    def others(group, j):
-        return tuple(sorted({lead, *group} - {j}))
-
-    # (receiver, transmitter-side index, serving group, rx_set, zf_set, irs_set)
-    specs = [(lead, lead_index, lead_serving, r_set, t_set, lead_lset)]
-    specs += [(j, lead_index, lead_serving, others(r_set, j), t_set, lead_lset) for j in r_set]
-    specs += [(j, lead_index, lead_serving, r_set, others(t_set, j), lead_lset) for j in t_set]
-    for slot, j in enumerate(idle, start=2):
-        slot_index, slot_serving = rotator.serving(slot, coords)
-        specs.append((j, slot_index, slot_serving, r_set, t_set, others(idle, j) if include_lset else ()))
-    return BlockPlan(
-        block_index=index,
-        deliveries=tuple(
-            Delivery(
-                subfile=SubfileId(file=demand.file_for(j), tx_index=tx, rx_set=rx, zf_set=zf, irs_set=irs),
-                intended_rx=j,
-                serving_txs=serving,
-            )
-            for j, tx, serving, rx, zf, irs in specs
-        ),
-        active_rxs=active,
-        lead_rx=lead,
-        cached_rxs=r_set,
-        zf_rxs=t_set,
-        idle_rxs=idle,
-    )
+            idle = tuple(j for j in rest if j not in t_set)
+            lead_irs = idle if partial else ()
+            specs = [(file(lead), lead, 0, r_set, t_set, lead_irs)]
+            specs += [(file(j), j, 0, without(r_set, j), t_set, lead_irs) for j in r_set]
+            specs += [(file(j), j, 0, r_set, without(t_set, j), lead_irs) for j in t_set]
+            specs += [(file(j), j, s, r_set, t_set, without(idle, j) if partial else ()) for s, j in enumerate(idle, 1)]
+            table.append(((lead, r_set, t_set, idle), specs))
+    return table
 
 
 def make_schedule(
@@ -534,12 +484,17 @@ def make_schedule(
             f"{l_size + 1} disjoint serving groups needed per block but only "
             f"{rotator.slots} are available"
         )
+    # each slot's (transmitter-side index, serving group), per rotator coordinate
+    served = [[rotator.serving(s, coords) for s in range(1, l_size + 2)] for coords in rotator.coords()]
     blocks: list[BlockPlan] = []
     for active in actives:
-        pairs = _rt_pairs(active, active[0], mu_r, mu_t)
-        for coords in rotator.coords():
-            for r_set, t_set in pairs:
-                blocks.append(_block_plan(len(blocks) + 1, demand, active, r_set, t_set, rotator, coords, partial))
+        table = _active_table(active, demand, mu_r, mu_t, partial)
+        for slots in served:
+            for groups, specs in table:
+                deliveries = tuple(
+                    [Delivery(SubfileId(f, slots[s][0], rx, zf, irs), j, slots[s][1]) for f, j, s, rx, zf, irs in specs]
+                )
+                blocks.append(BlockPlan(len(blocks) + 1, deliveries, active, *groups))
     return Schedule(
         regime=design.labels[partial],
         tx_mode=design.tx_mode,

@@ -57,6 +57,8 @@ class SimOptions:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.noise_variance) and self.noise_variance >= 0.0):
             raise ParameterError(f"noise variance must be finite and nonnegative, got {self.noise_variance}")
+        if not (math.isfinite(self.success_threshold) and self.success_threshold > 0.0):
+            raise ParameterError(f"success threshold must be finite and positive, got {self.success_threshold}")
 
 
 def _draw_symbols(blocks: Sequence[int], n: int, seed: int) -> np.ndarray:

@@ -302,6 +302,23 @@ def test_noise_variance_not_finite_and_nonnegative_rejected_by_options(variance)
     assert SimOptions(noise_variance=0.0).noise_variance == 0.0
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_success_threshold_not_finite_and_positive_rejected_by_options(threshold):
+    """A threshold no decode residual can pass (or every one passes) is
+    refused when the options are made, instead of running every block and
+    reporting the scheme failed at sum rate 0."""
+    with pytest.raises(ParameterError, match=r"^success threshold must be finite and positive"):
+        SimOptions(success_threshold=threshold)
+    with pytest.raises(ParameterError, match=r"^success threshold"):
+        replace(SimOptions(), success_threshold=threshold)
+
+
+def test_default_success_threshold_still_runs():
+    report = run_episode(EX, "thm1", 3, SimOptions())
+    assert report.success_threshold == 1e-8
+    assert report.all_passed and report.sum_dof == 4
+
+
 def test_block_determinism():
     sched = make_schedule(EX, worst_case_demand(EX), EX.k_r - EX.mu_r - 1)
     a = simulate_block(sched.blocks[0], EX, seed=77, options=SimOptions())
