@@ -44,6 +44,14 @@ def solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x, singular
 
 
+def _seed(seed: int) -> int:
+    """``seed`` as a Python int, or a ``ValueError`` naming it when it is
+    not a nonnegative integer (a float or a bool is not one)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
 def block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
     """Independent, reproducible generator for one (seed, block) pair.
 
@@ -61,7 +69,7 @@ def block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
     one; below :data:`STREAM_CROSSOVER` blocks, and for a block or stream
     past 32 bits or a seed past 64, it calls this function per block.
     """
-    entropy = (seed, block, stream)
+    entropy = (_seed(seed), block, stream)
     if 0 <= min(entropy) and max(entropy) <= 0xFFFFFFFF:
         return np.random.default_rng(np.random.SeedSequence(np.array(entropy, dtype=np.uint32)))
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
@@ -164,6 +172,7 @@ def fill_block_streams(
     """
     if draw not in ("standard_normal", "random"):
         raise ValueError(f"unknown draw {draw!r}")
+    seed = _seed(seed)
     if len(blocks) < STREAM_CROSSOVER or not (
         0 <= min(seed, stream, *blocks)
         and seed <= 0xFFFFFFFFFFFFFFFF

@@ -46,19 +46,24 @@ class IrsSolveInfo:
     q_elements: int
 
 
-def solve_irs_stack(ch: ChannelStack, pairs: np.ndarray) -> tuple[np.ndarray, list[IrsSolveInfo]]:
+def solve_status(n_links: int, q_count: int) -> str:
+    """``exact`` when ``n_links`` links fit ``q_count`` elements, else ``infeasible``."""
+    return STATUS_EXACT if n_links <= q_count else STATUS_INFEASIBLE
+
+
+def solve_irs_stack(ch: ChannelStack, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Surface coefficients ``q[b]`` that cut the links ``pairs[b]`` in
-    block ``b`` of ``ch``, and each block's solve info. ``pairs`` is
+    block ``b`` of ``ch``, and each block's residual ``(S,)``. ``pairs`` is
     ``(S, 2, N)``: every block cuts ``N`` links, sorted 0-based index pairs
     with transmitters in row 0 and receivers in row 1.
 
     With as many links as elements, the square systems are solved in one
     stacked call; with fewer or more, each block takes the least-squares
     path alone. A block whose null set fits the elements gets the
-    minimum-norm exact solution (status ``exact``), one with more links
-    than elements the least-squares compromise with its residual (status
-    ``infeasible``). An exactly singular system with enough elements is a
-    probability-zero channel event: the first block with one raises.
+    minimum-norm exact solution, one with more links than elements the
+    least-squares compromise (:func:`solve_status` names the two). An
+    exactly singular system with enough elements is a probability-zero
+    channel event: the first block with one raises.
     """
     n_blocks, q_count = ch.tx_to_irs.shape[:2]
     n_links = pairs.shape[2]
@@ -83,17 +88,14 @@ def solve_irs_stack(ch: ChannelStack, pairs: np.ndarray) -> tuple[np.ndarray, li
             if n_links <= q_count and rank < n_links:
                 failed[b] = f"null-steering system rank {rank} < {n_links} equations"
             residual[b] = np.abs(rows @ q[b] - rhs).max()
-    status = STATUS_EXACT if n_links <= q_count else STATUS_INFEASIBLE
-    infos = []
-    for b, (res, scale) in enumerate(zip(residual.tolist(), ch.scale.tolist())):
+    if n_links <= q_count:
         # a non-finite q leaves a non-finite residual, which fails the comparison
-        if n_links <= q_count and not res <= 1e-6 * scale:
-            failed.setdefault(b, f"null-steering solve left residual {res:.3e}")
-        infos.append(IrsSolveInfo(status, res, n_links, q_count))
+        for b in np.flatnonzero(~(residual <= 1e-6 * ch.scale)).tolist():
+            failed.setdefault(b, f"null-steering solve left residual {residual[b]:.3e}")
     if failed:
         b = min(failed)
         raise SingularChannelError(f"seed {ch.seed}, block {ch.blocks[b]}: {failed[b]}; the episode aborts")
-    return q, infos
+    return q, residual
 
 
 def solve_irs(ch: ChannelRealization, links: frozenset[tuple[int, int]]) -> tuple[IrsConfig, IrsSolveInfo]:
@@ -101,8 +103,9 @@ def solve_irs(ch: ChannelRealization, links: frozenset[tuple[int, int]]) -> tupl
     receiver) link in ``links``: the one-block case of
     :func:`solve_irs_stack`."""
     pairs = np.array(sorted(links), dtype=np.intp).reshape(-1, 2).T - 1
-    q, (info,) = solve_irs_stack(ChannelStack.of(ch), pairs[None])
-    return IrsConfig(q=q[0]), info
+    q, residual = solve_irs_stack(ChannelStack.of(ch), pairs[None])
+    status = solve_status(len(links), q.shape[1])
+    return IrsConfig(q=q[0]), IrsSolveInfo(status, float(residual[0]), len(links), q.shape[1])
 
 
 def residuals(irs: IrsConfig, ch: ChannelRealization, links: frozenset[tuple[int, int]]) -> float:

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from numbers import Integral
 
 
 class ParameterError(ValueError):
     """A parameter combination violates the model's standing assumptions."""
+
+
+def as_integer(value: object, name: str) -> int:
+    """``value`` as a Python int: any integer, numpy's included, while a
+    bool or a non-integer raises a :class:`ParameterError` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -30,6 +39,8 @@ class SystemParams:
     q_elements: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, as_integer(getattr(self, f.name), f.name))
         if self.k_t < 1:
             raise ParameterError("k_t must be at least 1")
         if self.k_r < 2:

@@ -7,19 +7,18 @@ into an exact delivered-per-block rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .analytics import STRICT_Q, max_feasible_L
+from .analytics import STRICT_Q, SUFFICIENT_Q, max_feasible_L
 from .channel import SingularChannelError, equivalent_channels, fill_block_streams, sample_channels
 from .combinatorics import enumerate_ordered_partitions, find_subset_partition
-from .irs import STATUS_INFEASIBLE, IrsSolveInfo, solve_irs_stack
+from .irs import STATUS_INFEASIBLE, solve_irs_stack, solve_status
 from .lowering import PlanStack, lower
-from .params import ParameterError, SystemParams
+from .params import ParameterError, SystemParams, as_integer
 from .scheduler import (
     BlockPlan,
     DemandVector,
@@ -59,6 +58,10 @@ class SimOptions:
             raise ParameterError(f"noise variance must be finite and nonnegative, got {self.noise_variance}")
         if not (math.isfinite(self.success_threshold) and self.success_threshold > 0.0):
             raise ParameterError(f"success threshold must be finite and positive, got {self.success_threshold}")
+        if self.strictness not in (STRICT_Q, SUFFICIENT_Q):
+            raise ParameterError(f"unknown strictness {self.strictness!r}")
+        if self.l_size is not None:
+            object.__setattr__(self, "l_size", as_integer(self.l_size, "l_size"))
 
 
 def _draw_symbols(blocks: Sequence[int], n: int, seed: int) -> np.ndarray:
@@ -189,10 +192,6 @@ def receiver_decode(
     return complex(estimate[0]), float(residual[0])
 
 
-#: a block's (receiver, residual) pairs, one per delivery in delivery order
-DecodeErrors = tuple[tuple[int, float], ...]
-
-
 @dataclass(frozen=True)
 class BlockRecord:
     block_index: int
@@ -201,7 +200,8 @@ class BlockRecord:
     irs_status: str
     irs_residual: float
     channel_scale: float
-    decode_errors: DecodeErrors
+    #: (receiver, residual) pairs, one per delivery in delivery order
+    decode_errors: tuple[tuple[int, float], ...]
     delivered: int
 
 
@@ -315,15 +315,15 @@ def _back_bytes(params: SystemParams) -> int:
 class Chunk(NamedTuple):
     """A run of consecutive blocks of a schedule, as columns with a leading
     block axis: the plans and their rows of the lowered stack, each block's
-    channel scale and surface solve info, and its symbols ``(S, D)``,
-    transmit signals ``(S, k_t)``, noise-free received signals ``(S,
-    k_r)``, and each delivery's own gain and cached sum at its receiver
-    ``(S, D)``."""
+    channel scale and surface residual ``(S,)``, and its symbols ``(S,
+    D)``, transmit signals ``(S, k_t)``, received signals ``(S, k_r)``
+    (noise-free unless the options give a noise variance), and each
+    delivery's own gain and cached sum at its receiver ``(S, D)``."""
 
     plans: Sequence[BlockPlan]
     rows: PlanStack
-    scales: list[float]
-    infos: list[IrsSolveInfo]
+    scales: np.ndarray
+    irs_residuals: np.ndarray
     symbols: np.ndarray
     x: np.ndarray
     y: np.ndarray
@@ -331,26 +331,27 @@ class Chunk(NamedTuple):
     cached: np.ndarray
 
 
+def _irs_status(stack: PlanStack, params: SystemParams, options: SimOptions) -> str:
+    """The surface-solve status every block lowered to ``stack`` shares."""
+    return IRS_DISABLED if options.disable_irs else solve_status(stack.null_pairs.shape[2], params.q_elements)
+
+
 def _front(
-    plans: Sequence[BlockPlan], stack: PlanStack, params: SystemParams, seed: int, options: SimOptions
-) -> tuple[list[float], list[IrsSolveInfo], np.ndarray, np.ndarray]:
-    """Sample the channels, steer the surface onto each block's null links
-    (or leave it off), and form the equivalent channels and the
-    beamformers, one stacked call per stage: each block's channel scale,
-    solve info, ``h_eq`` and zero-forcing weights."""
-    ch = sample_channels(params, [plan.block_index for plan in plans], seed)
-    n_links, q_count = stack.null_pairs.shape[2], params.q_elements
-    if options.disable_irs:
-        q = np.zeros((len(plans), q_count), dtype=complex)
-        infos = [IrsSolveInfo(IRS_DISABLED, 0.0, n_links, q_count)] * len(plans)
-    else:
-        q, infos = solve_irs_stack(ch, stack.null_pairs)
+    blocks: Sequence[int], stack: PlanStack, params: SystemParams, seed: int, options: SimOptions
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sample the channels of ``blocks``, steer the surface onto each
+    block's null links (or leave it off), and form the equivalent channels
+    and the beamformers, one stacked call per stage: each block's channel
+    scale, surface residual, ``h_eq`` and zero-forcing weights."""
+    ch = sample_channels(params, blocks, seed)
+    # a surface that is off cuts no links: its coefficients and residuals stay 0
+    q, residuals = solve_irs_stack(ch, stack.null_pairs[..., : 0 if options.disable_irs else None])
     h_eq = equivalent_channels(ch, q)
     try:
         weights = zero_forcing_weights(stack, h_eq, ch.blocks, params.mu_t)
     except SingularChannelError as exc:
         raise SingularChannelError(f"seed {seed}, {exc}") from exc
-    return ch.scale.tolist(), infos, h_eq, weights
+    return ch.scale, residuals, h_eq, weights
 
 
 def _chunks(
@@ -360,78 +361,76 @@ def _chunks(
     of the back's size. Each chunk runs its front in pieces of the front's
     size, which is smaller where a block's systems are large (one block
     with a 132-element surface), then draws the symbols, transmits,
-    propagates and cache-subtracts for the whole chunk, one stacked call
-    per stage. With numpy on OpenBLAS every number equals the one-block
-    computation's bit for bit; a singular solve raises the error the
-    block-by-block order meets first."""
+    propagates (with each block's stream-2 noise, if any) and
+    cache-subtracts for the whole chunk, one stacked call per stage. With
+    numpy on OpenBLAS every number equals the one-block computation's bit
+    for bit; a singular solve raises the error the block-by-block order
+    meets first."""
     step = max(1, FRONT_CHUNK_BYTES // _back_bytes(params))
     piece = max(1, FRONT_CHUNK_BYTES // _block_bytes(params))
     for start in range(0, len(plans), step):
         chunk, rows = plans[start : start + step], stack[start : start + step]
+        blocks = [plan.block_index for plan in chunk]
         fronts = []
         for at in range(0, len(chunk), piece):
             part = slice(at, at + piece)
             try:
-                fronts.append(_front(chunk[part], rows[part], params, seed, options))
+                fronts.append(_front(blocks[part], rows[part], params, seed, options))
             except SingularChannelError:
                 # the stages ran across blocks: rerun them block by block, so
                 # the error raised is that of the first block (and stage) to fail
                 for one in range(at, min(at + piece, len(chunk))):
-                    _front(chunk[one : one + 1], rows[one : one + 1], params, seed, options)
+                    _front(blocks[one : one + 1], rows[one : one + 1], params, seed, options)
                 raise
-        scales, infos, h_eq, weights = zip(*fronts)
-        h_eq, weights = np.concatenate(h_eq), np.concatenate(weights)
-        symbols = _draw_symbols([plan.block_index for plan in chunk], rows.n_deliveries, seed)
+        scales, irs_residuals, h_eq, weights = (np.concatenate(column) for column in zip(*fronts))
+        symbols = _draw_symbols(blocks, rows.n_deliveries, seed)
         x = _transmit(rows, weights, symbols, params.k_t)
         y = np.matmul(h_eq, x[:, :, None])[:, :, 0]
+        if options.noise_variance > 0.0:
+            # unit-variance complex noise: the real parts, then the imaginary parts
+            draws = fill_block_streams(np.empty((len(blocks), 2, params.k_r)), seed, blocks, 2)
+            y = y + (draws[:, 0] + 1j * draws[:, 1]) * math.sqrt(options.noise_variance / 2.0)
         own, cached = _gains_and_cached(rows, h_eq, weights, symbols)
-        yield Chunk(chunk, rows, [*chain(*scales)], [*chain(*infos)], symbols, x, y, own, cached)
+        yield Chunk(chunk, rows, scales, irs_residuals, symbols, x, y, own, cached)
 
 
-def _decode_errors(chunk: Chunk, params: SystemParams, seed: int, options: SimOptions) -> list[DecodeErrors]:
-    """Each block's (receiver, residual) pairs, one per delivery in
-    delivery order, once the receivers hear the chunk's signals plus their
-    noise: unit-variance complex noise from each block's stream 2 (the real
-    parts, then the imaginary parts), scaled to the noise variance."""
-    y = chunk.y
-    if options.noise_variance > 0.0:
-        blocks = [plan.block_index for plan in chunk.plans]
-        draws = fill_block_streams(np.empty((len(blocks), 2, params.k_r)), seed, blocks, 2)
-        y = y + (draws[:, 0] + 1j * draws[:, 1]) * math.sqrt(options.noise_variance / 2.0)
+def _decode_errors(chunk: Chunk) -> np.ndarray:
+    """Each delivery's decode residual ``(S, D)``, in delivery order, once
+    the receivers hear the chunk's signals."""
     rx = chunk.rows.delivery_rx.astype(np.intp)
-    _, residuals = _decode(np.take_along_axis(y, rx, axis=1), chunk.own, chunk.cached, chunk.symbols)
-    return [tuple(zip(rxs, errors)) for rxs, errors in zip((rx + 1).tolist(), residuals.tolist())]
+    return _decode(np.take_along_axis(chunk.y, rx, axis=1), chunk.own, chunk.cached, chunk.symbols)[1]
+
+
+def _records(
+    chunk: Chunk, errors: np.ndarray, status: str, params: SystemParams, options: SimOptions
+) -> Iterator[BlockRecord]:
+    """Each block's record from the chunk's columns and decode residuals:
+    only here is each receiver paired with its residual."""
+    n_nulls, threshold = chunk.rows.null_pairs.shape[2], options.success_threshold
+    columns = (chunk.rows.delivery_rx + 1, errors, chunk.irs_residuals, chunk.scales)
+    for plan, receivers, residuals, irs_residual, scale in zip(chunk.plans, *(c.tolist() for c in columns)):
+        yield BlockRecord(
+            block_index=plan.block_index,
+            n_nulls=n_nulls,
+            q_elements=params.q_elements,
+            irs_status=status,
+            irs_residual=irs_residual,
+            channel_scale=scale,
+            decode_errors=tuple(zip(receivers, residuals)),
+            delivered=sum(residual < threshold for residual in residuals),
+        )
 
 
 def simulate_block(
-    plan: BlockPlan,
-    params: SystemParams,
-    seed: int,
-    options: SimOptions,
-    back: tuple[Chunk, int, DecodeErrors] | None = None,
+    plan: BlockPlan, params: SystemParams, seed: int, options: SimOptions, record: BlockRecord | None = None
 ) -> BlockRecord:
-    """Run one block end to end and measure every intended residual.
-
-    ``back`` is ``(chunk, position, decode_errors)``: the chunk that holds
-    the block at ``position`` and the block's residuals, when a caller has
-    already computed them with other blocks' (see :func:`_chunks`);
-    without it, the block computes its own alone.
-    """
-    if back is None:
+    """Run one block end to end and measure every intended residual. An
+    episode passes in the ``record`` :func:`_records` built for the block,
+    which comes back as it is."""
+    if record is None:
         chunk = next(_chunks([plan], lower([plan]), params, seed, options))
-        back = chunk, 0, _decode_errors(chunk, params, seed, options)[0]
-    chunk, at, errors = back
-    irs = chunk.infos[at]
-    return BlockRecord(
-        block_index=plan.block_index,
-        n_nulls=irs.n_links,
-        q_elements=params.q_elements,
-        irs_status=irs.status,
-        irs_residual=irs.residual,
-        channel_scale=chunk.scales[at],
-        decode_errors=errors,
-        delivered=sum(residual < options.success_threshold for _, residual in errors),
-    )
+        (record,) = _records(chunk, _decode_errors(chunk), _irs_status(chunk.rows, params, options), params, options)
+    return record
 
 
 def run_episode(
@@ -451,15 +450,17 @@ def run_episode(
     design = Design(regime)
     schedule = _schedule_for(params, design, options, schedule)
     plans, stack = schedule.blocks, schedule.lowered
-    records = []
+    status = _irs_status(stack, params, options)
+    records, total_delivered, max_decode_error, max_irs_residual = [], 0, 0.0, 0.0
     for chunk in _chunks(plans, stack, params, seed, options):
-        errors = _decode_errors(chunk, params, seed, options)
+        errors = _decode_errors(chunk)
         # one simulate_block call per block, looked up by name (perfbench's traced run wraps it)
-        for at, plan in enumerate(chunk.plans):
-            records.append(simulate_block(plan, params, seed, options, back=(chunk, at, errors[at])))
+        for plan, record in zip(chunk.plans, _records(chunk, errors, status, params, options)):
+            records.append(simulate_block(plan, params, seed, options, record))
+        total_delivered += int(np.count_nonzero(errors < options.success_threshold))
+        max_decode_error = max(max_decode_error, float(errors.max()))
+        max_irs_residual = max(max_irs_residual, float(chunk.irs_residuals.max()))
     total_deliveries = len(plans) * stack.n_deliveries
-    total_delivered = sum(r.delivered for r in records)
-    infeasible = sum(1 for r in records if r.irs_status == STATUS_INFEASIBLE)
     sum_dof = achieved_dof(schedule, total_delivered)
     return EpisodeReport(
         params=params,
@@ -476,11 +477,9 @@ def run_episode(
         sum_dof=sum_dof,
         per_user_dof=sum_dof / params.k_r,
         all_passed=total_delivered == total_deliveries,
-        infeasible_blocks=infeasible,
-        max_decode_error=max(
-            (e for r in records for _, e in r.decode_errors), default=0.0
-        ),
-        max_irs_residual=max((r.irs_residual for r in records), default=0.0),
+        infeasible_blocks=len(plans) if status == STATUS_INFEASIBLE else 0,
+        max_decode_error=max_decode_error,
+        max_irs_residual=max_irs_residual,
     )
 
 
@@ -508,12 +507,14 @@ def estimate_dof_slope(
     interference at each receiver under unit noise. Interference-free receivers slope to 1,
     interference-limited ones saturate and slope to 0.
     """
-    if len(powers) < 2 or any(p < 1e3 for p in powers) or list(powers) != sorted(set(powers)):
-        raise ValueError("powers must be >= 1e3, strictly increasing, and at least two")
+    finite = all(math.isfinite(p) and p >= 1e3 for p in powers)
+    if len(powers) < 2 or not finite or list(powers) != sorted(set(powers)):
+        raise ValueError("powers must be finite, >= 1e3, strictly increasing, and at least two")
     schedule = _schedule_for(params, Design(regime), options, schedule)
     h = schedule.h_blocks
     rates = np.zeros((len(powers), params.k_r))
-    for chunk in _chunks(schedule.blocks, schedule.lowered, params, seed, options):
+    # the rates count unit noise analytically, so the signals stay noise-free
+    for chunk in _chunks(schedule.blocks, schedule.lowered, params, seed, replace(options, noise_variance=0.0)):
         rx = chunk.rows.delivery_rx.astype(np.intp)
         y = np.take_along_axis(chunk.y, rx, axis=1)
         peaks = [float(np.abs(x).max()) for x in chunk.x]

@@ -305,6 +305,57 @@ def test_back_chunks_across_front_chunks_equal_the_reference(monkeypatch, params
                 assert 0 < episode.max_decode_error < options.success_threshold
 
 
+#: name -> (parameters, regime, options, the status every block's surface solve has)
+_TOTALS = {
+    "surface-off": (EX, "thm1", SimOptions(disable_irs=True), "disabled"),
+    "noise": (
+        SystemParams(4, 5, 5, 1, 2, 1, 4),
+        "thm2-ordered",
+        SimOptions(strictness=SUFFICIENT_Q, noise_variance=1e-6, success_threshold=1e-3),
+        "exact",
+    ),
+    "strict-infeasible": NETWORKS["thm2-strict-infeasible"] + ("infeasible",),
+    "minnorm-10x10": (SystemParams(10, 10, 10, 1, 1, 1, 60), "thm1", SimOptions(noise_variance=1e-9), "exact"),
+    "zeroed-block": (EX, "thm1", SimOptions(l_size=0), "exact"),
+}
+
+
+@pytest.mark.parametrize("name", _TOTALS)
+def test_episode_totals_equal_the_sums_and_maxima_of_its_records(monkeypatch, name):
+    """An episode's totals, reduced from its chunks' columns (chunks of 5
+    blocks here), equal those of its block records; its surface status is
+    one value for every block, and every number in a record is a Python
+    ``float`` or ``int``. The zeroed block's own gains vanish, so its
+    residuals, and the episode's largest decode error, are infinite."""
+    params, regime, options, status = _TOTALS[name]
+    built = build_schedule(params, regime, options)
+    schedule = replace(built, blocks=built.blocks[:96])
+    _chunk_sizes(monkeypatch, front=3, back=5)
+    if name == "zeroed-block":
+        _zero_streams(monkeypatch, {schedule.blocks[7].block_index: None})
+    for seed in (0, 9):
+        episode = run_episode(params, regime, seed, options, schedule=schedule)
+        records = episode.blocks
+        assert len(records) == episode.h_blocks == min(96, built.h_blocks) > 5
+        errors = [error for record in records for _, error in record.decode_errors]
+        assert episode.total_deliveries == len(errors)
+        assert episode.total_delivered == sum(record.delivered for record in records)
+        assert episode.max_decode_error == max(errors)
+        assert episode.max_irs_residual == max(record.irs_residual for record in records)
+        assert episode.infeasible_blocks == sum(record.irs_status == "infeasible" for record in records)
+        assert episode.infeasible_blocks in (0, episode.h_blocks)
+        assert {record.irs_status for record in records} == {status}
+        floats = [episode.max_decode_error, episode.max_irs_residual, *errors]
+        floats += [value for record in records for value in (record.irs_residual, record.channel_scale)]
+        assert {type(value) for value in floats} == {float}
+        assert {type(rx) for record in records for rx, _ in record.decode_errors} == {int}
+        if name == "zeroed-block":
+            assert episode.max_decode_error == np.inf and records[7].delivered == 0
+            assert all(error == np.inf for _, error in records[7].decode_errors)
+        else:
+            assert episode.max_decode_error < np.inf
+
+
 def _counted_streams(monkeypatch):
     """Count the rows every (block, stream) pair draws: those of each
     ``fill_block_streams`` call, and the generators ``block_rng`` makes

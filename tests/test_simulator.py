@@ -1,7 +1,8 @@
 """End-to-end block simulation, episode aggregation, and the rate-slope
 estimator."""
 
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -214,6 +215,16 @@ def test_slope_estimator_validates_powers():
         estimate_dof_slope(EX, "thm1", seed=1, powers=(1e8, 1e6))
 
 
+@pytest.mark.parametrize("power", [float("nan"), float("inf"), float("-inf")])
+def test_slope_estimator_rejects_non_finite_powers(capfd, power):
+    """Refused before any fit: the fit would make LAPACK print an error and
+    raise ``LinAlgError``."""
+    for powers in ((1e3, power), (power, 1e4), (1e3, 1e4, power)):
+        with pytest.raises(ValueError, match=r"^powers must be finite, >= 1e3"):
+            estimate_dof_slope(EX, "thm1", seed=1, powers=powers)
+    assert capfd.readouterr().err == ""
+
+
 def test_build_schedule_validates_regime():
     with pytest.raises(Exception):
         build_schedule(EX, "thm2-partition", SimOptions())
@@ -311,6 +322,43 @@ def test_success_threshold_not_finite_and_positive_rejected_by_options(threshold
         SimOptions(success_threshold=threshold)
     with pytest.raises(ParameterError, match=r"^success threshold"):
         replace(SimOptions(), success_threshold=threshold)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"strictness": "bogus", "l_size": 1}, r"^unknown strictness 'bogus'$"),
+        ({"l_size": True}, r"^l_size must be an integer, got True$"),
+        ({"l_size": 1.0}, r"^l_size must be an integer, got 1.0$"),
+    ],
+)
+def test_unknown_strictness_and_non_integer_l_size_rejected_by_options(kwargs, message):
+    """Options that would run an episode and write a strictness or null count
+    the schedule never used are refused when the options are made."""
+    with pytest.raises(ParameterError, match=message):
+        SimOptions(**kwargs)
+    with pytest.raises(ParameterError, match=message):
+        replace(SimOptions(), **kwargs)
+
+
+def test_numpy_integer_l_size_is_taken_as_an_int():
+    options = SimOptions(l_size=np.int64(1))
+    assert type(options.l_size) is int and options == SimOptions(l_size=1)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("k_t", 3.5), ("q_elements", 6.0), ("mu_r", True), ("n_files", "12"), ("k_r", np.float64(4.0))]
+)
+def test_non_integer_or_bool_rejected_by_params(name, value):
+    values = {"k_t": 3, "k_r": 4, "n_files": 12, "f_packets": 12, "mu_t": 1, "mu_r": 1, "q_elements": 6}
+    with pytest.raises(ParameterError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        SystemParams(**{**values, name: value})
+
+
+def test_numpy_integer_params_are_taken_as_ints():
+    params = SystemParams(*(np.int64(v) for v in (3, 4, 12, 12, 1, 1)), q_elements=np.uint8(6))
+    assert params == EX and {type(getattr(params, f.name)) for f in fields(params)} == {int}
+    assert run_episode(params, "thm1", 3) == run_episode(EX, "thm1", 3)
 
 
 def test_default_success_threshold_still_runs():

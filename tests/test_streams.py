@@ -5,13 +5,14 @@ draws, keys past 32 bits, and that a chunk constructs no generator per
 block."""
 
 import math
+import re
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from irs_cache_dof import channel
+from irs_cache_dof import SystemParams, channel, run_episode
 from irs_cache_dof.channel import STREAM_CROSSOVER, _pcg64_seeds, fill_block_streams
 
 TOP = 2**32 - 1
@@ -98,6 +99,30 @@ def test_keys_past_32_bits_take_block_rng(monkeypatch):
             assert np.array_equal(row, numpy_generator(seed, block, stream).standard_normal(6))
     with pytest.raises(ValueError):
         fill_block_streams(np.empty((40, 6)), 3, [-1, *blocks[1:]], 0)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, False, -1, np.int64(-1), np.float64(2.0), "3", None])
+def test_a_seed_that_is_not_a_nonnegative_integer_is_refused(seed):
+    """Every draw refuses such a seed, on either side of the stream
+    crossover, instead of drawing the streams of a truncated one."""
+    message = rf"^seed must be a nonnegative integer, got {re.escape(repr(seed))}$"
+    for length in (1, STREAM_CROSSOVER):
+        with pytest.raises(ValueError, match=message):
+            fill_block_streams(np.empty((length, 3)), seed, list(range(length)), 0)
+    with pytest.raises(ValueError, match=message):
+        channel.block_rng(seed, 1, 0)
+    with pytest.raises(ValueError, match=message):
+        run_episode(SystemParams(3, 4, 12, 12, 1, 1, 6), "thm1", seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint32(2**32 - 1), np.uint64(2**64 - 1), np.int8(0)])
+def test_numpy_integer_seeds_draw_as_the_equal_int(seed):
+    for length in (1, STREAM_CROSSOVER, 20):
+        blocks = list(range(length))
+        want = fill_block_streams(np.empty((length, 5)), int(seed), blocks, 1, "random")
+        assert np.array_equal(fill_block_streams(np.empty((length, 5)), seed, blocks, 1, "random"), want)
+    want = channel.block_rng(int(seed), 3, 2).standard_normal(4)
+    assert np.array_equal(channel.block_rng(seed, 3, 2).standard_normal(4), want)
 
 
 def test_a_chunk_constructs_no_seed_sequence_per_block(monkeypatch):
