@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .params import SystemParams
+from .params import ParameterError, SystemParams, as_integer
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -44,12 +44,13 @@ def solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x, singular
 
 
-def _seed(seed: int) -> int:
-    """``seed`` as a Python int, or a ``ValueError`` naming it when it is
-    not a nonnegative integer (a float or a bool is not one)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)
+def as_seed(seed: int) -> int:
+    """``seed`` as a Python int, or a :class:`ParameterError` (a
+    ``ValueError``) naming it when it is not a nonnegative integer."""
+    value = as_integer(seed, "seed")
+    if value < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed!r}")
+    return value
 
 
 def block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
@@ -69,7 +70,7 @@ def block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
     one; below :data:`STREAM_CROSSOVER` blocks, and for a block or stream
     past 32 bits or a seed past 64, it calls this function per block.
     """
-    entropy = (_seed(seed), block, stream)
+    entropy = (as_seed(seed), block, stream)
     if 0 <= min(entropy) and max(entropy) <= 0xFFFFFFFF:
         return np.random.default_rng(np.random.SeedSequence(np.array(entropy, dtype=np.uint32)))
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
@@ -172,7 +173,7 @@ def fill_block_streams(
     """
     if draw not in ("standard_normal", "random"):
         raise ValueError(f"unknown draw {draw!r}")
-    seed = _seed(seed)
+    seed = as_seed(seed)
     if len(blocks) < STREAM_CROSSOVER or not (
         0 <= min(seed, stream, *blocks)
         and seed <= 0xFFFFFFFFFFFFFFFF

@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .analytics import STRICT_Q, SUFFICIENT_Q, max_feasible_L
-from .channel import SingularChannelError, equivalent_channels, fill_block_streams, sample_channels
+from .channel import SingularChannelError, as_seed, equivalent_channels, fill_block_streams, sample_channels
 from .combinatorics import enumerate_ordered_partitions, find_subset_partition
 from .irs import STATUS_INFEASIBLE, solve_irs_stack, solve_status
 from .lowering import PlanStack, lower
@@ -407,7 +407,8 @@ def _records(
     """Each block's record from the chunk's columns and decode residuals:
     only here is each receiver paired with its residual."""
     n_nulls, threshold = chunk.rows.null_pairs.shape[2], options.success_threshold
-    columns = (chunk.rows.delivery_rx + 1, errors, chunk.irs_residuals, chunk.scales)
+    # in the stack's own dtype (int8 up to index 127) receiver 128 would wrap
+    columns = (chunk.rows.delivery_rx.astype(np.intp) + 1, errors, chunk.irs_residuals, chunk.scales)
     for plan, receivers, residuals, irs_residual, scale in zip(chunk.plans, *(c.tolist() for c in columns)):
         yield BlockRecord(
             block_index=plan.block_index,
@@ -446,7 +447,9 @@ def run_episode(
     parameters, regime and options) skips reconstruction so many seeds can
     share one schedule. The achieved rate counts only deliveries whose
     residual beat the threshold, as an exact rational over the block count.
+    The report keeps the seed as a Python int.
     """
+    seed = as_seed(seed)
     design = Design(regime)
     schedule = _schedule_for(params, design, options, schedule)
     plans, stack = schedule.blocks, schedule.lowered

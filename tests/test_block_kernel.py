@@ -356,6 +356,22 @@ def test_episode_totals_equal_the_sums_and_maxima_of_its_records(monkeypatch, na
             assert episode.max_decode_error < np.inf
 
 
+
+def test_receiver_128_is_reported_from_an_int8_stack():
+    """On a 1x128 network every lowered index fits in int8, receiver 128's
+    being 127, so the stack is int8; the records still name receiver 128,
+    on the episode path and the one-block path alike."""
+    params = SystemParams(1, 128, 128, 128, 1, 1, 0)
+    built = build_schedule(params, "thm1", SimOptions())
+    plans = [plan for plan in built.blocks if any(dl.intended_rx == 128 for dl in plan.deliveries)][:4]
+    schedule = replace(built, blocks=tuple(plans))
+    assert schedule.lowered.delivery_rx.dtype == np.int8
+    episode = run_episode(params, "thm1", 5, schedule=schedule)
+    for plan, record in zip(plans, episode.blocks, strict=True):
+        receivers = [rx for rx, _ in record.decode_errors]
+        assert receivers == [dl.intended_rx for dl in plan.deliveries] and 128 in receivers
+        assert simulate_block(plan, params, 5, SimOptions()) == record
+
 def _counted_streams(monkeypatch):
     """Count the rows every (block, stream) pair draws: those of each
     ``fill_block_streams`` call, and the generators ``block_rng`` makes

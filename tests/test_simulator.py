@@ -1,6 +1,7 @@
 """End-to-end block simulation, episode aggregation, and the rate-slope
 estimator."""
 
+import json
 import re
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -16,6 +17,7 @@ from irs_cache_dof.simulator import (
     ScheduleConsistencyError,
     SimOptions,
     build_schedule,
+    episode_to_jsonable,
     estimate_dof_slope,
     receiver_decode,
     run_episode,
@@ -360,6 +362,12 @@ def test_numpy_integer_params_are_taken_as_ints():
     assert params == EX and {type(getattr(params, f.name)) for f in fields(params)} == {int}
     assert run_episode(params, "thm1", 3) == run_episode(EX, "thm1", 3)
 
+
+
+def test_numpy_integer_seed_is_reported_as_an_int():
+    report = run_episode(EX, "thm1", np.int64(7))
+    assert type(report.seed) is int and report == run_episode(EX, "thm1", 7)
+    assert json.loads(json.dumps(episode_to_jsonable(report)))["seed"] == 7
 
 def test_default_success_threshold_still_runs():
     report = run_episode(EX, "thm1", 3, SimOptions())
