@@ -26,7 +26,7 @@ ORDERED_MODE = "ordered"
 TxIndex = Union[Subset, int]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SubfileId:
     """Full index of one subfile.
 

@@ -57,14 +57,14 @@ def worst_case_demand(params: SystemParams) -> DemandVector:
     return DemandVector(d=tuple(range(1, params.k_r + 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delivery:
     subfile: SubfileId
     intended_rx: int
     serving_txs: Subset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockPlan:
     """One communication block: who sends what to whom, and which
     cross-links the surface must cut.
@@ -553,18 +553,21 @@ def verify_schedule_partition(schedule: Schedule, demanded: SubfileKeys) -> Part
     subfiles = [dl.subfile for dl in deliveries]
     fields = [map(attrgetter(name), subfiles) for name in ("file", "tx_index", "rx_set", "zf_set", "irs_set")]
     fields.append(map(attrgetter("intended_rx"), deliveries))
-    digits = np.empty((6, len(deliveries)), dtype=np.int64)
-    for row, digit, values in zip(digits, codec.digit_of, fields):
-        row[:] = np.fromiter(map(_Digits(digit).__getitem__, values), np.int64, len(deliveries))
+    # each field's digits go straight into the deliveries' key rows; a row with a -1 digit is unkeyed
+    rows = np.zeros((len(deliveries), codec.width), dtype=np.int64)
+    keyed = np.ones(len(deliveries), dtype=bool)
+    for digit_of, values, (word, weight) in zip(codec.digit_of, fields, codec.places):
+        digit = np.fromiter(map(_Digits(digit_of).__getitem__, values), np.int64, len(deliveries))
+        keyed &= digit >= 0
+        rows[:, word] += digit * np.int64(weight)
 
     def pair(i):
         return deliveries[i].subfile, deliveries[i].intended_rx
 
-    keyed = (digits >= 0).all(axis=0)
     unkeyed = Counter(pair(i) for i in np.flatnonzero(~keyed))
     keyed = np.flatnonzero(keyed)
     n_demanded = len(demanded)
-    rows = np.concatenate([demanded.rows, codec.encode(*digits[:, keyed])])
+    rows = np.concatenate([demanded.rows, rows[keyed]])
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
     new = np.ones(len(rows), dtype=bool)

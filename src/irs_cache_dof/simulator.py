@@ -54,10 +54,14 @@ class SimOptions:
     demand: DemandVector | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.noise_variance) and self.noise_variance >= 0.0):
-            raise ParameterError(f"noise variance must be finite and nonnegative, got {self.noise_variance}")
-        if not (math.isfinite(self.success_threshold) and self.success_threshold > 0.0):
-            raise ParameterError(f"success threshold must be finite and positive, got {self.success_threshold}")
+        # a bool is an int to math.isfinite, but no variance or threshold
+        variance, threshold = self.noise_variance, self.success_threshold
+        if isinstance(variance, bool) or not (math.isfinite(variance) and variance >= 0.0):
+            raise ParameterError(f"noise variance must be finite and nonnegative, got {variance}")
+        if isinstance(threshold, bool) or not (math.isfinite(threshold) and threshold > 0.0):
+            raise ParameterError(f"success threshold must be finite and positive, got {threshold}")
+        if not isinstance(self.disable_irs, bool):
+            raise ParameterError(f"disable_irs must be a bool, got {self.disable_irs!r}")
         if self.strictness not in (STRICT_Q, SUFFICIENT_Q):
             raise ParameterError(f"unknown strictness {self.strictness!r}")
         if self.l_size is not None:
@@ -192,7 +196,7 @@ def receiver_decode(
     return complex(estimate[0]), float(residual[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockRecord:
     block_index: int
     n_nulls: int
@@ -406,10 +410,11 @@ def _records(
 ) -> Iterator[BlockRecord]:
     """Each block's record from the chunk's columns and decode residuals:
     only here is each receiver paired with its residual."""
-    n_nulls, threshold = chunk.rows.null_pairs.shape[2], options.success_threshold
+    n_nulls = chunk.rows.null_pairs.shape[2]
+    delivered = np.count_nonzero(errors < options.success_threshold, axis=1)
     # in the stack's own dtype (int8 up to index 127) receiver 128 would wrap
-    columns = (chunk.rows.delivery_rx.astype(np.intp) + 1, errors, chunk.irs_residuals, chunk.scales)
-    for plan, receivers, residuals, irs_residual, scale in zip(chunk.plans, *(c.tolist() for c in columns)):
+    columns = (chunk.rows.delivery_rx.astype(np.intp) + 1, errors, chunk.irs_residuals, chunk.scales, delivered)
+    for plan, receivers, residuals, irs_residual, scale, count in zip(chunk.plans, *(c.tolist() for c in columns)):
         yield BlockRecord(
             block_index=plan.block_index,
             n_nulls=n_nulls,
@@ -418,7 +423,7 @@ def _records(
             irs_residual=irs_residual,
             channel_scale=scale,
             decode_errors=tuple(zip(receivers, residuals)),
-            delivered=sum(residual < threshold for residual in residuals),
+            delivered=count,
         )
 
 

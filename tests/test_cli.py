@@ -303,6 +303,24 @@ def test_config_file_typed_settings_accepted(tmp_path):
     assert json.loads(out.read_text())["noise_variance"] == 0.0
 
 
+def test_surface_switch_and_noise_variance_from_flags_and_config_run(tmp_path):
+    """``--disable-irs`` and ``--noise-variance`` reach the episode as a bool
+    and a float, from the command line and from a config file alike."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**EXAMPLE_SETTINGS, "disable_irs": True, "noise_variance": 1}))
+    runs = {
+        "flags": ["simulate", *EXAMPLE_FLAGS, "--seed", "7", "--disable-irs", "--noise-variance", "1"],
+        "config": ["simulate", "--config", str(cfg), "--seed", "7"],
+    }
+    artifacts = []
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert main([*argv, "--out", str(out)]) == EXIT_VERIFICATION
+        artifacts.append(json.loads(out.read_text()))
+    assert artifacts[0] == artifacts[1]
+    assert artifacts[0]["noise_variance"] == 1.0 and artifacts[0]["max_irs_residual"] == 0.0
+
+
 @pytest.mark.parametrize(
     "settings, name",
     [

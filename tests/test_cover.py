@@ -21,10 +21,16 @@ from irs_cache_dof.scheduler import (
 )
 
 
-def _network(k_t, k_r, mu_t, mu_r, l_size, system=None, demand=None):
-    params = SystemParams(k_t=k_t, k_r=k_r, n_files=max(k_r, 8), f_packets=1, mu_t=mu_t, mu_r=mu_r)
+#: a library this large gives the file digit a key word of its own
+MANY_FILES = 2**62
+
+
+def _network(k_t, k_r, mu_t, mu_r, l_size, system=None, demand=None, n_files=None):
+    params = SystemParams(k_t=k_t, k_r=k_r, n_files=n_files or max(k_r, 8), f_packets=1, mu_t=mu_t, mu_r=mu_r)
     schedule = make_schedule(params, demand or worst_case_demand(params), l_size, system)
-    return split_library(params, mode=schedule.tx_mode), schedule
+    # the reference needs the subfiles of the demanded files only: split the first few
+    universe = split_library(replace(params, n_files=max(k_r, 8)), mode=schedule.tx_mode)
+    return replace(universe, params=params), schedule
 
 
 NETWORKS = {
@@ -37,6 +43,8 @@ NETWORKS = {
     "T2-IB": lambda: _network(4, 4, 2, 1, 1, enumerate_ordered_partitions(2, 2)),
     "T2-II-ordered": lambda: _network(4, 5, 2, 1, 1, enumerate_ordered_partitions(2, 2)),
     "T2-II-mu_t3": lambda: _network(6, 7, 3, 1, 1, find_subset_partition(2, 3)),
+    "T1-II-two-words": lambda: _network(3, 4, 1, 1, 1, n_files=MANY_FILES),
+    "T2-II-ordered-two-words": lambda: _network(4, 5, 2, 1, 1, enumerate_ordered_partitions(2, 2), n_files=MANY_FILES),
 }
 
 
@@ -124,6 +132,14 @@ def test_mutated_schedules_report_like_the_reference(network):
         assert report.summary() == want.summary(), name
         seen.append(name)
     assert {"file", "tx index", "receiver", "file past n_files", "receiver 0", "duplicate a block"} <= set(seen)
+
+
+@pytest.mark.parametrize("name", ["T1-II-two-words", "T2-II-ordered-two-words"])
+def test_two_word_networks_key_across_a_word_boundary(name):
+    universe, schedule = NETWORKS[name]()
+    demanded = demanded_for_schedule(universe, schedule)
+    assert demanded.codec.width == 2 and {word for word, _ in demanded.codec.places} == {0, 1}
+    assert (demanded.rows[:, 0] == [sub.file - 1 for sub, _ in demanded.pairs()]).all()
 
 
 def test_mismatched_universe_is_an_error():

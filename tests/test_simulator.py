@@ -343,6 +343,26 @@ def test_unknown_strictness_and_non_integer_l_size_rejected_by_options(kwargs, m
         replace(SimOptions(), **kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"noise_variance": True}, r"^noise variance must be finite and nonnegative, got True$"),
+        ({"noise_variance": False}, r"^noise variance must be finite and nonnegative, got False$"),
+        ({"success_threshold": True}, r"^success threshold must be finite and positive, got True$"),
+        ({"disable_irs": "no"}, r"^disable_irs must be a bool, got 'no'$"),
+        ({"disable_irs": 1}, r"^disable_irs must be a bool, got 1$"),
+    ],
+)
+def test_bool_for_a_number_or_a_non_bool_switch_rejected_by_options(kwargs, message):
+    """A bool variance or threshold would run as 1 or 0 and be written as
+    ``true``, and a truthy string would switch the surface off; all are
+    refused when the options are made."""
+    with pytest.raises(ParameterError, match=message):
+        SimOptions(**kwargs)
+    with pytest.raises(ParameterError, match=message):
+        replace(SimOptions(), **kwargs)
+
+
 def test_numpy_integer_l_size_is_taken_as_an_int():
     options = SimOptions(l_size=np.int64(1))
     assert type(options.l_size) is int and options == SimOptions(l_size=1)
