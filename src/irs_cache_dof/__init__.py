@@ -25,7 +25,6 @@ from .channel import (
 from .combinatorics import (
     OrderedPartitionSystem,
     SubsetPartitionSystem,
-    cyclic_shift,
     enumerate_ordered_partitions,
     enumerate_subsets,
     find_subset_partition,

@@ -217,6 +217,8 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
             raise ParameterError("dof-sweep needs --preset or --axis")
         if cfg.axis not in SWEEP_AXES:
             raise ParameterError(f"unknown sweep axis {cfg.axis!r}; expected one of {', '.join(SWEEP_AXES)}")
+        if merged.get("axis_step", 1) < 1:
+            raise ParameterError(f"--axis-step must be at least 1, got {merged['axis_step']}")
         if "axis_start" in merged or "axis_stop" in merged:
             if "axis_start" not in merged or "axis_stop" not in merged:
                 raise ParameterError("custom sweeps need both --axis-start and --axis-stop")

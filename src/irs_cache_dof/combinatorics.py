@@ -31,21 +31,6 @@ ORDERED_ENUMERATION_GUARD = 10
 DESIGN_CLASS_GUARD = 6435
 
 
-def cyclic_shift(i: int, j: int, m: int) -> int:
-    """1-based cyclic shift ``1 + ((i + j - 1) mod m)``.
-
-    Shifting index ``i`` by ``j`` positions around a cycle of length ``m``
-    stays in ``[1, m]``; ``j = 0`` and ``j = m`` are both the identity.
-    """
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    if not 1 <= i <= m:
-        raise ValueError(f"index {i} outside [1, {m}]")
-    if j < 0:
-        raise ValueError(f"offset must be nonnegative, got {j}")
-    return 1 + (i + j - 1) % m
-
-
 def enumerate_subsets(n: int, k: int) -> list[Subset]:
     """All k-subsets of ``{1, ..., n}`` in lexicographic order."""
     if k < 0 or k > n:
@@ -96,25 +81,11 @@ class SubsetPartitionSystem:
     """A decomposition of all ``mu_t``-subsets of ``{1, ..., m*mu_t}`` into
     parallel classes: each class partitions the ground set into ``m``
     disjoint ``mu_t``-subsets, and every subset appears in exactly one class.
-
-    Subsets carry a 1-based number: position ``p`` of class ``c`` is number
-    ``(c - 1) * m + p``, so each class fills one contiguous window of size
-    ``m``.
     """
 
     m: int
     mu_t: int
     classes: tuple[tuple[Subset, ...], ...]
-
-    @property
-    def num_subsets(self) -> int:
-        return self.m * len(self.classes)
-
-    def subset_by_number(self, kappa: int) -> Subset:
-        if not 1 <= kappa <= self.num_subsets:
-            raise ValueError(f"subset number {kappa} outside [1, {self.num_subsets}]")
-        c, p = divmod(kappa - 1, self.m)
-        return self.classes[c][p]
 
 
 @dataclass(frozen=True)
@@ -274,8 +245,8 @@ class OrderedPartitionSystem:
         lead      = offset // (m-1)!           (which block is first)
         remainder = offset %  (m-1)!           (arrangement of the rest)
 
-    with ``offset = (kappa - 1) % m!``. The delivery schedules rotate these
-    three coordinates independently.
+    with ``offset = (kappa - 1) % m!``. A delivery schedule's round is one
+    (window, remainder) pair, its slots the ``m`` leads.
     """
 
     m: int
@@ -298,11 +269,6 @@ class OrderedPartitionSystem:
         if not 1 <= kappa <= self.count:
             raise ValueError(f"partition number {kappa} outside [1, {self.count}]")
         return self.partitions[kappa - 1]
-
-    def number_from_coords(self, window: int, lead: int, remainder: int) -> int:
-        """Inverse of the (window, lead, remainder) decomposition; all 1-based."""
-        sub = math.factorial(self.m - 1)
-        return (window - 1) * self.window_size + (lead - 1) * sub + remainder
 
 
 def _unordered_partitions(elements: tuple[int, ...], block_size: int):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -27,7 +28,6 @@ from .combinatorics import (
     OrderedPartitionSystem,
     Subset,
     SubsetPartitionSystem,
-    cyclic_shift,
     enumerate_subsets,
     subset_ranks,
     subsets_of_ranks,
@@ -302,87 +302,22 @@ def demanded_for_schedule(universe: SubfileUniverse, schedule: Schedule) -> Subf
     return SubfileKeys(codec, np.concatenate(keys))
 
 
-class _SingleTxRotator:
-    """mu_t = 1: slots are single transmitters, rotated cyclically."""
-
-    def __init__(self, params: SystemParams, system: None):
-        self.k_t = self.slots = params.k_t
-
-    def coords(self):
-        for k2 in range(1, self.k_t + 1):
-            yield (k2,)
-
-    def serving(self, slot, coords):
-        (k2,) = coords
-        tx = cyclic_shift(slot, k2 - 1, self.k_t)
-        return (tx,), (tx,)
-
-
-class _ParallelClassRotator:
-    """mu_t >= 2 with a parallel-class design: slot ``s`` starts at position
-    ``s`` of class 1; the position rotates cyclically and the class advances,
-    so each slot visits every subset exactly once while the groups inside a
-    block always come from one class (hence stay disjoint)."""
-
-    def __init__(self, params: SystemParams, system: SubsetPartitionSystem):
-        check = verify_subset_partition(system)
-        if not check.ok:
-            raise SchedulingError(f"invalid subset-partition system: {check.violation}")
-        self.system = system
-        self.slots = system.m
-
-    def coords(self):
-        for k3 in range(1, len(self.system.classes) + 1):
-            for k2 in range(1, self.system.m + 1):
-                yield (k2, k3)
-
-    def serving(self, slot, coords):
-        k2, k3 = coords
-        kappa = cyclic_shift(slot, k2 - 1, self.system.m) + (k3 - 1) * self.system.m
-        subset = self.system.subset_by_number(kappa)
-        return subset, subset
-
-
-class _OrderedPartitionRotator:
-    """mu_t >= 2 without a parallel-class design: slots are ordered
-    arrangements whose first group serves. The lead-group coordinate rotates
-    cyclically (keeping the block's groups disjoint), while the arrangement
-    remainder and the unordered-partition window advance independently."""
-
-    def __init__(self, params: SystemParams, system: OrderedPartitionSystem):
-        self.system = system
-        self.m = self.slots = system.m
-        self.sub_count = math.factorial(self.m - 1)
-
-    def coords(self):
-        for k4 in range(1, self.system.num_windows + 1):
-            for k3 in range(1, self.sub_count + 1):
-                for k2 in range(1, self.m + 1):
-                    yield (k2, k3, k4)
-
-    def serving(self, slot, coords):
-        k2, k3, k4 = coords
-        lead = cyclic_shift(slot, k2 - 1, self.m)
-        kappa = self.system.number_from_coords(window=k4, lead=lead, remainder=k3)
-        return kappa, self.system.partition_by_number(kappa)[0]
-
-
 class Design(Enum):
     """How a schedule's serving transmitter groups rotate across blocks:
     single transmitters (Theorem 1), or the groups of a parallel-class
     design or of ordered arrangements (Theorem 2). A member's value is its
     name in the command line and episode reports; it carries the placement
-    mode its subfiles are split in, its paper labels for full and for
-    partial activity, and its rotator."""
+    mode its subfiles are split in and its paper labels for full and for
+    partial activity."""
 
-    THM1 = ("thm1", SUBSET_MODE, ("T1-I", "T1-II"), _SingleTxRotator)
-    THM2_PARTITION = ("thm2-partition", SUBSET_MODE, ("T2-IA", "T2-II"), _ParallelClassRotator)
-    THM2_ORDERED = ("thm2-ordered", ORDERED_MODE, ("T2-IB", "T2-II"), _OrderedPartitionRotator)
+    THM1 = ("thm1", SUBSET_MODE, ("T1-I", "T1-II"))
+    THM2_PARTITION = ("thm2-partition", SUBSET_MODE, ("T2-IA", "T2-II"))
+    THM2_ORDERED = ("thm2-ordered", ORDERED_MODE, ("T2-IB", "T2-II"))
 
-    def __new__(cls, value: str, tx_mode: str, labels: tuple[str, str], rotator: type):
+    def __new__(cls, value: str, tx_mode: str, labels: tuple[str, str]):
         member = object.__new__(cls)
         member._value_ = value
-        member.tx_mode, member.labels, member.rotator = tx_mode, labels, rotator
+        member.tx_mode, member.labels = tx_mode, labels
         return member
 
     @classmethod
@@ -392,11 +327,38 @@ class Design(Enum):
     def check(self, params: SystemParams) -> None:
         """Raise :class:`SchedulingError` unless ``params.mu_t`` fits the
         design: 1 for single transmitters, at least 2 for groups."""
-        single = self.rotator is _SingleTxRotator
+        single = self is Design.THM1
         if single and params.mu_t != 1:
             raise SchedulingError(f"mu_t = {params.mu_t} needs a transmitter design, not regime {self.value!r}")
         if not single and params.mu_t < 2:
             raise SchedulingError(f"regime {self.value!r} needs mu_t >= 2, got mu_t = {params.mu_t}")
+
+
+def _rounds(params: SystemParams, system: SubsetPartitionSystem | OrderedPartitionSystem | None) -> list[list]:
+    """The rounds of a design: ordered lists of disjoint ``(transmitter-side
+    index, serving group)`` slots. A block's slots are one round turned by
+    an offset, so the groups inside a block stay disjoint while, over all
+    rounds and offsets, each slot visits every index once.
+
+    Single transmitters form one round. Each class of a parallel-class
+    design is a round. An ordered system gives one round per unordered
+    partition and arrangement remainder: its ``m`` arrangements, each group
+    leading in turn, with the lead group serving.
+    """
+    if system is None:
+        return [[((tx,), (tx,)) for tx in params.transmitters]]
+    if isinstance(system, SubsetPartitionSystem):
+        check = verify_subset_partition(system)
+        if not check.ok:
+            raise SchedulingError(f"invalid subset-partition system: {check.violation}")
+        return [[(subset, subset) for subset in cls] for cls in system.classes]
+    # arrangement number = window start + (lead - 1) * (m - 1)! + remainder, 1-based
+    window, sub = system.window_size, math.factorial(system.m - 1)
+    return [
+        [(kappa, system.partitions[kappa - 1][0]) for kappa in range(start + rem, start + window + 1, sub)]
+        for start in range(0, system.count, window)
+        for rem in range(1, sub + 1)
+    ]
 
 
 def _active_table(active: Subset, demand: DemandVector, mu_r: int, mu_t: int, partial: bool) -> list:
@@ -407,7 +369,7 @@ def _active_table(active: Subset, demand: DemandVector, mu_r: int, mu_t: int, pa
     receivers take slots 1.. in order. In partial-activity schedules
     (``partial``) a subfile's surface split is the active receivers outside
     its own groups. Every block of the active set shares these tuples,
-    whatever its rotator coordinates."""
+    whatever its round and offset."""
     lead, *others = active
 
     def without(group, j):
@@ -466,7 +428,7 @@ def make_schedule(
             f"design is for (m={system.m}, mu_t={system.mu_t}) but parameters need "
             f"(m={params.m_groups}, mu_t={mu_t})"
         )
-    rotator = design.rotator(params, system)
+    rounds = _rounds(params, system)
     if mu_r + mu_t > k_r:
         raise SchedulingError(
             f"mu_r + mu_t = {mu_r + mu_t} exceeds k_r = {k_r}; the joint decoding group does not fit"
@@ -479,13 +441,13 @@ def make_schedule(
     else:
         l_size = k_r - mu_r - mu_t
         actives = [tuple(params.receivers)]
-    if l_size + 1 > rotator.slots:
+    if l_size + 1 > len(rounds[0]):
         raise SchedulingError(
             f"{l_size + 1} disjoint serving groups needed per block but only "
-            f"{rotator.slots} are available"
+            f"{len(rounds[0])} are available"
         )
-    # each slot's (transmitter-side index, serving group), per rotator coordinate
-    served = [[rotator.serving(s, coords) for s in range(1, l_size + 2)] for coords in rotator.coords()]
+    # each slot's (transmitter-side index, serving group): every round turned by every offset
+    served = [(r[k:] + r[:k])[: l_size + 1] for r in rounds for k in range(len(r))]
     blocks: list[BlockPlan] = []
     for active in actives:
         table = _active_table(active, demand, mu_r, mu_t, partial)
@@ -537,6 +499,29 @@ class _Digits(dict):
         return self[value]
 
 
+def _order_key(value):
+    """A sort key total over values of any type that orders like ``<``
+    among real numbers, among strings, and among tuples of such values
+    (element by element); reals come first, then strings, then tuples, then
+    any other value by its type name and ``repr``."""
+    if isinstance(value, numbers.Real):
+        return (0, value)
+    if isinstance(value, str):
+        return (1, value)
+    if isinstance(value, tuple):
+        return (2, tuple(map(_order_key, value)))
+    return (3, type(value).__name__, repr(value))
+
+
+def _pair_key(pair: tuple[SubfileId, int]):
+    """:func:`_order_key` of a (subfile, receiver) pair's fields, so pairs
+    whose fields mix types (a transmitter index that is a subset in one and
+    a number in another) still sort, as ``sorted`` sorts them where they
+    compare."""
+    sub, rx = pair
+    return _order_key((sub.file, sub.tx_index, sub.rx_set, sub.zf_set, sub.irs_set, rx))
+
+
 def verify_schedule_partition(schedule: Schedule, demanded: SubfileKeys) -> PartitionReport:
     """Check the exact-cover property: every demanded (subfile, receiver)
     pair is delivered exactly once and nothing else is delivered.
@@ -584,8 +569,8 @@ def verify_schedule_partition(schedule: Schedule, demanded: SubfileKeys) -> Part
     return PartitionReport(
         ok=not (missing or extra or duplicates),
         missing=missing,
-        extra=tuple(sorted(extra)),
-        duplicates=tuple(sorted(duplicates)),
+        extra=tuple(sorted(extra, key=_pair_key)),
+        duplicates=tuple(sorted(duplicates, key=_pair_key)),
     )
 
 

@@ -5,12 +5,14 @@ Everything here hashes ``SubfileId`` dataclasses: the demanded set is a
 frozenset of ``(SubfileId, receiver)`` pairs, refined object by object, and
 the cover is a dictionary of delivery counts compared against it.
 ``reference_verify_schedule_partition`` returns the same ``PartitionReport``
-as ``verify_schedule_partition``.
+as ``verify_schedule_partition``, its pairs in the same total order.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from dataclasses import astuple
 from itertools import combinations
 
 from irs_cache_dof.placement import SubfileId
@@ -67,6 +69,24 @@ def reference_demanded_for_schedule(universe, schedule):
     return frozenset(refined)
 
 
+def _sort_key(value):
+    """Reals by value, then strings by value, then tuples element by
+    element, then any other value by type name and ``repr``: a total order
+    that agrees with ``<`` wherever values compare."""
+    if isinstance(value, numbers.Real):
+        return 0, value
+    if isinstance(value, str):
+        return 1, value
+    if isinstance(value, tuple):
+        return 2, tuple(_sort_key(v) for v in value)
+    return 3, type(value).__name__, repr(value)
+
+
+def _sorted_pairs(pairs):
+    """(subfile, receiver) pairs sorted by their fields under ``_sort_key``."""
+    return tuple(sorted(pairs, key=lambda pair: _sort_key((*astuple(pair[0]), pair[1]))))
+
+
 def reference_verify_schedule_partition(schedule, demanded):
     """Every demanded pair delivered exactly once and nothing else, by a
     dictionary of delivery counts."""
@@ -76,9 +96,9 @@ def reference_verify_schedule_partition(schedule, demanded):
             key = (dl.subfile, dl.intended_rx)
             counts[key] = counts.get(key, 0) + 1
     delivered = set(counts)
-    missing = tuple(sorted(demanded - delivered))
-    extra = tuple(sorted(delivered - demanded))
-    duplicates = tuple(sorted(k for k, c in counts.items() if c > 1))
+    missing = _sorted_pairs(demanded - delivered)
+    extra = _sorted_pairs(delivered - demanded)
+    duplicates = _sorted_pairs(k for k, c in counts.items() if c > 1)
     return PartitionReport(
         ok=not (missing or extra or duplicates),
         missing=missing,

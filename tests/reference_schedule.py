@@ -2,19 +2,129 @@
 ``make_schedule`` replaced, kept as a test oracle.
 
 Every block here recomputes its receiver groups and split tuples and asks
-the rotator for each slot's serving group, and ``reference_null_links``
-derives a block's cut links by set algebra over its serving groups.
-``reference_make_schedule`` returns a ``Schedule`` equal (``==``) to
-``make_schedule``'s for the same arguments.
+its design's rotator for each slot's serving group at the block's rotator
+coordinates, and ``reference_null_links`` derives a block's cut links by
+set algebra over its serving groups. ``reference_make_schedule`` returns a
+``Schedule`` equal (``==``) to ``make_schedule``'s for the same arguments,
+which builds its slots from rounds and offsets instead; nothing here
+imports that rotation.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
-from irs_cache_dof.combinatorics import SubsetPartitionSystem
+from irs_cache_dof.combinatorics import SubsetPartitionSystem, verify_subset_partition
 from irs_cache_dof.placement import SubfileId
-from irs_cache_dof.scheduler import BlockPlan, Delivery, Design, Schedule
+from irs_cache_dof.scheduler import BlockPlan, Delivery, Design, Schedule, SchedulingError
+
+
+def cyclic_shift(i: int, j: int, m: int) -> int:
+    """1-based cyclic shift ``1 + ((i + j - 1) mod m)``.
+
+    Shifting index ``i`` by ``j`` positions around a cycle of length ``m``
+    stays in ``[1, m]``; ``j = 0`` and ``j = m`` are both the identity.
+    """
+    if m < 1:
+        raise ValueError(f"modulus must be positive, got {m}")
+    if not 1 <= i <= m:
+        raise ValueError(f"index {i} outside [1, {m}]")
+    if j < 0:
+        raise ValueError(f"offset must be nonnegative, got {j}")
+    return 1 + (i + j - 1) % m
+
+
+def subset_by_number(system, kappa):
+    """Subset number ``kappa`` of a parallel-class design: position ``p`` of
+    class ``c`` is number ``(c - 1) * m + p``, so each class fills one
+    contiguous window of size ``m``."""
+    count = system.m * len(system.classes)
+    if not 1 <= kappa <= count:
+        raise ValueError(f"subset number {kappa} outside [1, {count}]")
+    c, p = divmod(kappa - 1, system.m)
+    return system.classes[c][p]
+
+
+def number_from_coords(system, window, lead, remainder):
+    """Arrangement number of an ordered system from its (window, lead,
+    remainder) decomposition; all 1-based."""
+    sub = math.factorial(system.m - 1)
+    return (window - 1) * system.window_size + (lead - 1) * sub + remainder
+
+
+class _SingleTxRotator:
+    """mu_t = 1: slots are single transmitters, rotated cyclically."""
+
+    def __init__(self, params, system):
+        self.k_t = self.slots = params.k_t
+
+    def coords(self):
+        for k2 in range(1, self.k_t + 1):
+            yield (k2,)
+
+    def serving(self, slot, coords):
+        (k2,) = coords
+        tx = cyclic_shift(slot, k2 - 1, self.k_t)
+        return (tx,), (tx,)
+
+
+class _ParallelClassRotator:
+    """mu_t >= 2 with a parallel-class design: slot ``s`` starts at position
+    ``s`` of class 1; the position rotates cyclically and the class advances,
+    so each slot visits every subset exactly once while the groups inside a
+    block always come from one class (hence stay disjoint)."""
+
+    def __init__(self, params, system):
+        check = verify_subset_partition(system)
+        if not check.ok:
+            raise SchedulingError(f"invalid subset-partition system: {check.violation}")
+        self.system = system
+        self.slots = system.m
+
+    def coords(self):
+        for k3 in range(1, len(self.system.classes) + 1):
+            for k2 in range(1, self.system.m + 1):
+                yield (k2, k3)
+
+    def serving(self, slot, coords):
+        k2, k3 = coords
+        kappa = cyclic_shift(slot, k2 - 1, self.system.m) + (k3 - 1) * self.system.m
+        subset = subset_by_number(self.system, kappa)
+        return subset, subset
+
+
+class _OrderedPartitionRotator:
+    """mu_t >= 2 without a parallel-class design: slots are ordered
+    arrangements whose first group serves. The lead-group coordinate rotates
+    cyclically (keeping the block's groups disjoint), while the arrangement
+    remainder and the unordered-partition window advance independently."""
+
+    def __init__(self, params, system):
+        self.system = system
+        self.m = self.slots = system.m
+        self.sub_count = math.factorial(self.m - 1)
+
+    def coords(self):
+        for k4 in range(1, self.system.num_windows + 1):
+            for k3 in range(1, self.sub_count + 1):
+                for k2 in range(1, self.m + 1):
+                    yield (k2, k3, k4)
+
+    def serving(self, slot, coords):
+        k2, k3, k4 = coords
+        lead = cyclic_shift(slot, k2 - 1, self.m)
+        kappa = number_from_coords(self.system, window=k4, lead=lead, remainder=k3)
+        return kappa, self.system.partition_by_number(kappa)[0]
+
+
+#: each design's rotator: its slot count, its coordinates in block order, and
+#: each slot's (transmitter-side index, serving group) at given coordinates
+ROTATORS = {
+    Design.THM1: _SingleTxRotator,
+    Design.THM2_PARTITION: _ParallelClassRotator,
+    Design.THM2_ORDERED: _OrderedPartitionRotator,
+}
 
 
 def reference_null_links(plan):
@@ -98,7 +208,7 @@ def reference_make_schedule(params, demand, l_size, system=None):
         design = Design.THM1
     else:
         design = Design.THM2_PARTITION if isinstance(system, SubsetPartitionSystem) else Design.THM2_ORDERED
-    rotator = design.rotator(params, system)
+    rotator = ROTATORS[design](params, system)
     partial = mu_r + mu_t + l_size < k_r
     if partial:
         actives = combinations(params.receivers, mu_r + mu_t + l_size)

@@ -176,7 +176,7 @@ def test_schedule_of_two_lowered_shapes_is_refused():
     options = SimOptions(strictness=SUFFICIENT_Q)
     with_nulls, bare = (build_schedule(params, "thm2-ordered", replace(options, l_size=size)) for size in (1, 0))
     spliced = replace(with_nulls, blocks=with_nulls.blocks[:12] + bare.blocks[12:24])
-    message = r"^block 13 lowers to header \(3, 2, 0, 1, 1, 6\), not to the \(4, 2, 4, 1, 1, 6\) of block 1;"
+    message = r"^block 13 lowers to header \(3, 2, 0, 1, 1\), not to the \(4, 2, 4, 1, 1\) of block 1;"
     with pytest.raises(ShapeMismatchError, match=message):
         run_episode(params, "thm2-ordered", 3, options, schedule=spliced)
     with pytest.raises(ShapeMismatchError, match=message):

@@ -187,6 +187,25 @@ def test_dof_sweep_custom_axis(tmp_path):
     assert {r["scheme"] for r in rows} == {"thm1", "bench_oneshot", "bench_ndt"}
 
 
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("step", [0, -2])
+def test_dof_sweep_axis_step_below_one_rejected(tmp_path, capsys, step, source):
+    """A zero step has no sweep, and a negative one would drop the inclusive
+    stop; both are refused by name, from flags and from a config file."""
+    settings = {"k_t": 6, "k_r": 6, "mu_t": 1, "mu_r": 2, "axis": "q", "axis_start": 6, "axis_stop": 2}
+    if source == "flags":
+        argv = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
+        argv.append(f"--axis-step={step}")
+    else:
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({**settings, "axis_step": step}))
+        argv = ["--config", str(cfg)]
+    out = tmp_path / "sweep.csv"
+    assert main(["dof-sweep", *argv, "--out", str(out)]) == EXIT_CONFIG
+    assert "--axis-step" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dof_sweep_needs_axis(capsys):
     code = main(["dof-sweep", "--k-t", "6", "--k-r", "6", "--mu-t", "1", "--mu-r", "2"])
     assert code == EXIT_CONFIG

@@ -117,6 +117,12 @@ def _mutations(universe, schedule):
     twice = _with_delivery(schedule, b, d, file=p.n_files + 1)
     twice = replace(twice, blocks=twice.blocks + twice.blocks[b : b + 1])
     yield "unkeyed pair twice", twice
+    # a transmitter index of the other mode's type (a subset among numbers, or a
+    # number among subsets), next to a pair moved to the same file: undemanded
+    # pairs whose fields do not compare with each other
+    tx = (1, 2) if not isinstance(blocks[0].deliveries[0].subfile.tx_index, tuple) else 1
+    mixed = _with_delivery(schedule, 0, 0, tx_index=tx)
+    yield "mixed tx index types", _with_delivery(mixed, 0, 1, file=blocks[0].deliveries[0].subfile.file)
     yield "no blocks", replace(schedule, blocks=())
 
 

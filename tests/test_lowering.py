@@ -1,8 +1,9 @@
 """Round trip of block-plan lowering: each row of a schedule's integer
 stack must give back every delivery's receiver and serving group, the
-common receiver groups, the cache relation and the null links of the plan
-it came from; and every schedule lowers to the one header its parameters
-fix."""
+zero-forcing group and the size of the cached one, the cache relation and
+the null links of the plan it came from, and the zero-forcing systems
+gathered from it must read the plan's channel entries; and every schedule
+lowers to the one header its parameters fix."""
 
 import dataclasses
 
@@ -11,9 +12,10 @@ import pytest
 
 from irs_cache_dof.combinatorics import enumerate_ordered_partitions, find_subset_partition
 from irs_cache_dof.irs import required_nulls
-from irs_cache_dof.lowering import joint_zf_layout, joint_zf_rows, lower
+from irs_cache_dof.lowering import lower
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.scheduler import make_schedule, worst_case_demand
+from irs_cache_dof.zf import joint_zf_layout, joint_zf_rows, zf_systems
 
 T1 = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1, q_elements=6)
 T2 = SystemParams(k_t=4, k_r=4, n_files=4, f_packets=1, mu_t=2, mu_r=1, q_elements=4)
@@ -56,7 +58,7 @@ def test_lowering_round_trip(name):
         assert [(rx + 1, tuple(tx + 1 for tx in txs)) for rx, txs in receivers_and_groups] == [
             (dl.intended_rx, dl.serving_txs) for dl in deliveries
         ]
-        assert tuple(j + 1 for j in stack.cached_rxs[at].tolist()) == tuple(sorted(plan.cached_rxs))
+        assert stack.header[3] == len(plan.cached_rxs)
         assert tuple(j + 1 for j in stack.zf_rxs[at].tolist()) == tuple(sorted(plan.zf_rxs))
         assert stack.n_joint == 1 + len(plan.cached_rxs) + len(plan.zf_rxs)
         for a, own in enumerate(deliveries):
@@ -67,13 +69,18 @@ def test_lowering_round_trip(name):
 
 @pytest.mark.parametrize("name", ["T2-IA", "T2-II-ordered", "T2-mu3"])
 def test_lowered_zero_forcing_layout(name):
-    """The joint system's scatter indices place each slot receiver's
+    """The joint system gathered from a row places each slot receiver's
     channel from the lead group on the unknowns the row pattern names;
     each idle system reads its own receiver, then the zero-forcing ones,
-    from its own serving group."""
+    from its own serving group. The channel entry of (receiver r,
+    transmitter t) is coded as (r + 1) + (t + 1)i, so every gathered entry
+    names the pair it was read from."""
     params, schedule = _schedule(name)
+    receiver, transmitter = np.ogrid[: params.k_r, : params.k_t]
+    h_eq = ((receiver + 1) + 1j * (transmitter + 1))[None]
     for at, plan in enumerate(schedule.blocks[:20]):
         stack = schedule.lowered[at : at + 1]
+        joint, idle = zf_systems(stack, h_eq)
         mu_t, n_joint = params.mu_t, stack.n_joint
         rows = joint_zf_rows(n_joint, mu_t)
         dim = len(rows)
@@ -84,14 +91,16 @@ def test_lowered_zero_forcing_layout(name):
             for p in range(mu_t)
         ]
         layout = joint_zf_layout(n_joint, mu_t)
-        assert list(zip(stack.joint_rx[0].tolist(), stack.joint_tx[0].tolist(), layout.pos.tolist())) == expected
+        entries = joint[0].reshape(-1)[layout.pos]
+        joint_rx, joint_tx = (entries.real - 1).astype(int), (entries.imag - 1).astype(int)
+        assert list(zip(joint_rx.tolist(), joint_tx.tolist(), layout.pos.tolist())) == expected
+        assert np.flatnonzero(joint[0]).tolist() == sorted(layout.pos.tolist())
         assert layout.rhs.tolist() == [float(s == u) for s, u in rows]
-        idle = plan.deliveries[n_joint:]
+        idle_deliveries = plan.deliveries[n_joint:]
+        idle_rx, idle_tx = (idle[0].real.reshape(-1) - 1).astype(int), (idle[0].imag.reshape(-1) - 1).astype(int)
         zf = sorted(j - 1 for j in plan.zf_rxs)
-        assert stack.idle_rx[0].tolist() == [
-            r for dl in idle for r in (dl.intended_rx - 1, *zf) for _ in range(mu_t)
-        ]
-        assert stack.idle_tx[0].tolist() == [tx - 1 for dl in idle for _ in range(mu_t) for tx in dl.serving_txs]
+        assert idle_rx.tolist() == [r for dl in idle_deliveries for r in (dl.intended_rx - 1, *zf) for _ in range(mu_t)]
+        assert idle_tx.tolist() == [tx - 1 for dl in idle_deliveries for _ in range(mu_t) for tx in dl.serving_txs]
 
 
 @pytest.mark.parametrize("name", SCHEDULES)
@@ -99,11 +108,10 @@ def test_schedule_lowers_to_the_closed_form_header(name):
     """Every block serves mu_r + mu_t + L receivers through L + 1 disjoint
     groups of mu_t transmitters, each cutting mu_t L links, so a schedule
     lowers to the one header (mu_r + mu_t + L, mu_t, (L + 1) mu_t L, mu_r,
-    mu_t - 1, R), with R the joint zero-forcing rows when mu_t > 1."""
+    mu_t - 1)."""
     params, schedule = _schedule(name)
     mu_r, mu_t, l_size = params.mu_r, params.mu_t, schedule.l_size
-    joint_rows = len(joint_zf_rows(mu_r + mu_t, mu_t)) if mu_t > 1 else 0
-    header = (mu_r + mu_t + l_size, mu_t, (l_size + 1) * mu_t * l_size, mu_r, mu_t - 1, joint_rows)
+    header = (mu_r + mu_t + l_size, mu_t, (l_size + 1) * mu_t * l_size, mu_r, mu_t - 1)
     assert schedule.lowered.header == header
     assert schedule.lowered is schedule.lowered
 
@@ -112,6 +120,9 @@ def test_lowering_is_one_small_stack_per_schedule():
     schedule = _schedule("T2-II-ordered")[1]
     stack = schedule.lowered
     names = [f.name for f in dataclasses.fields(stack)[1:]]
+    # five header fields size the five sections a stage reads; nothing derivable is stored
+    assert len(stack.header) == 5
+    assert names == ["delivery_rx", "serving_tx", "cache_mask", "null_pairs", "zf_rxs"]
     # one read-only int8 buffer of one row per plan, which every array views
     buffer = stack.delivery_rx.base
     assert buffer.dtype == np.int8 and len(buffer) == schedule.h_blocks and not buffer.flags.writeable

@@ -1,12 +1,12 @@
 """The tabulated schedule construction against the block-by-block oracle
 (``reference_schedule``): equal schedules and null links over every design
 in full and partial activity, and the split tuples each active set shares
-across its rotator coordinates."""
+across its rotations."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_schedule import reference_make_schedule, reference_null_links
+from reference_schedule import ROTATORS, reference_make_schedule, reference_null_links
 
 from irs_cache_dof.combinatorics import enumerate_ordered_partitions, find_subset_partition
 from irs_cache_dof.params import SystemParams
@@ -99,11 +99,11 @@ def test_schedule_equals_the_reference_on_small_random_networks(case):
 @pytest.mark.parametrize("design, params, l_size, regime", DESK, ids=DESK_IDS)
 def test_active_set_blocks_share_their_split_tuples(design, params, l_size, regime):
     """The blocks of one active set and one (cached, zero-forcing) pair, one
-    per rotator coordinate, hold the very same rx_set, zf_set and irs_set
+    per rotation (the oracle's rotator coordinate), hold the very same rx_set, zf_set and irs_set
     tuples, delivery by delivery."""
     system = _system(design, params)
     schedule = make_schedule(params, worst_case_demand(params), l_size, system)
-    n_coords = sum(1 for _ in design.rotator(params, system).coords())
+    n_coords = sum(1 for _ in ROTATORS[design](params, system).coords())
     groups = {}
     for block in schedule.blocks:
         groups.setdefault((block.active_rxs, block.cached_rxs, block.zf_rxs), []).append(block)

@@ -7,10 +7,9 @@ import pytest
 
 from irs_cache_dof.channel import SingularChannelError
 from irs_cache_dof.combinatorics import enumerate_ordered_partitions, find_subset_partition
-from irs_cache_dof.lowering import joint_zf_layout
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.scheduler import make_schedule, worst_case_demand
-from irs_cache_dof.zf import beamformers_for_block
+from irs_cache_dof.zf import beamformers_for_block, joint_zf_layout
 
 EX = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1, q_elements=6)
 T2 = SystemParams(k_t=4, k_r=4, n_files=4, f_packets=1, mu_t=2, mu_r=1, q_elements=4)
