@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -98,28 +98,29 @@ def _point(scheme: str, params: SystemParams, l_size: int | None, per_user: Frac
 
 def dof_theorem1(params: SystemParams, l_size: int, mode: str | None = None) -> DofPoint:
     """Achievable sum rate ``min(mu_r + 1 + L, K_R)`` for disjoint
-    transmitter caches helped by an ``L``-covering surface."""
+    transmitter caches helped by an ``L``-covering surface: the ``mu_t = 1``
+    case of :func:`dof_theorem`."""
     if params.mu_t != 1:
         raise ParameterError("this formula requires mu_t = 1")
-    if not 0 <= l_size <= l_cap(params):
-        raise ParameterError(f"l_size {l_size} outside [0, {l_cap(params)}]")
-    per_user = Fraction(min(params.mu_r + 1 + l_size, params.k_r), params.k_r)
-    return _point(SCHEME_THM1, params, l_size, per_user, mode)
+    return dof_theorem(params, l_size, mode)
 
 
 def dof_theorem2(params: SystemParams, l_size: int, mode: str | None = None) -> DofPoint:
     """Achievable sum rate ``min(mu_r + mu_t + L, K_R)`` for overlapping
-    transmitter caches (grouped transmitters) helped by the surface."""
+    transmitter caches (grouped transmitters) helped by the surface: the
+    ``mu_t >= 2`` case of :func:`dof_theorem`."""
     if params.mu_t < 2:
         raise ParameterError("this formula requires mu_t >= 2")
-    if not 0 <= l_size <= l_cap(params):
-        raise ParameterError(f"l_size {l_size} outside [0, {l_cap(params)}]")
-    per_user = Fraction(min(params.mu_r + params.mu_t + l_size, params.k_r), params.k_r)
-    return _point(SCHEME_THM2, params, l_size, per_user, mode)
+    return dof_theorem(params, l_size, mode)
 
 
 def dof_theorem(params: SystemParams, l_size: int, mode: str | None = None) -> DofPoint:
-    return dof_theorem1(params, l_size, mode) if params.mu_t == 1 else dof_theorem2(params, l_size, mode)
+    """Achievable sum rate ``min(mu_r + mu_t + L, K_R)`` with an
+    ``L``-covering surface: Theorem 1 at ``mu_t = 1``, Theorem 2 above."""
+    if not 0 <= l_size <= l_cap(params):
+        raise ParameterError(f"l_size {l_size} outside [0, {l_cap(params)}]")
+    per_user = Fraction(min(params.mu_r + params.mu_t + l_size, params.k_r), params.k_r)
+    return _point(SCHEME_THM1 if params.mu_t == 1 else SCHEME_THM2, params, l_size, per_user, mode)
 
 
 def dof_benchmark_oneshot(params: SystemParams) -> DofPoint:
@@ -222,21 +223,12 @@ def sweep(
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    field = {AXIS_Q: "q_elements", AXIS_KR: "k_r", AXIS_MUR: "mu_r"}[axis]
     points: list[DofPoint] = []
     for value in values:
-        if axis == AXIS_Q:
-            params = SystemParams(
-                base.k_t, base.k_r, base.n_files, base.f_packets, base.mu_t, base.mu_r, value
-            )
-        elif axis == AXIS_KR:
-            params = SystemParams(
-                base.k_t, value, max(base.n_files, value), base.f_packets,
-                base.mu_t, base.mu_r, base.q_elements,
-            )
-        else:
-            params = SystemParams(
-                base.k_t, base.k_r, base.n_files, base.f_packets, base.mu_t, value, base.q_elements
-            )
+        # more receivers keep one distinct file each
+        n_files = max(base.n_files, value) if axis == AXIS_KR else base.n_files
+        params = replace(base, n_files=n_files, **{field: value})
         l_size = max_feasible_L(params.q_elements, params, mode)
         points.append(dof_theorem(params, l_size, mode))
         points.append(dof_benchmark_oneshot(params))

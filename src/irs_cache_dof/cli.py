@@ -6,6 +6,12 @@ and checks the exact-cover and cache-budget properties, ``simulate`` runs a
 full seeded episode, and ``dof-sweep`` writes the closed-form rate curves as
 CSV.
 
+Each subcommand's parser is the one table of its settings: a ``--config``
+key is valid for a command only when it is the destination of one of that
+command's flags, and its JSON type follows the flag (``type=int`` an
+integer, ``type=float`` a number, ``store_true`` a boolean, anything else a
+string).
+
 Exit codes: 0 pass, 2 verification failure, 3 solver infeasibility,
 4 configuration error.
 """
@@ -16,7 +22,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 from .analytics import (
     AXIS_KR,
@@ -55,90 +60,57 @@ PRESETS: dict[str, dict] = {
     "fig7": {"k_t": 16, "k_r": 16, "mu_t": 2, "mu_r": 1, "axis": AXIS_MUR, "values": list(range(1, 16)), "q_elements": 420},
 }
 
-PARAM_KEYS = ("k_t", "k_r", "n_files", "f_packets", "mu_t", "mu_r", "q_elements")
 
-#: the JSON type of each setting that is not a string
-SETTING_TYPES = {
-    **dict.fromkeys(PARAM_KEYS, "integer"),
-    **dict.fromkeys(("seed", "l_size", "m", "design_mu_t", "axis_start", "axis_stop", "axis_step"), "integer"),
-    "noise_variance": "number",
-    "disable_irs": "boolean",
-}
-_PYTHON_TYPES = {"integer": int, "number": (int, float), "boolean": bool, "string": str}
-
-
-@dataclass
-class RunConfig:
-    """Validated settings for one command invocation."""
-
-    command: str
-    params: SystemParams | None = None
-    regime: str | None = None
-    seed: int = 0
-    strictness: str = STRICT_Q
-    out: str | None = None
-    block_csv: str | None = None
-    noise_variance: float = 0.0
-    l_size: int | None = None
-    disable_irs: bool = False
-    preset: str | None = None
-    axis: str | None = None
-    axis_values: list[int] | None = None
-    design_m: int | None = None
-    design_mu_t: int | None = None
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and each subcommand's own parser by name.
+    A subcommand's flags are the one table of its settings."""
     parser = argparse.ArgumentParser(
         prog="irs-cache-dof",
         description="Cache-aided interference channel toolkit: designs, schedules, episodes, rate sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON file with flat key/value settings; flags override it")
-        p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed (default 0)")
-        p.add_argument("--out", default=None, help="output path for the command's artifact")
+        p.add_argument("--out", help="output path for the command's artifact")
+        return p
+
+    def add_network(p: argparse.ArgumentParser) -> None:
         mode = p.add_mutually_exclusive_group()
         mode.add_argument("--strict-q", dest="strictness", action="store_const", const=STRICT_Q)
         mode.add_argument("--sufficient-q", dest="strictness", action="store_const", const=SUFFICIENT_Q)
+        for flag in ("--k-t", "--k-r", "--n-files", "--f-packets", "--mu-t", "--mu-r", "--q-elements"):
+            p.add_argument(flag, type=int)
 
-    def add_params(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--k-t", type=int, dest="k_t")
-        p.add_argument("--k-r", type=int, dest="k_r")
-        p.add_argument("--n-files", type=int, dest="n_files")
-        p.add_argument("--f-packets", type=int, dest="f_packets")
-        p.add_argument("--mu-t", type=int, dest="mu_t")
-        p.add_argument("--mu-r", type=int, dest="mu_r")
-        p.add_argument("--q-elements", type=int, dest="q_elements")
-        p.add_argument("--regime", choices=[design.value for design in Design], default=None)
-        p.add_argument("--l-size", type=int, default=None, help="override the element-derived null count L")
+    def add_schedule(p: argparse.ArgumentParser) -> None:
+        add_network(p)
+        p.add_argument("--regime", choices=[design.value for design in Design])
+        p.add_argument("--l-size", type=int, help="override the element-derived null count L")
 
-    p_find = sub.add_parser("partition-find", help="construct a parallel-class transmitter design")
-    add_common(p_find)
-    p_find.add_argument("--m", type=int, default=None, help="number of groups")
-    p_find.add_argument("--design-mu-t", type=int, default=None, help="group size")
+    p_find = command("partition-find", "construct a parallel-class transmitter design")
+    p_find.add_argument("--m", type=int, help="number of groups")
+    p_find.add_argument("--design-mu-t", type=int, help="group size")
 
-    p_ver = sub.add_parser("schedule-verify", help="build placement+schedule and verify cover and budgets")
-    add_common(p_ver)
-    add_params(p_ver)
+    p_ver = command("schedule-verify", "build placement+schedule and verify cover and budgets")
+    p_ver.add_argument("--seed", type=int, help="accepted and unused: a schedule draws nothing at random")
+    add_schedule(p_ver)
 
-    p_sim = sub.add_parser("simulate", help="run one seeded delivery episode end to end")
-    add_common(p_sim)
-    add_params(p_sim)
-    p_sim.add_argument("--noise-variance", type=float, default=None)
+    p_sim = command("simulate", "run one seeded delivery episode end to end")
+    p_sim.add_argument("--seed", type=int, help="64-bit RNG seed (default 0)")
+    add_schedule(p_sim)
+    p_sim.add_argument("--noise-variance", type=float)
     p_sim.add_argument("--disable-irs", action="store_true", default=None)
-    p_sim.add_argument("--block-csv", default=None, help="also write one CSV row per block")
+    p_sim.add_argument("--block-csv", help="also write one CSV row per block")
 
-    p_sweep = sub.add_parser("dof-sweep", help="write closed-form rate curves as CSV")
-    add_common(p_sweep)
-    add_params(p_sweep)
-    p_sweep.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    p_sweep.add_argument("--axis", choices=SWEEP_AXES, default=None)
-    p_sweep.add_argument("--axis-start", type=int, default=None)
-    p_sweep.add_argument("--axis-stop", type=int, default=None, help="inclusive")
-    p_sweep.add_argument("--axis-step", type=int, default=None)
-    return parser
+    p_sweep = command("dof-sweep", "write closed-form rate curves as CSV")
+    add_network(p_sweep)
+    p_sweep.add_argument("--preset", choices=sorted(PRESETS))
+    p_sweep.add_argument("--axis", choices=SWEEP_AXES)
+    p_sweep.add_argument("--axis-start", type=int)
+    p_sweep.add_argument("--axis-stop", type=int, help="inclusive")
+    p_sweep.add_argument("--axis-step", type=int)
+    return parser, sub.choices
 
 
 def _load_config_file(path: str) -> dict:
@@ -154,106 +126,85 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _check_types(settings: dict) -> None:
-    """Reject a setting whose JSON type is not its key's (see
-    ``SETTING_TYPES``); a boolean is no integer or number."""
-    for key, value in settings.items():
-        kind = SETTING_TYPES.get(key, "string")
-        if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _PYTHON_TYPES[kind]):
-            raise ParameterError(f"setting {key!r} must be a JSON {kind}, got {json.dumps(value)}")
+def _json_type(flag: argparse.Action) -> tuple[str, type | tuple[type, ...]]:
+    """The JSON type of a config value for ``flag``'s destination, by name
+    and as the Python types that hold it: an integer for ``type=int``, a
+    number for ``type=float``, a boolean for ``store_true``, else a string."""
+    if flag.type is int:
+        return "integer", int
+    if flag.type is float:
+        return "number", (int, float)
+    if flag.const is True:
+        return "boolean", bool
+    return "string", str
 
 
-def _merged(args: argparse.Namespace) -> dict:
-    """Config-file values overridden by any flag the user actually set. A
-    config key must be the destination of one of the subcommand's flags."""
-    merged: dict = {}
-    if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config))
-        unknown = sorted(set(merged) - set(vars(args)) - {"command", "config"})
+def _settings(command: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """Config-file values overridden by every flag the user set, keyed by
+    flag destination. A config key must be a destination of one of
+    ``command``'s flags and hold that flag's JSON type; a boolean is no
+    integer or number."""
+    flags = {action.dest: action for action in command._actions if action.dest not in ("help", "config")}
+    settings = {}
+    if args.config:
+        settings = _load_config_file(args.config)
+        unknown = sorted(set(settings) - set(flags))
         if unknown:
             raise ParameterError(f"config file {args.config} has unknown keys: {', '.join(unknown)}")
-        _check_types(merged)
-    for key, value in vars(args).items():
-        if key in ("config", "command") or value is None:
-            continue
-        merged[key] = value
-    return merged
-
-
-def parse_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config file and flags into a validated RunConfig."""
-    merged = _merged(args)
-    cfg = RunConfig(command=args.command)
-    cfg.seed = merged.get("seed", 0)
-    if not 0 <= cfg.seed <= 0xFFFFFFFFFFFFFFFF:
+        for key, value in settings.items():
+            kind, types = _json_type(flags[key])
+            if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, types):
+                raise ParameterError(f"setting {key!r} must be a JSON {kind}, got {json.dumps(value)}")
+    settings.update((dest, getattr(args, dest)) for dest in flags if getattr(args, dest) is not None)
+    if not 0 <= settings.get("seed", 0) <= 0xFFFFFFFFFFFFFFFF:
         raise ParameterError("seed must be a nonnegative 64-bit integer")
-    cfg.strictness = merged.get("strictness", STRICT_Q)
-    if cfg.strictness not in (STRICT_Q, SUFFICIENT_Q):
-        raise ParameterError(f"unknown strictness {cfg.strictness!r}")
-    cfg.out = merged.get("out")
-    cfg.block_csv = merged.get("block_csv")
-    cfg.noise_variance = float(merged.get("noise_variance", 0.0))
-    cfg.l_size = merged.get("l_size")
-    cfg.disable_irs = merged.get("disable_irs", False)
-    cfg.regime = merged.get("regime")
-    cfg.preset = merged.get("preset")
-    if cfg.preset is not None and cfg.preset not in PRESETS:
-        raise ParameterError(f"unknown preset {cfg.preset!r}; expected one of {', '.join(sorted(PRESETS))}")
+    if settings.get("strictness", STRICT_Q) not in (STRICT_Q, SUFFICIENT_Q):
+        raise ParameterError(f"unknown strictness {settings['strictness']!r}")
+    return settings
 
-    preset = dict(PRESETS[cfg.preset]) if cfg.preset else {}
-    for key in PARAM_KEYS:
-        if key in merged:
-            preset[key] = merged[key]
 
-    if args.command == "partition-find":
-        if "m" not in merged or "design_mu_t" not in merged:
-            raise ParameterError("partition-find needs --m and --design-mu-t")
-        cfg.design_m, cfg.design_mu_t = merged["m"], merged["design_mu_t"]
-        return cfg
+def _preset(settings: dict) -> dict:
+    """The values of the preset the settings name; none without one."""
+    name = settings.get("preset")
+    if name is None:
+        return {}
+    if name not in PRESETS:
+        raise ParameterError(f"unknown preset {name!r}; expected one of {', '.join(sorted(PRESETS))}")
+    return PRESETS[name]
 
-    if args.command == "dof-sweep":
-        cfg.axis = merged.get("axis", preset.get("axis"))
-        if cfg.axis is None:
-            raise ParameterError("dof-sweep needs --preset or --axis")
-        if cfg.axis not in SWEEP_AXES:
-            raise ParameterError(f"unknown sweep axis {cfg.axis!r}; expected one of {', '.join(SWEEP_AXES)}")
-        if merged.get("axis_step", 1) < 1:
-            raise ParameterError(f"--axis-step must be at least 1, got {merged['axis_step']}")
-        if "axis_start" in merged or "axis_stop" in merged:
-            if "axis_start" not in merged or "axis_stop" not in merged:
-                raise ParameterError("custom sweeps need both --axis-start and --axis-stop")
-            step = merged.get("axis_step", 1)
-            cfg.axis_values = list(range(merged["axis_start"], merged["axis_stop"] + 1, step))
-        else:
-            cfg.axis_values = preset.get("values")
-        if not cfg.axis_values:
-            raise ParameterError("sweep has no axis values")
 
-    needed = {
-        "k_t": preset.get("k_t"),
-        "k_r": preset.get("k_r"),
-        "mu_t": preset.get("mu_t"),
-        "mu_r": preset.get("mu_r"),
-    }
-    missing = [k for k, v in needed.items() if v is None]
+def _params(settings: dict) -> SystemParams:
+    """The network of a run: the preset's values overridden by the
+    settings, with N = K_R files, F = 1 packet and Q = 0 elements unless
+    given."""
+    values = {**_preset(settings), **settings}
+    missing = [key for key in ("k_t", "k_r", "mu_t", "mu_r") if key not in values]
     if missing:
         raise ParameterError(f"missing required parameters: {', '.join(missing)}")
-    n_files = preset.get("n_files", max(needed["k_r"], 1))
-    f_packets = preset.get("f_packets", 1)
-    cfg.params = SystemParams(
-        k_t=needed["k_t"],
-        k_r=needed["k_r"],
-        n_files=n_files,
-        f_packets=f_packets,
-        mu_t=needed["mu_t"],
-        mu_r=needed["mu_r"],
-        q_elements=preset.get("q_elements", 0),
+    return SystemParams(
+        k_t=values["k_t"],
+        k_r=values["k_r"],
+        n_files=values.get("n_files", max(values["k_r"], 1)),
+        f_packets=values.get("f_packets", 1),
+        mu_t=values["mu_t"],
+        mu_r=values["mu_r"],
+        q_elements=values.get("q_elements", 0),
     )
+
+
+def _episode(settings: dict) -> tuple[SystemParams, str, SimOptions]:
+    """The network, design and options of a scheduled run."""
+    params = _params(settings)
     # the regime default follows the cache regime; an explicit choice is kept
     # (and rejected downstream if it contradicts mu_t)
-    if cfg.regime is None:
-        cfg.regime = (Design.THM1 if cfg.params.mu_t == 1 else Design.THM2_PARTITION).value
-    return cfg
+    regime = settings.get("regime", (Design.THM1 if params.mu_t == 1 else Design.THM2_PARTITION).value)
+    options = SimOptions(
+        noise_variance=float(settings.get("noise_variance", 0.0)),
+        strictness=settings.get("strictness", STRICT_Q),
+        disable_irs=settings.get("disable_irs", False),
+        l_size=settings.get("l_size"),
+    )
+    return params, regime, options
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -265,9 +216,11 @@ def _write_json(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _cmd_partition_find(cfg: RunConfig) -> int:
+def _cmd_partition_find(settings: dict) -> int:
+    if "m" not in settings or "design_mu_t" not in settings:
+        raise ParameterError("partition-find needs --m and --design-mu-t")
     try:
-        system = find_subset_partition(cfg.design_m, cfg.design_mu_t)
+        system = find_subset_partition(settings["m"], settings["design_mu_t"])
     except ValueError as exc:  # m or mu_t out of range
         raise ParameterError(str(exc)) from None
     check = verify_subset_partition(system)
@@ -280,14 +233,13 @@ def _cmd_partition_find(cfg: RunConfig) -> int:
         "num_classes": len(system.classes),
         "classes": [[list(s) for s in cls] for cls in system.classes],
     }
-    _write_json(payload, cfg.out)
+    _write_json(payload, settings.get("out"))
     return EXIT_OK if check.ok else EXIT_VERIFICATION
 
 
-def _cmd_schedule_verify(cfg: RunConfig) -> int:
-    params = cfg.params
-    options = SimOptions(strictness=cfg.strictness, l_size=cfg.l_size)
-    schedule = build_schedule(params, cfg.regime, options)
+def _cmd_schedule_verify(settings: dict) -> int:
+    params, regime, options = _episode(settings)
+    schedule = build_schedule(params, regime, options)
     universe = split_library(params, mode=schedule.tx_mode)
     assignment = place_caches(universe)
     budget_report = verify_cache_budgets(assignment, params)
@@ -299,23 +251,18 @@ def _cmd_schedule_verify(cfg: RunConfig) -> int:
         "cache_budgets": {"ok": budget_report.ok, "messages": list(budget_report.messages)},
         "partition": {"ok": partition_report.ok, "summary": partition_report.summary()},
     }
-    _write_json(payload, cfg.out)
+    _write_json(payload, settings.get("out"))
     return EXIT_OK if budget_report.ok and partition_report.ok else EXIT_VERIFICATION
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    options = SimOptions(
-        noise_variance=cfg.noise_variance,
-        strictness=cfg.strictness,
-        disable_irs=cfg.disable_irs,
-        l_size=cfg.l_size,
-    )
-    report = run_episode(cfg.params, cfg.regime, cfg.seed, options)
+def _cmd_simulate(settings: dict) -> int:
+    params, regime, options = _episode(settings)
+    report = run_episode(params, regime, settings.get("seed", 0), options)
     payload = episode_to_jsonable(report)
-    _write_json(payload, cfg.out)
-    if cfg.block_csv:
+    _write_json(payload, settings.get("out"))
+    if settings.get("block_csv"):
         records = payload["blocks"]  # every schedule has at least one block
-        with open(cfg.block_csv, "w", newline="") as fh:
+        with open(settings["block_csv"], "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(records[0].keys())
             for record in records:
@@ -325,33 +272,50 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_INFEASIBLE if report.infeasible_blocks else EXIT_VERIFICATION
 
 
-def _cmd_dof_sweep(cfg: RunConfig) -> int:
-    points = sweep(cfg.axis, cfg.axis_values, cfg.params, cfg.strictness)
-    out = cfg.out or (f"{cfg.preset}.csv" if cfg.preset else "sweep.csv")
-    write_sweep_csv(points, cfg.axis, out)
+def _cmd_dof_sweep(settings: dict) -> int:
+    preset = _preset(settings)
+    axis = settings.get("axis", preset.get("axis"))
+    if axis is None:
+        raise ParameterError("dof-sweep needs --preset or --axis")
+    if axis not in SWEEP_AXES:
+        raise ParameterError(f"unknown sweep axis {axis!r}; expected one of {', '.join(SWEEP_AXES)}")
+    step = settings.get("axis_step", 1)
+    if step < 1:
+        raise ParameterError(f"--axis-step must be at least 1, got {step}")
+    if "axis_start" in settings or "axis_stop" in settings:
+        if "axis_start" not in settings or "axis_stop" not in settings:
+            raise ParameterError("custom sweeps need both --axis-start and --axis-stop")
+        values = list(range(settings["axis_start"], settings["axis_stop"] + 1, step))
+    elif "axis_step" in settings:
+        raise ParameterError("--axis-step needs --axis-start and --axis-stop")
+    elif axis != preset.get("axis", axis):
+        raise ParameterError(
+            f"--axis {axis} is not preset {settings['preset']}'s axis {preset['axis']}; "
+            "give --axis-start and --axis-stop"
+        )
+    else:
+        values = preset.get("values")
+    if not values:
+        raise ParameterError("sweep has no axis values")
+    points = sweep(axis, values, _params(settings), settings.get("strictness", STRICT_Q))
+    out = settings.get("out") or f"{settings.get('preset', 'sweep')}.csv"
+    write_sweep_csv(points, axis, out)
     return EXIT_OK
 
 
-def run_command(cfg: RunConfig) -> int:
-    handlers = {
-        "partition-find": _cmd_partition_find,
-        "schedule-verify": _cmd_schedule_verify,
-        "simulate": _cmd_simulate,
-        "dof-sweep": _cmd_dof_sweep,
-    }
-    return handlers[cfg.command](cfg)
+_COMMANDS = {
+    "partition-find": _cmd_partition_find,
+    "schedule-verify": _cmd_schedule_verify,
+    "simulate": _cmd_simulate,
+    "dof-sweep": _cmd_dof_sweep,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = parse_config(args)
-    except (ParameterError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return run_command(cfg)
+        return _COMMANDS[args.command](_settings(commands[args.command], args))
     except (ParameterError, SchedulingError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

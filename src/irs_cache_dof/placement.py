@@ -179,20 +179,16 @@ def verify_cache_budgets(assignment: CacheAssignment, params: SystemParams) -> B
     """
     pps = assignment.packets_per_subfile
     messages: list[str] = []
-    tx_target = params.m_t_files * params.f_packets
-    rx_target = params.m_r_files * params.f_packets
-    tx_ok = True
-    for i, cache in enumerate(assignment.tx_caches, start=1):
-        got = len(cache) * pps
-        if got != tx_target:
-            tx_ok = False
-            messages.append(f"tx {i}: {got} packets cached, budget says {tx_target}")
-    rx_ok = True
-    for j, cache in enumerate(assignment.rx_caches, start=1):
-        got = len(cache) * pps
-        if got != rx_target:
-            rx_ok = False
-            messages.append(f"rx {j}: {got} packets cached, budget says {rx_target}")
+    sides_ok = []
+    for side, caches, files in (
+        ("tx", assignment.tx_caches, params.m_t_files),
+        ("rx", assignment.rx_caches, params.m_r_files),
+    ):
+        target = files * params.f_packets
+        wrong = [(i, len(cache) * pps) for i, cache in enumerate(caches, start=1) if len(cache) * pps != target]
+        messages.extend(f"{side} {i}: {got} packets cached, budget says {target}" for i, got in wrong)
+        sides_ok.append(not wrong)
+    tx_ok, rx_ok = sides_ok
     covered = frozenset().union(*assignment.tx_caches) if assignment.tx_caches else frozenset()
     uncovered = [s for s in assignment.universe.subfiles if s not in covered]
     coverage_ok = not uncovered

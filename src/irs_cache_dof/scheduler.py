@@ -522,50 +522,64 @@ def _pair_key(pair: tuple[SubfileId, int]):
     return _order_key((sub.file, sub.tx_index, sub.rx_set, sub.zf_set, sub.irs_set, rx))
 
 
+def _group_starts(rows: np.ndarray) -> np.ndarray:
+    """The first position of every run of equal rows in sorted ``rows``."""
+    new = np.ones(len(rows), dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    return np.flatnonzero(new)
+
+
 def verify_schedule_partition(schedule: Schedule, demanded: SubfileKeys) -> PartitionReport:
     """Check the exact-cover property: every demanded (subfile, receiver)
     pair is delivered exactly once and nothing else is delivered.
 
-    Each delivery is keyed once with the demanded set's codec; one with a
-    digit out of range has no key and is undemanded. One stable sort of the
-    demanded and delivered keys together then groups equal keys: a group
-    without a demanded key is undemanded, one without a delivery is missing,
-    one with several deliveries is duplicated. Undemanded and duplicated
-    pairs are the deliveries' own; missing ones are decoded from their keys.
+    Each delivery is keyed once with the demanded set's codec, straight
+    into the rows after the demanded keys; one with a digit out of range has
+    no key and is undemanded. One stable sort of the demanded and delivered
+    keys together then groups equal keys: a group without a demanded key is
+    undemanded, one without a delivery is missing, one with several
+    deliveries is duplicated. Undemanded and duplicated pairs are the
+    deliveries' own; missing ones are decoded from their keys.
     """
     codec = demanded.codec
     deliveries = [dl for block in schedule.blocks for dl in block.deliveries]
     subfiles = [dl.subfile for dl in deliveries]
     fields = [map(attrgetter(name), subfiles) for name in ("file", "tx_index", "rx_set", "zf_set", "irs_set")]
     fields.append(map(attrgetter("intended_rx"), deliveries))
+    n_demanded = len(demanded)
+    rows = np.zeros((n_demanded + len(deliveries), codec.width), dtype=np.int64)
+    rows[:n_demanded] = demanded.rows
     # each field's digits go straight into the deliveries' key rows; a row with a -1 digit is unkeyed
-    rows = np.zeros((len(deliveries), codec.width), dtype=np.int64)
     keyed = np.ones(len(deliveries), dtype=bool)
     for digit_of, values, (word, weight) in zip(codec.digit_of, fields, codec.places):
         digit = np.fromiter(map(_Digits(digit_of).__getitem__, values), np.int64, len(deliveries))
         keyed &= digit >= 0
-        rows[:, word] += digit * np.int64(weight)
+        digit *= weight
+        rows[n_demanded:, word] += digit
 
     def pair(i):
         return deliveries[i].subfile, deliveries[i].intended_rx
 
     unkeyed = Counter(pair(i) for i in np.flatnonzero(~keyed))
     keyed = np.flatnonzero(keyed)
-    n_demanded = len(demanded)
-    rows = np.concatenate([demanded.rows, rows[keyed]])
+    # unkeyed rows drop out; the keyed ones move up in delivery order
+    rows[n_demanded : n_demanded + len(keyed)] = rows[n_demanded:][keyed]
+    rows = rows[: n_demanded + len(keyed)]
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
+    starts = _group_starts(rows)
     is_demanded = order[starts] < n_demanded
-    count = np.diff(np.r_[starts, len(rows)]) - is_demanded
-    hit = count > 0
-    first = np.zeros(len(starts), dtype=np.intp)
-    first[hit] = keyed[order[starts[hit] + is_demanded[hit]] - n_demanded]
-    missing = tuple(codec.pairs(rows[starts[~hit]]))
-    extra = [pair(i) for i in first[~is_demanded]] + list(unkeyed)
-    duplicates = [pair(i) for i in first[count > 1]] + [p for p, c in unkeyed.items() if c > 1]
+    count = np.empty_like(starts)  # deliveries per group
+    np.subtract(starts[1:], starts[:-1], out=count[:-1])
+    count[-1:] = len(rows) - starts[-1:]  # a slice, so no rows give no groups
+    count -= is_demanded
+
+    def delivered(at):  # the deliveries at sorted positions ``at``
+        return [pair(i) for i in keyed[order[at] - n_demanded]]
+
+    missing = tuple(codec.pairs(rows[starts[count == 0]]))
+    extra = delivered(starts[~is_demanded]) + list(unkeyed)
+    duplicates = delivered((starts + is_demanded)[count > 1]) + [p for p, c in unkeyed.items() if c > 1]
     return PartitionReport(
         ok=not (missing or extra or duplicates),
         missing=missing,

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from irs_cache_dof.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_VERIFICATION, main
+from irs_cache_dof.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_VERIFICATION, _build_parser, main
 
 EXAMPLE_FLAGS = [
     "--k-t", "3", "--k-r", "4", "--n-files", "12", "--f-packets", "12",
@@ -383,3 +383,163 @@ def test_design_names_in_artifacts(tmp_path, capsys, flags, regime, label, tx_mo
     assert (verified["schedule"]["regime"], verified["schedule"]["tx_mode"]) == (label, tx_mode)
     outputs = [episode.read_text(), rows.read_text(), verify.read_text(), *capsys.readouterr()]
     assert not any("Design." in text for text in outputs)
+
+
+# -- the parser as the one table of settings ---------------------------------
+
+_, COMMAND_PARSERS = _build_parser()
+
+#: settings each command runs with; every flag destination not listed here
+#: takes the sample value below
+COMMAND_SETTINGS = {
+    "partition-find": {"m": 2, "design_mu_t": 2},
+    "schedule-verify": EXAMPLE_SETTINGS,
+    "simulate": EXAMPLE_SETTINGS,
+    "dof-sweep": {
+        "k_t": 6, "k_r": 6, "n_files": 6, "f_packets": 1, "mu_t": 1, "mu_r": 2, "q_elements": 0,
+        "axis": "k_r", "axis_start": 3, "axis_stop": 12,
+    },
+}
+SAMPLE_VALUES = {
+    "seed": 9,
+    "strictness": "sufficient",
+    "regime": "thm1",
+    "l_size": 1,
+    "noise_variance": 1e-3,
+    "disable_irs": True,
+    "preset": "fig6",
+    "axis_step": 3,
+}
+PATH_SETTINGS = ("out", "block_csv")
+
+
+def _flags(command):
+    """Every flag destination of ``command``'s parser but ``--config``'s."""
+    return [
+        dest for dest in dict.fromkeys(action.dest for action in COMMAND_PARSERS[command]._actions)
+        if dest not in ("help", "config")
+    ]
+
+
+def _argv(command, settings):
+    """``settings`` as ``command``'s flags, found from its parser's actions."""
+    argv = []
+    for dest, value in settings.items():
+        actions = [action for action in COMMAND_PARSERS[command]._actions if action.dest == dest]
+        if actions[0].nargs == 0:  # a switch: the one whose constant is the value
+            argv.append(next(a.option_strings[0] for a in actions if a.const == value))
+        else:
+            argv += [actions[0].option_strings[0], str(value)]
+    return argv
+
+
+def _setting(command, dest, run_dir):
+    if dest in PATH_SETTINGS:
+        return str(run_dir / dest)
+    return SAMPLE_VALUES[dest] if dest in SAMPLE_VALUES else COMMAND_SETTINGS[command][dest]
+
+
+@pytest.mark.parametrize(
+    "command, dest", [(command, dest) for command in COMMAND_PARSERS for dest in _flags(command)]
+)
+def test_every_flag_destination_reads_the_same_from_a_config_file(tmp_path, command, dest):
+    """Moving one setting from its flag into ``--config`` changes neither
+    the exit code nor a byte of the artifacts."""
+    runs = []
+    for source in ("flags", "config"):
+        run_dir = tmp_path / source
+        run_dir.mkdir()
+        settings = {key: _setting(command, key, run_dir) for key in {**COMMAND_SETTINGS[command], dest: None}}
+        settings.setdefault("out", str(run_dir / "out"))
+        argv = [command]
+        if source == "config":
+            (run_dir / "run.json").write_text(json.dumps({dest: settings.pop(dest)}))
+            argv += ["--config", str(run_dir / "run.json")]
+        code = main([*argv, *_argv(command, settings)])
+        runs.append((code, {path.name: path.read_bytes() for path in run_dir.iterdir() if path.name != "run.json"}))
+    assert runs[0] == runs[1]
+    assert runs[0][1]  # the run wrote its artifact
+
+
+@pytest.mark.parametrize(
+    "command, dest", [(command, dest) for command in COMMAND_PARSERS for dest in _flags(command)]
+)
+def test_every_config_setting_of_another_json_type_is_refused(tmp_path, capsys, command, dest):
+    right = _setting(command, dest, tmp_path)
+    wrong = {bool: 1, int: str(right), float: str(right), str: 5}[type(right)]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**COMMAND_SETTINGS[command], dest: wrong}))
+    out = tmp_path / "artifact"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(dest) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, key, value",
+    [
+        ("dof-sweep", ["--l-size", "3"], "l_size", 3),
+        ("dof-sweep", ["--regime", "thm1"], "regime", "thm1"),
+        ("dof-sweep", ["--seed", "9"], "seed", 9),
+        ("partition-find", ["--seed", "9"], "seed", 9),
+        ("partition-find", ["--strict-q"], "strictness", "strict"),
+        ("partition-find", ["--sufficient-q"], "strictness", "sufficient"),
+    ],
+)
+def test_removed_flags_are_refused(tmp_path, capsys, command, flag, key, value):
+    """A flag the command would ignore is no flag of it: the parser refuses
+    it (exit 2), and so is its key in a config file (exit 4, by name)."""
+    out = tmp_path / "artifact"
+    base = [command, *_argv(command, COMMAND_SETTINGS[command]), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([*base, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main([*base, "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"unknown keys: {key}" in err
+    assert not out.exists()
+
+
+def test_config_file_key_for_the_config_flag_itself_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**EXAMPLE_SETTINGS, "config": str(cfg)}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "unknown keys: config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize(
+    "settings, flag",
+    [
+        ({"preset": "fig2", "axis_step": 50}, "--axis-step"),
+        ({"preset": "fig6", "axis": "q"}, "--axis"),
+        ({"preset": "fig2", "axis": "mu_r"}, "--axis"),
+    ],
+    ids=["step-without-range", "fig6-along-q", "fig2-along-mu_r"],
+)
+def test_dof_sweep_setting_without_a_custom_range_is_refused(tmp_path, capsys, settings, flag, source):
+    """A step, or an axis other than the preset's, means nothing without
+    ``--axis-start``/``--axis-stop``; neither is dropped nor applied to the
+    preset's values."""
+    if source == "flags":
+        argv = _argv("dof-sweep", settings)
+    else:
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(settings))
+        argv = ["--config", str(cfg)]
+    out = tmp_path / "sweep.csv"
+    assert main(["dof-sweep", *argv, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{flag} " in err
+    assert not out.exists()
+
+
+def test_dof_sweep_preset_along_its_own_axis_sweeps_the_preset(tmp_path):
+    plain, named = tmp_path / "plain.csv", tmp_path / "named.csv"
+    assert main(["dof-sweep", "--preset", "fig6", "--out", str(plain)]) == EXIT_OK
+    assert main(["dof-sweep", "--preset", "fig6", "--axis", "mu_r", "--out", str(named)]) == EXIT_OK
+    assert plain.read_bytes() == named.read_bytes()
