@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .params import ParameterError, SystemParams
+from .params import ParameterError, SystemParams, slot_init
 
 STRICT_Q = "strict"
 SUFFICIENT_Q = "sufficient"
@@ -24,7 +24,8 @@ SCHEME_BENCH_NDT = "bench_ndt"
 SCHEME_MEMORY_SHARING = "memory_sharing"
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class DofPoint:
     """One evaluated (parameters -> rate) record."""
 
@@ -207,6 +208,8 @@ AXIS_Q = "q"
 AXIS_KR = "k_r"
 AXIS_MUR = "mu_r"
 SWEEP_AXES = (AXIS_Q, AXIS_KR, AXIS_MUR)
+#: the network parameter each axis sets, a field of both SystemParams and DofPoint
+SWEEP_FIELDS = {AXIS_Q: "q_elements", AXIS_KR: "k_r", AXIS_MUR: "mu_r"}
 
 
 def sweep(
@@ -223,7 +226,7 @@ def sweep(
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    field = {AXIS_Q: "q_elements", AXIS_KR: "k_r", AXIS_MUR: "mu_r"}[axis]
+    field = SWEEP_FIELDS[axis]
     points: list[DofPoint] = []
     for value in values:
         # more receivers keep one distinct file each
@@ -244,11 +247,11 @@ def write_sweep_csv(points: Sequence[DofPoint], axis: str, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_CSV_COLUMNS)
+        field = SWEEP_FIELDS[axis]
         for p in points:
-            axis_value = {"q": p.q_elements, "k_r": p.k_r, "mu_r": p.mu_r}[axis]
             writer.writerow(
                 [
-                    axis_value,
+                    getattr(p, field),
                     p.scheme,
                     p.l_size if p.l_size is not None else "",
                     p.sum_dof.numerator,

@@ -30,6 +30,7 @@ from .analytics import (
     STRICT_Q,
     SUFFICIENT_Q,
     SWEEP_AXES,
+    SWEEP_FIELDS,
     sweep,
     write_sweep_csv,
 )
@@ -292,6 +293,12 @@ def _cmd_dof_sweep(settings: dict) -> int:
         raise ParameterError(
             f"--axis {axis} is not preset {settings['preset']}'s axis {preset['axis']}; "
             "give --axis-start and --axis-stop"
+        )
+    elif preset and SWEEP_FIELDS[axis] in settings:
+        # the preset's axis values replace the network's value of that parameter
+        raise ParameterError(
+            f"--{SWEEP_FIELDS[axis].replace('_', '-')} is the parameter preset {settings['preset']} sweeps "
+            f"along its {axis} axis; give --axis-start and --axis-stop to sweep a custom range"
         )
     else:
         values = preset.get("values")

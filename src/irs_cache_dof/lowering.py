@@ -109,7 +109,9 @@ def _lower(plan: "BlockPlan") -> tuple[tuple[int, ...], list[int]]:
 def lower(plans: "Sequence[BlockPlan]") -> PlanStack:
     """The plans lowered and stacked, one row per plan, in order. They must
     share one shape: the first plan whose header differs from the first
-    plan's raises :class:`ShapeMismatchError`."""
+    plan's raises :class:`ShapeMismatchError`, and no plans a ValueError."""
+    if not plans:
+        raise ValueError("there are no plans to lower")
     lowered = map(_lower, plans)
     header, values = next(lowered)
     rows = np.empty((len(plans), len(values)), dtype=np.int16)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from numbers import Integral
 
@@ -17,6 +17,31 @@ def as_integer(value: object, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def slot_init(cls: type) -> type:
+    """Give the frozen slotted dataclass ``cls`` an ``__init__`` that stores
+    each field through its slot's member descriptor, not through
+    ``object.__setattr__`` (which looks each name up on the type again),
+    then calls ``__post_init__`` when ``cls`` defines one. The parameters
+    are the fields' names, order and defaults, so every other behaviour of
+    the class stays the dataclass's own. Apply it above
+    ``@dataclass(frozen=True, slots=True)``, to a class whose fields are all
+    positional ``init`` fields without a ``default_factory``."""
+    fs = fields(cls)
+    namespace = {f"_set_{f.name}": cls.__dict__[f.name].__set__ for f in fs}
+    body = [f"_set_{f.name}(self, {f.name})" for f in fs]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(f.name for f in fs)}):\n    " + "\n    ".join(body), namespace)
+    init = namespace["__init__"]
+    # a field with a default follows every field without one, as in the dataclass
+    init.__defaults__ = tuple(f.default for f in fs if f.default is not MISSING)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    init.__annotations__ = cls.__init__.__annotations__
+    cls.__init__ = init
+    return cls
 
 
 @dataclass(frozen=True)

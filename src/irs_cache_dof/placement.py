@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Union
 
 from .combinatorics import OrderedPartitionSystem, Subset, enumerate_ordered_partitions, enumerate_subsets
-from .params import SystemParams
+from .params import SystemParams, slot_init
 
 SUBSET_MODE = "subset"
 ORDERED_MODE = "ordered"
@@ -26,6 +26,7 @@ ORDERED_MODE = "ordered"
 TxIndex = Union[Subset, int]
 
 
+@slot_init
 @dataclass(frozen=True, order=True, slots=True)
 class SubfileId:
     """Full index of one subfile.

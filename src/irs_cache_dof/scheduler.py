@@ -34,7 +34,7 @@ from .combinatorics import (
     verify_subset_partition,
 )
 from .lowering import PlanStack, lower
-from .params import SystemParams
+from .params import SystemParams, slot_init
 from .placement import ORDERED_MODE, SUBSET_MODE, SubfileId, SubfileUniverse
 
 
@@ -57,6 +57,7 @@ def worst_case_demand(params: SystemParams) -> DemandVector:
     return DemandVector(d=tuple(range(1, params.k_r + 1)))
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Delivery:
     subfile: SubfileId
@@ -64,6 +65,7 @@ class Delivery:
     serving_txs: Subset
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class BlockPlan:
     """One communication block: who sends what to whom, and which
@@ -591,7 +593,10 @@ def verify_schedule_partition(schedule: Schedule, demanded: SubfileKeys) -> Part
 def achieved_dof(schedule: Schedule, delivered: int | None = None) -> Fraction:
     """Delivered subfiles per block, as an exact rational. With the default
     ``delivered`` (every scheduled subfile), this is the schedule's nominal
-    rate; the simulator passes the count that actually decoded."""
+    rate; the simulator passes the count that actually decoded. A schedule
+    with no blocks has no rate: :class:`SchedulingError`."""
+    if not schedule.blocks:
+        raise SchedulingError("a schedule with no blocks has no rate")
     if delivered is None:
         delivered = sum(len(b.deliveries) for b in schedule.blocks)
     return Fraction(delivered, schedule.h_blocks)

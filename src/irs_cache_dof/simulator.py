@@ -18,7 +18,7 @@ from .channel import SingularChannelError, as_seed, equivalent_channels, fill_bl
 from .combinatorics import enumerate_ordered_partitions, find_subset_partition
 from .irs import STATUS_INFEASIBLE, solve_irs_stack, solve_status
 from .lowering import PlanStack, lower
-from .params import ParameterError, SystemParams, as_integer
+from .params import ParameterError, SystemParams, as_integer, slot_init
 from .scheduler import (
     BlockPlan,
     DemandVector,
@@ -196,6 +196,7 @@ def receiver_decode(
     return complex(estimate[0]), float(residual[0])
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class BlockRecord:
     block_index: int
@@ -268,11 +269,13 @@ def _l_size(params: SystemParams, options: SimOptions) -> int:
 
 
 def _schedule_for(params: SystemParams, design: Design, options: SimOptions, schedule: Schedule | None) -> Schedule:
-    """A prebuilt ``schedule``, once checked to be for ``params``,
-    ``design``, and the null count and demand ``options`` derive; without
-    one, a new build."""
+    """A prebuilt ``schedule``, once checked to have blocks and to be for
+    ``params``, ``design``, and the null count and demand ``options``
+    derive; without one, a new build."""
     if schedule is None:
         return build_schedule(params, design, options)
+    if not schedule.blocks:
+        raise SchedulingError("the schedule has no blocks")
     if schedule.params != params or schedule.design is not design:
         raise SchedulingError(
             f"the schedule is for {schedule.params} with regime {schedule.design.value!r}, "

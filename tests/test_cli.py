@@ -543,3 +543,39 @@ def test_dof_sweep_preset_along_its_own_axis_sweeps_the_preset(tmp_path):
     assert main(["dof-sweep", "--preset", "fig6", "--out", str(plain)]) == EXIT_OK
     assert main(["dof-sweep", "--preset", "fig6", "--axis", "mu_r", "--out", str(named)]) == EXIT_OK
     assert plain.read_bytes() == named.read_bytes()
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize(
+    "settings, flag",
+    [
+        ({"preset": "fig2", "q_elements": 50}, "--q-elements"),
+        ({"preset": "fig4", "k_r": 9}, "--k-r"),
+        ({"preset": "fig6", "axis": "mu_r", "mu_r": 3}, "--mu-r"),
+    ],
+    ids=["fig2-q", "fig4-k_r", "fig6-mu_r"],
+)
+def test_dof_sweep_value_of_the_preset_axis_parameter_is_refused(tmp_path, capsys, settings, flag, source):
+    """A preset's own axis values replace the swept parameter's value, so a
+    value given for it would be dropped: it is refused by flag name."""
+    if source == "flags":
+        argv = _argv("dof-sweep", settings)
+    else:
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(settings))
+        argv = ["--config", str(cfg)]
+    out = tmp_path / "sweep.csv"
+    assert main(["dof-sweep", *argv, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{flag} " in err
+    assert not out.exists()
+
+
+def test_dof_sweep_custom_range_replaces_the_axis_parameter(tmp_path):
+    """Over a custom range the axis value replaces the network's value of
+    the swept parameter, as before."""
+    base = ["dof-sweep", "--preset", "fig2", "--axis-start", "0", "--axis-stop", "60", "--axis-step", "6"]
+    given, plain = tmp_path / "given.csv", tmp_path / "plain.csv"
+    assert main([*base, "--q-elements", "50", "--out", str(given)]) == EXIT_OK
+    assert main([*base, "--out", str(plain)]) == EXIT_OK
+    assert given.read_bytes() == plain.read_bytes()

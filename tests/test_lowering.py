@@ -155,3 +155,8 @@ def test_malformed_plan_refused_when_lowered():
     ]:
         with pytest.raises(ValueError, match=rf"^block {plan.block_index}: {message}$"):
             lower([bad])
+
+
+def test_no_plans_refused_when_lowered():
+    with pytest.raises(ValueError, match="no plans"):
+        lower([])

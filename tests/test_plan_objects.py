@@ -1,17 +1,22 @@
-"""The types built once per subfile, delivery, block and block record are
-slotted: no instance carries a ``__dict__``, and each is still frozen,
-validated, replaced, pickled, deep-copied, compared and hashed as a plain
-frozen dataclass is."""
+"""The types built once per subfile, delivery, block, block record and
+sweep point are slotted: no instance carries a ``__dict__``, and each is
+still frozen, validated, replaced, pickled, deep-copied, compared and hashed
+as a plain frozen dataclass is. Their one ``__init__`` comes from
+:func:`params.slot_init` and takes exactly the dataclass fields."""
 
 import copy
+import inspect
 import pickle
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
+from fractions import Fraction
 
 import pytest
 
-from irs_cache_dof.analytics import SUFFICIENT_Q
+from irs_cache_dof.analytics import AXIS_Q, SUFFICIENT_Q, DofPoint, sweep
 from irs_cache_dof.params import SystemParams
-from irs_cache_dof.simulator import SimOptions, build_schedule, run_episode
+from irs_cache_dof.placement import SubfileId
+from irs_cache_dof.scheduler import BlockPlan, Delivery
+from irs_cache_dof.simulator import BlockRecord, SimOptions, build_schedule, run_episode
 
 EX = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1, q_elements=6)
 #: ordered arrangements: a subfile's transmitter-side index is an int, not a subset
@@ -24,7 +29,8 @@ CASES = {
 
 @pytest.fixture(params=sorted(CASES), scope="module")
 def objects(request):
-    """Every block, delivery, subfile and block record of one episode, by type name."""
+    """Every block, delivery, subfile and block record of one episode, and
+    the points of a sweep over the network's element budgets, by type name."""
     params, regime, options = CASES[request.param]
     schedule = build_schedule(params, regime, options)
     plans = list(schedule.blocks)
@@ -35,6 +41,7 @@ def objects(request):
         "Delivery": deliveries,
         "BlockPlan": plans,
         "BlockRecord": records,
+        "DofPoint": sweep(AXIS_Q, range(params.q_elements + 3), params, options.strictness),
     }
 
 
@@ -90,3 +97,39 @@ def test_subfiles_order_as_their_field_tuples(objects):
     subfiles = sorted(set(objects["SubfileId"]), key=lambda sub: tuple(_values(sub).values()))
     assert sorted(reversed(subfiles)) == subfiles
     assert all(a < b and b > a and a <= b for a, b in zip(subfiles, subfiles[1:]))
+
+
+@pytest.mark.parametrize("cls", [SubfileId, Delivery, BlockPlan, BlockRecord, DofPoint], ids=lambda cls: cls.__name__)
+def test_constructor_takes_exactly_the_fields(cls):
+    """The signature lists the dataclass fields in order, each a
+    positional-or-keyword parameter with the field's default."""
+    params = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty if f.default is MISSING else f.default)
+        for f in fields(cls)
+    ]
+
+
+def test_positional_and_keyword_builds_store_the_same_fields(objects):
+    for instances in objects.values():
+        for obj in instances[:: max(1, len(instances) // 7)]:
+            values = _values(obj)
+            for twin in (type(obj)(*values.values()), type(obj)(**values)):
+                assert all(getattr(twin, name) is value for name, value in values.items())
+
+
+def test_constructors_still_validate():
+    with pytest.raises(ValueError, match="receiver index groups must be disjoint"):
+        SubfileId(1, (1,), (1, 2), (2, 3))
+    with pytest.raises(ValueError, match="receiver index groups must be disjoint"):
+        SubfileId(file=1, tx_index=2, rx_set=(1,), irs_set=(1,))
+    point = dict(scheme="thm1", k_t=3, k_r=4, mu_t=Fraction(1), mu_r=Fraction(1), q_elements=6, l_size=1)
+    for rate in (Fraction(5, 4), Fraction(-1, 4)):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            DofPoint(**point, sum_dof=4 * rate, per_user_dof=rate)
+    with pytest.raises(ValueError, match="disagree"):
+        DofPoint(*point.values(), Fraction(2), Fraction(3, 4))
+    valid = DofPoint(*point.values(), Fraction(3), Fraction(3, 4))
+    assert valid.strictness is None
+    with pytest.raises(ValueError, match="disagree"):
+        replace(valid, per_user_dof=Fraction(1))

@@ -12,7 +12,7 @@ import pytest
 from irs_cache_dof.channel import equivalent_channel, sample_block_channels, zero_irs
 from irs_cache_dof.params import ParameterError, SystemParams
 from irs_cache_dof.placement import SubfileId
-from irs_cache_dof.scheduler import DemandVector, SchedulingError, make_schedule, worst_case_demand
+from irs_cache_dof.scheduler import DemandVector, SchedulingError, achieved_dof, make_schedule, worst_case_demand
 from irs_cache_dof.simulator import (
     ScheduleConsistencyError,
     SimOptions,
@@ -467,3 +467,18 @@ def test_singular_block_names_seed_and_block(monkeypatch):
     message = rf"^seed 5, block {plan.block_index}: joint zero-forcing system is singular; the episode aborts$"
     with pytest.raises(SingularChannelError, match=message):
         simulate_block(plan, p, 5, options)
+
+
+def test_schedule_with_no_blocks_is_refused():
+    """A schedule cut to no blocks has neither a lowered stack nor a rate,
+    and no episode or slope fit runs on it; each says so by its own error
+    rather than a bare StopIteration or a zero-over-zero rate."""
+    empty = replace(build_schedule(EX, "thm1", SimOptions()), blocks=())
+    with pytest.raises(ValueError, match="no plans"):
+        empty.lowered
+    with pytest.raises(SchedulingError, match="no blocks"):
+        achieved_dof(empty)
+    with pytest.raises(SchedulingError, match="no blocks"):
+        run_episode(EX, "thm1", 3, SimOptions(), schedule=empty)
+    with pytest.raises(SchedulingError, match="no blocks"):
+        estimate_dof_slope(EX, "thm1", 3, (1e4, 1e6), SimOptions(), schedule=empty)
