@@ -101,6 +101,8 @@ def _lower(plan: "BlockPlan") -> tuple[tuple[int, ...], list[int]]:
         [j - 1 for j in sorted(plan.zf_rxs)],
     ]
     values = list(chain.from_iterable(sections))
+    if min(values) < 0:  # numpy would read index -1 as the last node
+        raise ValueError(f"block {plan.block_index}: names node {min(values) + 1}; nodes count from 1")
     if max(values) > _MAX_INDEX:
         raise ValueError(f"block {plan.block_index} is too large to lower to int16 indices")
     return header, values

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,7 +33,7 @@ from .combinatorics import (
     verify_subset_partition,
 )
 from .lowering import PlanStack, lower
-from .params import SystemParams, slot_init
+from .params import SystemParams, as_integer, slot_init
 from .placement import ORDERED_MODE, SUBSET_MODE, SubfileId, SubfileUniverse
 
 
@@ -47,6 +46,9 @@ class DemandVector:
     """Requested file per receiver, ``d[j-1]`` for receiver ``j``."""
 
     d: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "d", tuple(as_integer(f, "demand") for f in self.d))
 
     def file_for(self, rx: int) -> int:
         return self.d[rx - 1]
@@ -138,23 +140,30 @@ class Schedule:
 _WORD_RADIX = 1 << 63
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer))
+def _as_index(value) -> int | None:
+    """The int that ``value`` equals under ``==`` (1 for ``1.0``, ``Fraction(1)`` or
+    ``True``), or None: a digit depends only on a value's equality class, as pairs do."""
+    try:
+        index = int(value.real)
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        return None
+    return index if index == value else None
 
 
 def _index_digit(value, radix: int) -> int:
-    """``value - 1`` for ``value`` in ``1..radix``, else -1."""
-    return int(value) - 1 if _is_int(value) and 1 <= value <= radix else -1
+    """``i - 1`` for ``value`` equal to an ``i`` in ``1..radix``, else -1."""
+    return index - 1 if (index := _as_index(value)) is not None and 1 <= index <= radix else -1
 
 
 def _subset_digit(value, n: int, k: int) -> int:
     """Position of ``value`` in ``enumerate_subsets(n, k)``, or -1 when it is
-    not an increasing ``k``-tuple over ``1..n``."""
-    if not (isinstance(value, tuple) and len(value) == k and all(_is_int(v) for v in value)):
+    not a ``k``-tuple equal to an increasing one over ``1..n``."""
+    if not (isinstance(value, tuple) and len(value) == k):
         return -1
-    if list(value) != sorted(set(value)) or (k and not 1 <= value[0] <= value[-1] <= n):
+    subset = list(map(_as_index, value))
+    if None in subset or subset != sorted(set(subset)) or (k and not 1 <= subset[0] <= subset[-1] <= n):
         return -1
-    return int(subset_ranks(np.array(value, dtype=np.int64).reshape(1, k), n)[0])
+    return int(subset_ranks(np.array(subset, dtype=np.int64).reshape(1, k), n)[0])
 
 
 class SubfileKeyCodec:
@@ -421,7 +430,7 @@ def make_schedule(
     else:
         design = Design.THM2_PARTITION if isinstance(system, SubsetPartitionSystem) else Design.THM2_ORDERED
     design.check(params)
-    if len(demand.d) != k_r or not all(_is_int(f) and 1 <= f <= params.n_files for f in demand.d):
+    if len(demand.d) != k_r or not all(1 <= f <= params.n_files for f in demand.d):
         raise SchedulingError(
             f"the demand {demand.d} must name one file in 1..{params.n_files} for each of the {k_r} receivers"
         )
@@ -535,13 +544,13 @@ def verify_schedule_partition(schedule: Schedule, demanded: SubfileKeys) -> Part
     """Check the exact-cover property: every demanded (subfile, receiver)
     pair is delivered exactly once and nothing else is delivered.
 
-    Each delivery is keyed once with the demanded set's codec, straight
-    into the rows after the demanded keys; one with a digit out of range has
-    no key and is undemanded. One stable sort of the demanded and delivered
-    keys together then groups equal keys: a group without a demanded key is
-    undemanded, one without a delivery is missing, one with several
-    deliveries is duplicated. Undemanded and duplicated pairs are the
-    deliveries' own; missing ones are decoded from their keys.
+    Each delivery is keyed once with the demanded set's codec, straight into
+    the rows after the demanded keys; one with a digit out of range gets a
+    private key, word 0 ``-1 - id`` (below every codec key) with ``id`` shared
+    by equal pairs. One stable sort of all keys then groups equal ones: a
+    group without a demanded key is undemanded, one without a delivery is
+    missing, one with several deliveries is duplicated. Undemanded and
+    duplicated pairs are the deliveries' own; missing ones are decoded.
     """
     codec = demanded.codec
     deliveries = [dl for block in schedule.blocks for dl in block.deliveries]
@@ -551,7 +560,7 @@ def verify_schedule_partition(schedule: Schedule, demanded: SubfileKeys) -> Part
     n_demanded = len(demanded)
     rows = np.zeros((n_demanded + len(deliveries), codec.width), dtype=np.int64)
     rows[:n_demanded] = demanded.rows
-    # each field's digits go straight into the deliveries' key rows; a row with a -1 digit is unkeyed
+    # each field's digits go straight into the deliveries' key rows
     keyed = np.ones(len(deliveries), dtype=bool)
     for digit_of, values, (word, weight) in zip(codec.digit_of, fields, codec.places):
         digit = np.fromiter(map(_Digits(digit_of).__getitem__, values), np.int64, len(deliveries))
@@ -562,32 +571,23 @@ def verify_schedule_partition(schedule: Schedule, demanded: SubfileKeys) -> Part
     def pair(i):
         return deliveries[i].subfile, deliveries[i].intended_rx
 
-    unkeyed = Counter(pair(i) for i in np.flatnonzero(~keyed))
-    keyed = np.flatnonzero(keyed)
-    # unkeyed rows drop out; the keyed ones move up in delivery order
-    rows[n_demanded : n_demanded + len(keyed)] = rows[n_demanded:][keyed]
-    rows = rows[: n_demanded + len(keyed)]
+    ids: dict[tuple[SubfileId, int], int] = {}
+    unkeyed = np.flatnonzero(~keyed)
+    rows[n_demanded + unkeyed] = 0
+    rows[n_demanded + unkeyed, 0] = [-1 - ids.setdefault(pair(i), len(ids)) for i in unkeyed]
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
     starts = _group_starts(rows)
     is_demanded = order[starts] < n_demanded
-    count = np.empty_like(starts)  # deliveries per group
-    np.subtract(starts[1:], starts[:-1], out=count[:-1])
-    count[-1:] = len(rows) - starts[-1:]  # a slice, so no rows give no groups
-    count -= is_demanded
+    count = np.diff(starts, append=len(rows)) - is_demanded  # deliveries per group
 
-    def delivered(at):  # the deliveries at sorted positions ``at``
-        return [pair(i) for i in keyed[order[at] - n_demanded]]
+    def delivered(at):  # the deliveries at sorted positions ``at``, in ``_pair_key`` order
+        return tuple(sorted(map(pair, order[at] - n_demanded), key=_pair_key))
 
     missing = tuple(codec.pairs(rows[starts[count == 0]]))
-    extra = delivered(starts[~is_demanded]) + list(unkeyed)
-    duplicates = delivered((starts + is_demanded)[count > 1]) + [p for p, c in unkeyed.items() if c > 1]
-    return PartitionReport(
-        ok=not (missing or extra or duplicates),
-        missing=missing,
-        extra=tuple(sorted(extra, key=_pair_key)),
-        duplicates=tuple(sorted(duplicates, key=_pair_key)),
-    )
+    extra = delivered(starts[~is_demanded])
+    duplicates = delivered((starts + is_demanded)[count > 1])
+    return PartitionReport(ok=not (missing or extra or duplicates), missing=missing, extra=extra, duplicates=duplicates)
 
 
 def achieved_dof(schedule: Schedule, delivered: int | None = None) -> Fraction:

@@ -7,7 +7,7 @@ into an exact delivered-per-block rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -563,15 +563,7 @@ def episode_to_jsonable(report: EpisodeReport) -> dict:
         "infeasible_blocks": report.infeasible_blocks,
         "max_decode_error": report.max_decode_error,
         "max_irs_residual": report.max_irs_residual,
-        "params": {
-            "k_t": report.params.k_t,
-            "k_r": report.params.k_r,
-            "n_files": report.params.n_files,
-            "f_packets": report.params.f_packets,
-            "mu_t": report.params.mu_t,
-            "mu_r": report.params.mu_r,
-            "q_elements": report.params.q_elements,
-        },
+        "params": asdict(report.params),
         "blocks": [
             {
                 "block": r.block_index,

@@ -4,13 +4,19 @@ full and partial activity, and the report on schedules broken one delivery
 or one block at a time."""
 
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
+from functools import cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_cover import reference_demanded_for_schedule, reference_verify_schedule_partition
 
 from irs_cache_dof.combinatorics import enumerate_ordered_partitions, enumerate_subsets, find_subset_partition
 from irs_cache_dof.params import SystemParams
-from irs_cache_dof.placement import split_library
+from irs_cache_dof.placement import SubfileId, split_library
 from irs_cache_dof.scheduler import (
     DemandVector,
     SchedulingError,
@@ -156,3 +162,103 @@ def test_mismatched_universe_is_an_error():
     other = replace(params, q_elements=12)
     with pytest.raises(SchedulingError, match="q_elements=12.*q_elements=0"):
         demanded_for_schedule(split_library(other, mode="ordered"), schedule)
+
+
+#: the worked example: 3x4, N = 4, mu_t = mu_r = 1, Q = 6, L = 2 (Theorem 1, nine blocks)
+WORKED = SystemParams(k_t=3, k_r=4, n_files=4, f_packets=1, mu_t=1, mu_r=1, q_elements=6)
+
+#: other numeric types of an int's value: each is ``==`` to the int and hashes like it
+EQUAL_TYPES = (float, Fraction, Decimal, complex, np.int64, np.float64)
+
+
+@pytest.mark.parametrize("b", [0, 8], ids=["block-1", "block-9"])
+@pytest.mark.parametrize("edit", ["file float", "file Fraction", "intended_rx float", "rx_set float"])
+def test_equal_values_of_other_types_key_like_their_ints(b, edit):
+    """A field equal to an index is that index wherever it first appears:
+    the lead delivery of the first and of the last block, edited to an
+    equal value of another type, still covers exactly."""
+    schedule = make_schedule(WORKED, worst_case_demand(WORKED), 2)
+    universe = split_library(WORKED)
+    assert len(schedule.blocks) == 9
+    dl = schedule.blocks[b].deliveries[0]
+    sub = dl.subfile
+    changes = {
+        "file float": {"file": float(sub.file)},
+        "file Fraction": {"file": Fraction(sub.file)},
+        "intended_rx float": {"intended_rx": float(dl.intended_rx)},
+        "rx_set float": {"rx_set": tuple(map(float, sub.rx_set))},
+    }[edit]
+    edited = _with_delivery(schedule, b, 0, **changes)
+    demanded = demanded_for_schedule(universe, schedule)
+    report = verify_schedule_partition(edited, demanded)
+    assert report.ok
+    assert report == reference_verify_schedule_partition(edited, reference_demanded_for_schedule(universe, schedule))
+    assert (replace(sub, file=float(sub.file)), dl.intended_rx) in demanded
+    assert (SubfileId(1.0, (1,), (2,)), 1) in demanded
+
+
+@cache
+def _cover_case(name):
+    universe, schedule = NETWORKS[name]()
+    return schedule, demanded_for_schedule(universe, schedule), reference_demanded_for_schedule(universe, schedule)
+
+
+def _set_delivery(blocks, b, d, dl):
+    """Put ``dl`` at delivery ``d`` of block ``b`` in the list ``blocks``."""
+    deliveries = blocks[b].deliveries
+    blocks[b] = replace(blocks[b], deliveries=deliveries[:d] + (dl,) + deliveries[d + 1 :])
+
+
+def _edited(draw, value, top, equal):
+    """``value`` with one index in it (itself, or one element of a tuple)
+    turned into an equal value of another numeric type (``equal``), or into
+    0, ``top + 1`` or 1.5, which no index in ``1..top`` equals (an empty
+    tuple gains one such element)."""
+    if isinstance(value, tuple):
+        if not value:
+            return () if equal else (_edited(draw, 1, top, equal),)
+        at = draw(st.integers(0, len(value) - 1))
+        return value[:at] + (_edited(draw, value[at], top, equal),) + value[at + 1 :]
+    if equal:
+        return draw(st.sampled_from(EQUAL_TYPES))(value)
+    return draw(st.sampled_from([0, top + 1, 1.5]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["T1-II", "T2-II-partition", "T2-II-ordered"]), st.data())
+def test_one_random_edit_reports_like_the_reference_in_either_block_order(name, data):
+    """One random edit to an exact schedule: a delivery dropped or
+    duplicated, two intended receivers swapped, or one field set to an
+    equal value of another numeric type or to an out-of-range one. The
+    report is the oracle's, with the blocks in their order or reversed."""
+    schedule, demanded, reference = _cover_case(name)
+    p, draw = schedule.params, data.draw
+    blocks = list(schedule.blocks)
+
+    def pick():
+        b = draw(st.integers(0, len(blocks) - 1))
+        d = draw(st.integers(0, len(blocks[b].deliveries) - 1))
+        return b, d, blocks[b].deliveries[d]
+
+    b, d, dl = pick()
+    edit = draw(st.sampled_from(["drop", "duplicate", "swap receivers", "equal value", "out of range"]))
+    if edit == "drop":
+        blocks[b] = replace(blocks[b], deliveries=blocks[b].deliveries[:d] + blocks[b].deliveries[d + 1 :])
+    elif edit == "duplicate":
+        c = draw(st.integers(0, len(blocks) - 1))
+        blocks[c] = replace(blocks[c], deliveries=(*blocks[c].deliveries, dl))
+    elif edit == "swap receivers":
+        c, e, other = pick()
+        _set_delivery(blocks, b, d, replace(dl, intended_rx=other.intended_rx))
+        _set_delivery(blocks, c, e, replace(other, intended_rx=dl.intended_rx))
+    else:
+        field = draw(st.sampled_from(["file", "tx_index", "rx_set", "zf_set", "irs_set", "intended_rx"]))
+        value = dl.intended_rx if field == "intended_rx" else getattr(dl.subfile, field)
+        tx_top = p.k_t if isinstance(value, tuple) else demanded.codec.radices[1]
+        value = _edited(draw, value, {"file": p.n_files, "tx_index": tx_top}.get(field, p.k_r), edit == "equal value")
+        blocks = list(_with_delivery(schedule, b, d, **{field: value}).blocks)
+    report = verify_schedule_partition(replace(schedule, blocks=tuple(blocks)), demanded)
+    for order in (blocks, blocks[::-1]):
+        edited = replace(schedule, blocks=tuple(order))
+        assert verify_schedule_partition(edited, demanded) == report
+        assert reference_verify_schedule_partition(edited, reference) == report

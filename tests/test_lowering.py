@@ -15,6 +15,7 @@ from irs_cache_dof.irs import required_nulls
 from irs_cache_dof.lowering import lower
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.scheduler import make_schedule, worst_case_demand
+from irs_cache_dof.simulator import run_episode
 from irs_cache_dof.zf import joint_zf_layout, joint_zf_rows, zf_systems
 
 T1 = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1, q_elements=6)
@@ -160,3 +161,20 @@ def test_malformed_plan_refused_when_lowered():
 def test_no_plans_refused_when_lowered():
     with pytest.raises(ValueError, match="no plans"):
         lower([])
+
+
+@pytest.mark.parametrize("field", ["serving_txs", "intended_rx"])
+def test_node_below_one_refused_when_lowered(field):
+    """Nodes count from 1: a plan naming transmitter or receiver 0 would
+    lower to index -1, which numpy reads as the last node."""
+    schedule = _schedule("T1-I")[1]
+    plan = schedule.blocks[0]
+    lead = dataclasses.replace(plan.deliveries[0], **{field: (0,) if field == "serving_txs" else 0})
+    bad = dataclasses.replace(plan, deliveries=(lead, *plan.deliveries[1:]))
+    message = rf"^block {plan.block_index}: names node 0; nodes count from 1$"
+    with pytest.raises(ValueError, match=message):
+        lower([bad])
+    # the malformed plan, not the channel, is named when an episode runs it
+    spliced = dataclasses.replace(schedule, blocks=(bad, *schedule.blocks[1:]))
+    with pytest.raises(ValueError, match="^block 1: names node 0;"):
+        run_episode(T1, "thm1", 3, schedule=spliced)

@@ -1,21 +1,24 @@
 """Delivery-schedule construction and exact-cover verification."""
 
+import json
 import math
 import re
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from reference_cover import demanded_subfiles
 
 from irs_cache_dof.combinatorics import SubsetPartitionSystem, enumerate_ordered_partitions, find_subset_partition
-from irs_cache_dof.params import SystemParams
+from irs_cache_dof.params import ParameterError, SystemParams
 from irs_cache_dof.placement import split_library
 from irs_cache_dof.scheduler import (
     DemandVector,
     SchedulingError,
     demanded_for_schedule,
     make_schedule,
+    schedule_to_jsonable,
     verify_schedule_partition,
     worst_case_demand,
 )
@@ -375,3 +378,20 @@ def test_exhaustive_cover_theorem2_desk_scale():
                     ouni = split_library(p, mode="ordered")
                     ok = verify_schedule_partition(osched, demanded_for_schedule(ouni, osched)).ok
                     assert ok, ("ordered", mu_t, m, k_r, mu_r)
+
+
+@pytest.mark.parametrize("files", [(True, 2, 3, 4), (1, 2, 3.0, 4), ("1", 2, 3, 4)], ids=["bool", "float", "str"])
+def test_demand_of_non_integers_refused(files):
+    with pytest.raises(ParameterError, match=r"^demand must be an integer, got "):
+        DemandVector(files)
+
+
+@pytest.mark.parametrize("files", [tuple(np.arange(1, 5)), [1, 2, 3, 4]], ids=["numpy-ints", "list"])
+def test_demand_is_kept_as_a_tuple_of_python_ints(files):
+    """Any integers in any sequence make the demand, and the schedule, of
+    the tuple of Python ints: hashable, and JSON-serializable as it."""
+    demand = DemandVector(files)
+    assert type(demand.d) is tuple and all(type(f) is int for f in demand.d)
+    schedule, plain = make_schedule(EX, demand, 2), make_schedule(EX, DemandVector((1, 2, 3, 4)), 2)
+    assert schedule == plain and hash(schedule) == hash(plain)
+    assert json.dumps(schedule_to_jsonable(schedule)) == json.dumps(schedule_to_jsonable(plain))
