@@ -30,7 +30,7 @@ from .combinatorics import (
     find_subset_partition,
     verify_subset_partition,
 )
-from .irs import required_nulls, residuals, solve_irs
+from .irs import required_nulls, solve_irs
 from .params import ParameterError, SystemParams
 from .placement import (
     CacheAssignment,

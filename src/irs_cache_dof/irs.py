@@ -21,9 +21,9 @@ from .channel import (
     ChannelStack,
     IrsConfig,
     SingularChannelError,
-    equivalent_channel,
     solve_each,
 )
+from .lowering import link_pairs, node_indices
 
 if TYPE_CHECKING:
     from .scheduler import BlockPlan
@@ -101,16 +101,9 @@ def solve_irs_stack(ch: ChannelStack, pairs: np.ndarray) -> tuple[np.ndarray, np
 def solve_irs(ch: ChannelRealization, links: frozenset[tuple[int, int]]) -> tuple[IrsConfig, IrsSolveInfo]:
     """Solve for surface coefficients that cut every 1-based (transmitter,
     receiver) link in ``links``: the one-block case of
-    :func:`solve_irs_stack`."""
-    pairs = np.array(sorted(links), dtype=np.intp).reshape(-1, 2).T - 1
+    :func:`solve_irs_stack`, its nodes taken by :func:`lowering.node_indices`."""
+    pairs = link_pairs(node_indices(ch.block_index, [node for tx, rx in links for node in (tx, rx)]))
     q, residual = solve_irs_stack(ChannelStack.of(ch), pairs[None])
     status = solve_status(len(links), q.shape[1])
     return IrsConfig(q=q[0]), IrsSolveInfo(status, float(residual[0]), len(links), q.shape[1])
 
-
-def residuals(irs: IrsConfig, ch: ChannelRealization, links: frozenset[tuple[int, int]]) -> float:
-    """Largest surviving equivalent-channel magnitude over the links."""
-    if not links:
-        return 0.0
-    h_eq = equivalent_channel(ch, irs)
-    return max(abs(h_eq[j - 1, i - 1]) for i, j in links)

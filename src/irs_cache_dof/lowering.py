@@ -22,15 +22,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import accumulate, chain, islice, pairwise
+from itertools import accumulate, chain, pairwise
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .params import as_index
+
 if TYPE_CHECKING:
     from .scheduler import BlockPlan
 
-_MAX_INDEX = np.iinfo(np.int16).max
+#: the largest node number a row holds: its index is the largest int16
+_MAX_NODE = np.iinfo(np.int16).max + 1
+#: rows whose links :func:`lower` sorts at once, which bounds the sort keys' memory
+_SORT_ROWS = 1024
 
 
 class ShapeMismatchError(ValueError):
@@ -83,29 +88,55 @@ class PlanStack:
         return PlanStack(self.header, *(getattr(self, f.name)[plans] for f in fields(self)[1:]))
 
 
-def _lower(plan: "BlockPlan") -> tuple[tuple[int, ...], list[int]]:
-    """The plan's header and its row."""
-    deliveries = plan.deliveries
+def node_indices(block: int, values: list) -> np.ndarray:
+    """Block ``block``'s node numbers ``values`` as 0-based int64 indices: ``i - 1``
+    for the ``i`` in ``1.._MAX_NODE`` that each equals (:func:`as_index`),
+    and a ValueError naming the block and the value for any other value.
+    The rule runs value by value only when an array of them is not of such ints."""
+    try:
+        array = np.array(values)
+        if array.dtype.kind in "iu" and 1 <= min(values) <= max(values) <= _MAX_NODE:
+            return np.subtract(array, 1, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError):  # sequences or huge ints, which the rule refuses
+        pass
+    indices = [as_index(value) for value in values]
+    for value, index in zip(values, indices):
+        if index is None or not 1 <= index <= _MAX_NODE:  # index -1 would read as the last node
+            rule = "nodes count from 1" if index is not None and index < 1 else f"nodes are integers in 1..{_MAX_NODE}"
+            raise ValueError(f"block {block}: names node {value!r}; {rule}")
+    return np.array(indices, dtype=np.int64) - 1
+
+
+def link_pairs(ends: np.ndarray) -> np.ndarray:
+    """Links given by 0-based ends ``(..., 2N)``, ``(tx, rx, tx, rx, ...)``, as
+    pairs sorted by (transmitter, receiver), ``(..., 2, N)``: transmitters in
+    row 0, receivers in row 1. Take the ends by :func:`node_indices` first."""
+    key = np.multiply(ends[..., 0::2], _MAX_NODE, dtype=np.int64) + ends[..., 1::2]  # both are below _MAX_NODE
+    key.sort(axis=-1)
+    return np.stack((key // _MAX_NODE, key % _MAX_NODE), axis=-2)
+
+
+def _lower(plan: "BlockPlan") -> tuple[tuple[int, ...], np.ndarray]:
+    """The plan's header and its row, its null links as unsorted ``(tx, rx)``
+    ends and its zero-forcing receivers unsorted, which :func:`lower` sorts."""
+    deliveries, block, links = plan.deliveries, plan.block_index, plan.null_links
     group = len(deliveries[0].serving_txs)
     if any(len(dl.serving_txs) != group for dl in deliveries):
-        raise ValueError(f"block {plan.block_index}: serving groups differ in size")
+        raise ValueError(f"block {block}: serving groups differ in size")
     if group > 1 and len(plan.zf_rxs) != group - 1:
-        raise ValueError(f"block {plan.block_index}: need {group - 1} zero-forcing receivers")
-    links = sorted(plan.null_links)
+        raise ValueError(f"block {block}: need {group - 1} zero-forcing receivers")
+    receivers = [dl.intended_rx for dl in deliveries]
+    served = (*receivers, *(tx for dl in deliveries for tx in dl.serving_txs))
+    indices = node_indices(block, [*served, *chain.from_iterable(links), *plan.zf_rxs])
+    # null_links, PlanStack.n_joint and zf.zf_systems read the deliveries' groups in this order
+    order = [plan.lead_rx, *plan.cached_rxs, *plan.zf_rxs, *plan.idle_rxs]
+    if receivers != order:
+        raise ValueError(
+            f"block {block}: delivers to {tuple(receivers)}, not to (lead, *cached, *zf, *idle) {tuple(order)}"
+        )
     header = (len(deliveries), group, len(links), len(plan.cached_rxs), len(plan.zf_rxs))
-    sections = [
-        [dl.intended_rx - 1 for dl in deliveries],
-        [tx - 1 for dl in deliveries for tx in dl.serving_txs],
-        [int(a.intended_rx in b.subfile.rx_set) for a in deliveries for b in deliveries],
-        [tx - 1 for tx, _ in links] + [r - 1 for _, r in links],
-        [j - 1 for j in sorted(plan.zf_rxs)],
-    ]
-    values = list(chain.from_iterable(sections))
-    if min(values) < 0:  # numpy would read index -1 as the last node
-        raise ValueError(f"block {plan.block_index}: names node {min(values) + 1}; nodes count from 1")
-    if max(values) > _MAX_INDEX:
-        raise ValueError(f"block {plan.block_index} is too large to lower to int16 indices")
-    return header, values
+    cache = [a.intended_rx in b.subfile.rx_set for a in deliveries for b in deliveries]
+    return header, np.concatenate((indices[: len(served)], cache, indices[len(served) :]))
 
 
 def lower(plans: "Sequence[BlockPlan]") -> PlanStack:
@@ -114,21 +145,24 @@ def lower(plans: "Sequence[BlockPlan]") -> PlanStack:
     plan's raises :class:`ShapeMismatchError`, and no plans a ValueError."""
     if not plans:
         raise ValueError("there are no plans to lower")
-    lowered = map(_lower, plans)
-    header, values = next(lowered)
+    header, values = _lower(plans[0])
     rows = np.empty((len(plans), len(values)), dtype=np.int16)
-    rows[0] = values
-    for row, plan, (shape, values) in zip(rows[1:], islice(plans, 1, None), lowered):
+    for row, plan in zip(rows, plans):
+        shape, values = _lower(plan)
         if shape != header:
             raise ShapeMismatchError(
                 f"block {plan.block_index} lowers to header {shape}, not to the {header} of block "
                 f"{plans[0].block_index}; the blocks of one schedule share one shape"
             )
         row[:] = values
+    d, g, n, _, z = header
+    shapes = ((d,), (d, g), (d, d), (2, n), (z,))
+    ends = list(pairwise(accumulate(map(math.prod, shapes), initial=0)))
+    (a, b), (c, e) = ends[3:]
+    for part in np.split(rows, range(_SORT_ROWS, len(plans), _SORT_ROWS)):
+        part[:, a:b] = link_pairs(part[:, a:b]).reshape(len(part), -1)
+        part[:, c:e].sort(axis=1)
     if rows.max() <= np.iinfo(np.int8).max:
         rows = rows.astype(np.int8)
     rows.setflags(write=False)
-    d, g, n, _, z = header
-    shapes = ((d,), (d, g), (d, d), (2, n), (z,))
-    ends = pairwise(accumulate(map(math.prod, shapes), initial=0))
     return PlanStack(header, *(rows[:, a:b].reshape(len(plans), *shape) for (a, b), shape in zip(ends, shapes)))

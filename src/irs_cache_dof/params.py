@@ -19,6 +19,16 @@ def as_integer(value: object, name: str) -> int:
     return int(value)
 
 
+def as_index(value: object) -> int | None:
+    """The int that ``value`` equals under ``==`` (1 for ``1.0``, ``Fraction(1)`` or ``True``), or
+    None: parameters are checked by type (:func:`as_integer`), plan fields by equality."""
+    try:
+        index = int(value.real)
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        return None
+    return index if index == value else None
+
+
 def slot_init(cls: type) -> type:
     """Give the frozen slotted dataclass ``cls`` an ``__init__`` that stores
     each field through its slot's member descriptor, not through

@@ -33,7 +33,7 @@ from .combinatorics import (
     verify_subset_partition,
 )
 from .lowering import PlanStack, lower
-from .params import SystemParams, as_integer, slot_init
+from .params import SystemParams, as_index, as_integer, slot_init
 from .placement import ORDERED_MODE, SUBSET_MODE, SubfileId, SubfileUniverse
 
 
@@ -76,7 +76,9 @@ class BlockPlan:
     ``cached_rxs``/``zf_rxs`` are the block's common receiver groups (side
     information and zero-forcing targets); ``idle_rxs`` are the active
     receivers outside them, each served by its own transmitter group.
-    Receivers not in ``active_rxs`` are untouched this block.
+    Receivers not in ``active_rxs`` are untouched this block. Deliveries go
+    to the lead, then the cached, zero-forcing and idle receivers, each group
+    in its field's order, as ``null_links`` and the lowered stages read them.
     """
 
     block_index: int
@@ -140,19 +142,9 @@ class Schedule:
 _WORD_RADIX = 1 << 63
 
 
-def _as_index(value) -> int | None:
-    """The int that ``value`` equals under ``==`` (1 for ``1.0``, ``Fraction(1)`` or
-    ``True``), or None: a digit depends only on a value's equality class, as pairs do."""
-    try:
-        index = int(value.real)
-    except (AttributeError, TypeError, ValueError, OverflowError):
-        return None
-    return index if index == value else None
-
-
 def _index_digit(value, radix: int) -> int:
-    """``i - 1`` for ``value`` equal to an ``i`` in ``1..radix``, else -1."""
-    return index - 1 if (index := _as_index(value)) is not None and 1 <= index <= radix else -1
+    """``i - 1`` for ``value`` equal to an ``i`` in ``1..radix`` (:func:`as_index`), else -1."""
+    return index - 1 if (index := as_index(value)) is not None and 1 <= index <= radix else -1
 
 
 def _subset_digit(value, n: int, k: int) -> int:
@@ -160,7 +152,7 @@ def _subset_digit(value, n: int, k: int) -> int:
     not a ``k``-tuple equal to an increasing one over ``1..n``."""
     if not (isinstance(value, tuple) and len(value) == k):
         return -1
-    subset = list(map(_as_index, value))
+    subset = list(map(as_index, value))
     if None in subset or subset != sorted(set(subset)) or (k and not 1 <= subset[0] <= subset[-1] <= n):
         return -1
     return int(subset_ranks(np.array(subset, dtype=np.int64).reshape(1, k), n)[0])

@@ -6,16 +6,22 @@ gathered from it must read the plan's channel entries; and every schedule
 lowers to the one header its parameters fix."""
 
 import dataclasses
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from irs_cache_dof.channel import sample_block_channels
 from irs_cache_dof.combinatorics import enumerate_ordered_partitions, find_subset_partition
-from irs_cache_dof.irs import required_nulls
+from irs_cache_dof.irs import required_nulls, solve_irs
 from irs_cache_dof.lowering import lower
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.scheduler import make_schedule, worst_case_demand
-from irs_cache_dof.simulator import run_episode
+from irs_cache_dof.simulator import SimOptions, run_episode
 from irs_cache_dof.zf import joint_zf_layout, joint_zf_rows, zf_systems
 
 T1 = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1, q_elements=6)
@@ -178,3 +184,152 @@ def test_node_below_one_refused_when_lowered(field):
     spliced = dataclasses.replace(schedule, blocks=(bad, *schedule.blocks[1:]))
     with pytest.raises(ValueError, match="^block 1: names node 0;"):
         run_episode(T1, "thm1", 3, schedule=spliced)
+
+
+STACK_FIELDS = ("delivery_rx", "serving_tx", "cache_mask", "null_pairs", "zf_rxs")
+
+
+def _same_stack(a, b):
+    pairs = [(getattr(a, f), getattr(b, f)) for f in STACK_FIELDS]
+    return a.header == b.header and all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in pairs)
+
+
+def _with_lead(plan, **fields):
+    """``plan`` with its first (lead) delivery's ``fields`` replaced."""
+    lead = dataclasses.replace(plan.deliveries[0], **fields)
+    return dataclasses.replace(plan, deliveries=(lead, *plan.deliveries[1:]))
+
+
+def _refused(plan, run):
+    """Lowering ``plan`` and running ``run()`` both raise a plain ValueError
+    (not a shape mismatch, a TypeError or a channel error) that names the
+    plan's block; the message is returned."""
+    with pytest.raises(ValueError, match=rf"^block {plan.block_index}: ") as lowered:
+        lower([plan])
+    with pytest.raises(ValueError, match=rf"^block {plan.block_index}: ") as ran:
+        run()
+    assert type(lowered.value) is ValueError and type(ran.value) is ValueError
+    assert str(ran.value) == str(lowered.value)
+    return str(lowered.value)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.7, np.float64(2.5), 1 + 1j, None], ids=repr)
+def test_node_no_int_equals_refused_naming_block_and_value(value):
+    """Block 1 of the worked example served by a transmitter that no int
+    equals would lower to a truncated transmitter (2.7 runs as transmitter
+    2, and a complex one cannot sort): it is refused, by ``lower`` and by
+    an episode, naming the block and the value."""
+    schedule = _schedule("T1-I")[1]
+    bad = _with_lead(schedule.blocks[0], serving_txs=(value,))
+    spliced = dataclasses.replace(schedule, blocks=(bad, *schedule.blocks[1:]))
+    message = _refused(bad, lambda: run_episode(T1, "thm1", 3, schedule=spliced))
+    assert message.startswith(f"block 1: names node {value!r};")
+
+
+@pytest.mark.parametrize("value", [32769, 2**70])
+def test_node_out_of_range_refused_naming_block_and_value(value):
+    plan = _schedule("T1-I")[1].blocks[0]
+    with pytest.raises(ValueError, match=rf"^block 1: names node {value};") as refused:
+        lower([_with_lead(plan, intended_rx=value)])
+    assert type(refused.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [("T1-I", [3, 2, 1, 0]), ("T2-IB", [1, 0, 2, 3]), ("T2-IB", [3, 1, 2, 0])],
+    ids=["reversed", "lead-cached-swapped", "lead-idle-swapped"],
+)
+def test_deliveries_out_of_order_refused_naming_block(name, order):
+    """The stages read the lead group from the first delivery and the joint
+    system from the first 1 + C + Z: block 1 with its deliveries reversed,
+    or its lead delivery swapped with the cached or the idle one, is
+    refused rather than run as another plan (unchecked, the reversed block
+    would be reported as a shape mismatch of block 2, and the swapped ones
+    would decode 3 and 0 of 4 deliveries, as if the channel had failed)."""
+    params, schedule = _schedule(name)
+    plan = schedule.blocks[0]
+    bad = dataclasses.replace(plan, deliveries=tuple(plan.deliveries[i] for i in order))
+    spliced = dataclasses.replace(schedule, blocks=(bad, *schedule.blocks[1:]))
+    thm1 = name == "T1-I"
+    regime, options = ("thm1", SimOptions()) if thm1 else ("thm2-ordered", SimOptions(strictness="sufficient"))
+    message = _refused(bad, lambda: run_episode(params, regime, 3, options, schedule=spliced))
+    receivers = tuple(plan.deliveries[i].intended_rx for i in order)
+    assert message.startswith(f"block 1: delivers to {receivers}, not to (lead, *cached, *zf, *idle) (1, 2, 3, 4)")
+
+
+@pytest.mark.parametrize("field", ["serving_txs", "intended_rx"])
+def test_nodes_equal_to_an_int_lower_like_it(field):
+    """Node 1 given as any value equal to 1 lowers to the stack of 1."""
+    plan = _schedule("T1-I")[1].blocks[0]
+    assert plan.deliveries[0].serving_txs == (1,) and plan.deliveries[0].intended_rx == 1
+    expected = lower([plan])
+    for value in [1.0, True, Fraction(1), Decimal(1), np.int64(1), np.uint64(1), np.float64(1.0), 1 + 0j]:
+        edited = _with_lead(plan, **{field: (value,) if field == "serving_txs" else value})
+        assert _same_stack(lower([edited]), expected), value
+
+
+def test_surface_solve_takes_nodes_by_the_lowering_rule():
+    """``solve_irs`` converts its links through the lowering rule: a node
+    that no int equals is refused naming the block, and nodes equal to
+    ints solve exactly as those ints."""
+    ch = sample_block_channels(T1, block=4, seed=5)
+    for link, node in [((1.5, 3), 1.5), ((2, 1 + 1j), 1 + 1j), ((0, 3), 0)]:
+        with pytest.raises(ValueError, match=rf"^block 4: names node {re.escape(repr(node))};"):
+            solve_irs(ch, frozenset([link, (2, 4)]))
+    exact_cfg, exact_info = solve_irs(ch, frozenset([(1, 3), (2, 4), (3, 1)]))
+    unsigned = [(np.uint64(i), np.uint64(j)) for i, j in ((1, 3), (2, 4), (3, 1))]
+    for links in [[(1.0, 3), (Fraction(2), 4.0), (np.int64(3), 1 + 0j)], unsigned]:
+        cfg, info = solve_irs(ch, frozenset(links))
+        assert np.array_equal(cfg.q, exact_cfg.q) and info == exact_info
+
+
+#: (field, whether it is one of a delivery's): the plan's node fields
+NODE_FIELDS = [
+    ("intended_rx", True),
+    ("serving_txs", True),
+    ("lead_rx", False),
+    ("cached_rxs", False),
+    ("zf_rxs", False),
+    ("idle_rxs", False),
+    ("active_rxs", False),
+]
+EQUAL_TYPES = (float, Fraction, Decimal, complex, np.int64, np.float64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["T1-II", "T2-II-partition", "T2-II-ordered"]), st.data())
+def test_one_random_edit_lowers_alike_or_is_refused_naming_its_block(name, data):
+    """One random edit to one block: a node field set to an equal value of
+    another type lowers to the same stack; set to a value that no node in
+    1..32768 equals, or the deliveries put in any other order, it raises a
+    plain ValueError naming its block, also after well-formed blocks."""
+    schedule, draw = _schedule(name)[1], data.draw
+    b = draw(st.integers(0, schedule.h_blocks - 1))
+    plan = schedule.blocks[b]
+    edit = draw(st.sampled_from(["equal value", "malformed value", "permutation"]))
+    if edit == "permutation":
+        n = len(plan.deliveries)
+        order = draw(st.permutations(range(n)).filter(lambda p: p != list(range(n))))
+        bad = dataclasses.replace(plan, deliveries=tuple(plan.deliveries[i] for i in order))
+    else:
+        field, per_delivery = draw(st.sampled_from([f for f in NODE_FIELDS if f[1] or getattr(plan, f[0])]))
+        d = draw(st.integers(0, len(plan.deliveries) - 1))
+        owner = plan.deliveries[d] if per_delivery else plan
+        value = getattr(owner, field)
+        at = draw(st.integers(0, len(value) - 1)) if isinstance(value, tuple) else None
+        node = value if at is None else value[at]
+        if edit == "equal value":
+            new = draw(st.sampled_from(EQUAL_TYPES + ((bool,) if node == 1 else ())))(node)
+        else:
+            new = draw(st.sampled_from([0, -1, 32769, 2**70, node + 0.5, complex(node, 1), None]))
+        value = new if at is None else value[:at] + (new,) + value[at + 1 :]
+        owner = dataclasses.replace(owner, **{field: value})
+        if per_delivery:
+            owner = dataclasses.replace(plan, deliveries=plan.deliveries[:d] + (owner,) + plan.deliveries[d + 1 :])
+        if edit == "equal value":
+            assert _same_stack(lower([owner]), lower([plan]))
+            return
+        bad = owner
+    with pytest.raises(ValueError, match=rf"^block {plan.block_index}: ") as refused:
+        lower([*schedule.blocks[max(0, b - 2) : b], bad])
+    assert type(refused.value) is ValueError
