@@ -3,7 +3,7 @@
 The per-block stages (null steering, zero forcing, transmit, decode) index
 the channel matrices with a plan's node numbers over and over. Lowering
 turns the plans of a schedule once into one integer stack, one row per
-plan (int8 when every entry fits, else int16), so those stages run on index
+plan (int8 until an entry passes 127, then int16), so those stages run on index
 arrays instead of walking ``Delivery`` objects and hashing ``SubfileId``
 keys. All indices in the stack are 0-based.
 
@@ -20,6 +20,7 @@ of these (:func:`zf.zf_systems`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from itertools import accumulate, chain, pairwise
@@ -107,18 +108,35 @@ def node_indices(block: int, values: list) -> np.ndarray:
     return np.array(indices, dtype=np.int64) - 1
 
 
-def link_pairs(ends: np.ndarray) -> np.ndarray:
+def link_pairs(ends: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Links given by 0-based ends ``(..., 2N)``, ``(tx, rx, tx, rx, ...)``, as
     pairs sorted by (transmitter, receiver), ``(..., 2, N)``: transmitters in
-    row 0, receivers in row 1. Take the ends by :func:`node_indices` first."""
-    key = np.multiply(ends[..., 0::2], _MAX_NODE, dtype=np.int64) + ends[..., 1::2]  # both are below _MAX_NODE
+    row 0, receivers in row 1, written into ``out`` (which may be the ends'
+    own memory) when it is given, else into a new int64 array. Take the ends
+    by :func:`node_indices` first."""
+    key = np.multiply(ends[..., 0::2], _MAX_NODE, dtype=np.int32)  # both ends are below _MAX_NODE = 2**15
+    key += ends[..., 1::2]
     key.sort(axis=-1)
-    return np.stack((key // _MAX_NODE, key % _MAX_NODE), axis=-2)
+    if out is None:
+        out = np.empty((*key.shape[:-1], 2, key.shape[-1]), dtype=np.int64)
+    np.floor_divide(key, _MAX_NODE, out=out[..., 0, :], casting="unsafe")
+    np.remainder(key, _MAX_NODE, out=out[..., 1, :], casting="unsafe")
+    return out
 
 
-def _lower(plan: "BlockPlan") -> tuple[tuple[int, ...], np.ndarray]:
+@functools.lru_cache(maxsize=8)
+def _transmitter_at(n_receivers: int, n_served: int, n_ends: int, n_zf: int) -> np.ndarray:
+    """Which positions of :func:`_lower`'s node indices (receivers, serving
+    transmitters, ``(tx, rx)`` link ends, zero-forcing receivers) hold a
+    transmitter; the others hold a receiver."""
+    served = np.arange(n_served) >= n_receivers
+    return np.concatenate((served, np.tile([True, False], n_ends // 2), np.zeros(n_zf, bool)))
+
+
+def _lower(plan: "BlockPlan", nodes: tuple[int, int] | None) -> tuple[tuple[int, ...], np.ndarray]:
     """The plan's header and its row, its null links as unsorted ``(tx, rx)``
-    ends and its zero-forcing receivers unsorted, which :func:`lower` sorts."""
+    ends and its zero-forcing receivers unsorted, which :func:`lower` sorts.
+    With ``nodes`` ``(k_t, k_r)``, a node past its count raises."""
     deliveries, block, links = plan.deliveries, plan.block_index, plan.null_links
     group = len(deliveries[0].serving_txs)
     if any(len(dl.serving_txs) != group for dl in deliveries):
@@ -126,8 +144,15 @@ def _lower(plan: "BlockPlan") -> tuple[tuple[int, ...], np.ndarray]:
     if group > 1 and len(plan.zf_rxs) != group - 1:
         raise ValueError(f"block {block}: need {group - 1} zero-forcing receivers")
     receivers = [dl.intended_rx for dl in deliveries]
-    served = (*receivers, *(tx for dl in deliveries for tx in dl.serving_txs))
+    served = [*receivers, *(tx for dl in deliveries for tx in dl.serving_txs)]
     indices = node_indices(block, [*served, *chain.from_iterable(links), *plan.zf_rxs])
+    if nodes is not None:
+        is_tx = _transmitter_at(len(receivers), len(served), 2 * len(links), len(plan.zf_rxs))
+        over = indices >= np.where(is_tx, *nodes)
+        if over.any():
+            at = int(np.argmax(over))
+            kind, count = ("transmitter", nodes[0]) if is_tx[at] else ("receiver", nodes[1])
+            raise ValueError(f"block {block}: names {kind} {indices[at] + 1}; the network has {count} {kind}s")
     # null_links, PlanStack.n_joint and zf.zf_systems read the deliveries' groups in this order
     order = [plan.lead_rx, *plan.cached_rxs, *plan.zf_rxs, *plan.idle_rxs]
     if receivers != order:
@@ -139,30 +164,39 @@ def _lower(plan: "BlockPlan") -> tuple[tuple[int, ...], np.ndarray]:
     return header, np.concatenate((indices[: len(served)], cache, indices[len(served) :]))
 
 
-def lower(plans: "Sequence[BlockPlan]") -> PlanStack:
+def lower(plans: "Sequence[BlockPlan]", nodes: tuple[int, int] | None = None) -> PlanStack:
     """The plans lowered and stacked, one row per plan, in order. They must
     share one shape: the first plan whose header differs from the first
-    plan's raises :class:`ShapeMismatchError`, and no plans a ValueError."""
+    plan's raises :class:`ShapeMismatchError`, and no plans a ValueError.
+    With ``nodes`` ``(k_t, k_r)``, the first plan that names a transmitter
+    past ``k_t`` or a receiver past ``k_r`` raises a ValueError.
+
+    Each row is written straight into the stack, which stays int8 until a
+    value passes 127 and is then widened once to int16; every
+    :data:`_SORT_ROWS` rows, their links and zero-forcing receivers are
+    sorted in place."""
     if not plans:
         raise ValueError("there are no plans to lower")
-    header, values = _lower(plans[0])
-    rows = np.empty((len(plans), len(values)), dtype=np.int16)
-    for row, plan in zip(rows, plans):
-        shape, values = _lower(plan)
-        if shape != header:
-            raise ShapeMismatchError(
-                f"block {plan.block_index} lowers to header {shape}, not to the {header} of block "
-                f"{plans[0].block_index}; the blocks of one schedule share one shape"
-            )
-        row[:] = values
+    header, values = _lower(plans[0], nodes)
     d, g, n, _, z = header
     shapes = ((d,), (d, g), (d, d), (2, n), (z,))
     ends = list(pairwise(accumulate(map(math.prod, shapes), initial=0)))
     (a, b), (c, e) = ends[3:]
-    for part in np.split(rows, range(_SORT_ROWS, len(plans), _SORT_ROWS)):
-        part[:, a:b] = link_pairs(part[:, a:b]).reshape(len(part), -1)
-        part[:, c:e].sort(axis=1)
-    if rows.max() <= np.iinfo(np.int8).max:
-        rows = rows.astype(np.int8)
+    rows = np.empty((len(plans), len(values)), dtype=np.int8)
+    for first in range(0, len(plans), _SORT_ROWS):
+        stop = min(first + _SORT_ROWS, len(plans))
+        for at in range(first, stop):
+            shape, values = _lower(plans[at], nodes)
+            if shape != header:
+                raise ShapeMismatchError(
+                    f"block {plans[at].block_index} lowers to header {shape}, not to the {header} of block "
+                    f"{plans[0].block_index}; the blocks of one schedule share one shape"
+                )
+            if rows.dtype == np.int8 and values.max() > np.iinfo(np.int8).max:
+                rows = rows.astype(np.int16)
+            rows[at] = values
+        links = rows[first:stop, a:b]
+        link_pairs(links, out=links.reshape(stop - first, 2, n))
+        rows[first:stop, c:e].sort(axis=1)
     rows.setflags(write=False)
     return PlanStack(header, *(rows[:, a:b].reshape(len(plans), *shape) for (a, b), shape in zip(ends, shapes)))

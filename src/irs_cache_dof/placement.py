@@ -45,6 +45,8 @@ class SubfileId:
 
     def __post_init__(self) -> None:
         rx, zf, irs = self.rx_set, self.zf_set, self.irs_set
+        if not (len(zf) or len(irs)):  # one group: a receiver may repeat inside it
+            return
         if len({*rx, *zf, *irs}) != len(rx) + len(zf) + len(irs):
             # some receiver repeats: allowed inside one group, not across two
             groups = (set(rx), set(zf), set(irs))
@@ -121,19 +123,20 @@ class CacheAssignment:
 
 
 def place_caches(universe: SubfileUniverse) -> CacheAssignment:
-    """Fill every cache by the membership rule; demand plays no role here."""
+    """Fill every cache by the membership rule; demand plays no role here.
+    Each node's subfiles are listed, then frozen once."""
     params = universe.params
-    tx_caches = [set() for _ in range(params.k_t)]
-    rx_caches = [set() for _ in range(params.k_r)]
+    tx_caches = [[] for _ in range(params.k_t)]
+    rx_caches = [[] for _ in range(params.k_r)]
     for sub in universe.subfiles:
         for i in universe.tx_members(sub):
-            tx_caches[i - 1].add(sub)
+            tx_caches[i - 1].append(sub)
         for j in sub.rx_set:
-            rx_caches[j - 1].add(sub)
+            rx_caches[j - 1].append(sub)
     return CacheAssignment(
         universe=universe,
-        tx_caches=tuple(frozenset(c) for c in tx_caches),
-        rx_caches=tuple(frozenset(c) for c in rx_caches),
+        tx_caches=tuple(map(frozenset, tx_caches)),
+        rx_caches=tuple(map(frozenset, rx_caches)),
     )
 
 

@@ -126,8 +126,9 @@ class Schedule:
     @functools.cached_property
     def lowered(self) -> PlanStack:
         """The blocks lowered to one integer stack (:func:`lowering.lower`),
-        on first use; building or verifying the schedule lowers nothing."""
-        return lower(self.blocks)
+        on first use; building or verifying the schedule lowers nothing. A
+        block that names a node past the network's raises a ValueError."""
+        return lower(self.blocks, (self.params.k_t, self.params.k_r))
 
     @property
     def design(self) -> Design:
@@ -209,17 +210,19 @@ class SubfileKeyCodec:
         fields = (sub.file, sub.tx_index, sub.rx_set, sub.zf_set, sub.irs_set, rx)
         return [digit(value) for digit, value in zip(self.digit_of, fields)]
 
-    def encode(self, *digits) -> np.ndarray:
+    def encode(self, *digits, out: np.ndarray | None = None) -> np.ndarray:
         """Key rows, shape ``(n, width)``, of the pairs whose six digit arrays
-        broadcast together, in C order. A digit outside its radix raises."""
+        broadcast together, in C order, written into ``out`` when it is
+        given. A digit outside its radix raises."""
         digits = [np.asarray(d, dtype=np.int64) for d in digits]
         for digit, radix in zip(digits, self.radices):
             if digit.size and not (0 <= digit.min() and digit.max() < radix):
                 raise ValueError(f"key digit outside [0, {radix})")
         digits = np.broadcast_arrays(*digits)
-        keys = np.zeros((digits[0].size, self.width), dtype=np.int64)
+        keys = np.empty((digits[0].size, self.width), dtype=np.int64) if out is None else out
+        keys.fill(0)
         for digit, (word, weight) in zip(digits, self.places):
-            keys[:, word] += digit.reshape(-1) * np.int64(weight)
+            keys[:, word] += (digit * np.int64(weight)).reshape(-1)
         return keys
 
     def pairs(self, rows: np.ndarray) -> list[tuple[SubfileId, int]]:
@@ -293,7 +296,8 @@ def demanded_for_schedule(universe: SubfileUniverse, schedule: Schedule) -> Subf
     cached = np.zeros((len(rx_sets), p.k_r + 1), dtype=bool)
     cached[np.arange(len(rx_sets))[:, None], rx_sets] = True
     tx = np.arange(codec.radices[1])[:, None]
-    keys = [np.empty((0, codec.width), dtype=np.int64)]
+    size = math.comb(p.k_r - 1, p.mu_r) * len(pattern) * len(tx)  # each receiver's rows
+    keys = np.empty((len(schedule.demand.d) * size, codec.width), dtype=np.int64)
     for j, file in enumerate(schedule.demand.d, start=1):
         rx = np.flatnonzero(~cached[:, j])
         free = ~cached[rx]
@@ -301,8 +305,8 @@ def demanded_for_schedule(universe: SubfileUniverse, schedule: Schedule) -> Subf
         others = np.nonzero(free)[1].reshape(len(rx), n_others)
         zf = subset_ranks(others[:, zf_at].reshape(len(rx) * len(pattern), zf_size), p.k_r)
         irs = subset_ranks(others[:, irs_at].reshape(len(rx) * len(pattern), irs_size), p.k_r)
-        keys.append(codec.encode(file - 1, tx, np.repeat(rx, len(pattern)), zf, irs, j - 1))
-    return SubfileKeys(codec, np.concatenate(keys))
+        codec.encode(file - 1, tx, np.repeat(rx, len(pattern)), zf, irs, j - 1, out=keys[(j - 1) * size : j * size])
+    return SubfileKeys(codec, keys)
 
 
 class Design(Enum):
@@ -532,33 +536,64 @@ def _group_starts(rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
+#: blocks whose deliveries are keyed at once, which bounds the lists of their fields
+_KEY_BLOCKS = 1024
+
+
+def _key_deliveries(codec: SubfileKeyCodec, blocks: tuple[BlockPlan, ...], rows: np.ndarray) -> np.ndarray:
+    """Add every delivery's key, in block order, into its row of ``rows``
+    (zero on entry), and return whether each delivery keys: one with a
+    digit out of range is left a partial row. The blocks are walked once,
+    :data:`_KEY_BLOCKS` at a time, each digit memoized over the values the
+    schedule repeats."""
+    memos = [_Digits(digit_of) for digit_of in codec.digit_of]
+    keyed = np.ones(len(rows), dtype=bool)
+    stop = 0
+    for first in range(0, len(blocks), _KEY_BLOCKS):
+        deliveries = [dl for block in blocks[first : first + _KEY_BLOCKS] for dl in block.deliveries]
+        subfiles = [dl.subfile for dl in deliveries]
+        fields = [map(attrgetter(name), subfiles) for name in ("file", "tx_index", "rx_set", "zf_set", "irs_set")]
+        fields.append(map(attrgetter("intended_rx"), deliveries))
+        start, stop = stop, stop + len(deliveries)
+        for memo, values, (word, weight) in zip(memos, fields, codec.places):
+            digit = np.fromiter(map(memo.__getitem__, values), np.int64, len(deliveries))
+            keyed[start:stop] &= digit >= 0
+            digit *= weight
+            rows[start:stop, word] += digit
+    return keyed
+
+
 def verify_schedule_partition(schedule: Schedule, demanded: SubfileKeys) -> PartitionReport:
     """Check the exact-cover property: every demanded (subfile, receiver)
     pair is delivered exactly once and nothing else is delivered.
 
-    Each delivery is keyed once with the demanded set's codec, straight into
-    the rows after the demanded keys; one with a digit out of range gets a
-    private key, word 0 ``-1 - id`` (below every codec key) with ``id`` shared
-    by equal pairs. One stable sort of all keys then groups equal ones: a
-    group without a demanded key is undemanded, one without a delivery is
-    missing, one with several deliveries is duplicated. Undemanded and
-    duplicated pairs are the deliveries' own; missing ones are decoded.
+    Each delivery is keyed once with the demanded set's codec. When the keys
+    fit one word and every delivery keys, the sorted delivered keys equal
+    the sorted demanded ones exactly when the cover holds, since the
+    demanded keys are distinct. Otherwise the deliveries' key rows follow
+    the demanded ones in one array, a delivery with a digit out of range
+    given a private key, word 0 ``-1 - id`` (below every codec key) with
+    ``id`` shared by equal pairs. One stable sort of all rows then groups
+    equal ones: a group without a demanded key is undemanded, one without a
+    delivery is missing, one with several deliveries is duplicated.
+    Undemanded and duplicated pairs are the deliveries' own; missing ones
+    are decoded.
     """
-    codec = demanded.codec
-    deliveries = [dl for block in schedule.blocks for dl in block.deliveries]
-    subfiles = [dl.subfile for dl in deliveries]
-    fields = [map(attrgetter(name), subfiles) for name in ("file", "tx_index", "rx_set", "zf_set", "irs_set")]
-    fields.append(map(attrgetter("intended_rx"), deliveries))
+    codec, blocks = demanded.codec, schedule.blocks
+    n_deliveries = sum(len(block.deliveries) for block in blocks)
+    if codec.width == 1:
+        keys = np.zeros((n_deliveries, 1), dtype=np.int64)
+        if _key_deliveries(codec, blocks, keys).all():
+            keys = keys.reshape(n_deliveries)
+            keys.sort()
+            if np.array_equal(keys, np.sort(demanded.rows[:, 0])):
+                return PartitionReport(ok=True, missing=(), extra=(), duplicates=())
+        del keys
     n_demanded = len(demanded)
-    rows = np.zeros((n_demanded + len(deliveries), codec.width), dtype=np.int64)
+    rows = np.zeros((n_demanded + n_deliveries, codec.width), dtype=np.int64)
     rows[:n_demanded] = demanded.rows
-    # each field's digits go straight into the deliveries' key rows
-    keyed = np.ones(len(deliveries), dtype=bool)
-    for digit_of, values, (word, weight) in zip(codec.digit_of, fields, codec.places):
-        digit = np.fromiter(map(_Digits(digit_of).__getitem__, values), np.int64, len(deliveries))
-        keyed &= digit >= 0
-        digit *= weight
-        rows[n_demanded:, word] += digit
+    keyed = _key_deliveries(codec, blocks, rows[n_demanded:])
+    deliveries = [dl for block in blocks for dl in block.deliveries]
 
     def pair(i):
         return deliveries[i].subfile, deliveries[i].intended_rx

@@ -437,7 +437,7 @@ def simulate_block(
     episode passes in the ``record`` :func:`_records` built for the block,
     which comes back as it is."""
     if record is None:
-        chunk = next(_chunks([plan], lower([plan]), params, seed, options))
+        chunk = next(_chunks([plan], lower([plan], (params.k_t, params.k_r)), params, seed, options))
         (record,) = _records(chunk, _decode_errors(chunk), _irs_status(chunk.rows, params, options), params, options)
     return record
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_cover import reference_demanded_for_schedule, reference_verify_schedule_partition
+from traced_memory import traced
 
 from irs_cache_dof.combinatorics import enumerate_ordered_partitions, enumerate_subsets, find_subset_partition
 from irs_cache_dof.params import SystemParams
@@ -262,3 +263,19 @@ def test_one_random_edit_reports_like_the_reference_in_either_block_order(name, 
         edited = replace(schedule, blocks=tuple(order))
         assert verify_schedule_partition(edited, demanded) == report
         assert reference_verify_schedule_partition(edited, reference) == report
+
+
+def test_exact_cover_holds_little_more_than_its_keys():
+    """The 12x12 Theorem 1 schedule of the benchmark's plan pass (mu_r = 1,
+    Q = 80, so L = 8: 7,128 blocks of 10 deliveries) covers exactly in at
+    most 40 bytes per delivery: one int64 key per delivery, sorted in
+    place, and a sorted copy of the demanded column. Lexsorting joined
+    rows, as a failing cover still does, held 85."""
+    params = SystemParams(k_t=12, k_r=12, n_files=12, f_packets=1, mu_t=1, mu_r=1, q_elements=80)
+    schedule = make_schedule(params, worst_case_demand(params), 8)
+    demanded = demanded_for_schedule(split_library(params), schedule)
+    n_deliveries = sum(len(block.deliveries) for block in schedule.blocks)
+    assert n_deliveries == len(demanded) == 71_280 and demanded.codec.width == 1
+    report, _, peak = traced(lambda: verify_schedule_partition(schedule, demanded))
+    assert report.ok
+    assert peak <= 40 * n_deliveries, peak / n_deliveries

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from traced_memory import traced
 
+from irs_cache_dof import lowering
 from irs_cache_dof.channel import sample_block_channels
 from irs_cache_dof.combinatorics import enumerate_ordered_partitions, find_subset_partition
 from irs_cache_dof.irs import required_nulls, solve_irs
@@ -333,3 +335,53 @@ def test_one_random_edit_lowers_alike_or_is_refused_naming_its_block(name, data)
     with pytest.raises(ValueError, match=rf"^block {plan.block_index}: ") as refused:
         lower([*schedule.blocks[max(0, b - 2) : b], bad])
     assert type(refused.value) is ValueError
+
+
+def test_lowering_holds_the_stack_and_one_part():
+    """Three parts of the 12x12 Theorem 1 schedule of the benchmark's plan
+    pass (mu_r = 1, Q = 80, L = 8) lower at a peak of at most their int8
+    stack plus one part of ``_SORT_ROWS`` rows as int16: each row is
+    written straight into the stack, and each part's links sort on one
+    int32 key. A full int16 stack with an int8 copy held three times the
+    stack."""
+    params = SystemParams(k_t=12, k_r=12, n_files=12, f_packets=1, mu_t=1, mu_r=1, q_elements=80)
+    plans = make_schedule(params, worst_case_demand(params), 8).blocks[: 3 * lowering._SORT_ROWS]
+    lower(plans[:3], (12, 12))  # first-call caches are not the lowering's
+    stack, _, peak = traced(lambda: lower(plans, (12, 12)))
+    rows = stack.delivery_rx.base
+    assert rows.dtype == np.int8 and rows.shape == (3 * lowering._SORT_ROWS, 264)
+    assert peak <= rows.nbytes + lowering._SORT_ROWS * rows.shape[1] * 2, peak - rows.nbytes
+
+
+def test_a_later_part_past_int8_widens_the_stack_once(monkeypatch):
+    """With parts of two rows, plans on 130 transmitters whose first parts
+    name nodes up to 5 and whose last names transmitter 130 lower to an
+    int16 stack whose rows are the plans lowered one by one."""
+    params = SystemParams(k_t=130, k_r=4, n_files=4, f_packets=1, mu_t=1, mu_r=1)
+    blocks = make_schedule(params, worst_case_demand(params), 2).blocks
+    plans = [*blocks[:4], *blocks[-2:]]
+    assert max(tx for plan in plans[:4] for dl in plan.deliveries for tx in dl.serving_txs) <= 5
+    assert 130 in {tx for dl in plans[-1].deliveries for tx in dl.serving_txs}
+    whole = lower(plans, (130, 4))
+    monkeypatch.setattr(lowering, "_SORT_ROWS", 2)
+    stack = lower(plans, (130, 4))
+    assert stack.delivery_rx.base.dtype == np.int16 and not stack.delivery_rx.base.flags.writeable
+    assert _same_stack(stack, whole)
+    for name in STACK_FIELDS:
+        alone = np.concatenate([getattr(lower([plan]), name) for plan in plans]).astype(np.int16)
+        assert np.array_equal(getattr(stack, name), alone), name
+
+
+def test_node_past_the_network_refused_where_it_appears():
+    """Given the network's (k_t, k_r), lowering refuses a plan whose serving
+    group, or whose cut links (through an active receiver that no delivery
+    names), reach past it, naming the block and the node's kind; without
+    them the same plans lower."""
+    plan = _schedule("T1-I")[1].blocks[0]
+    for bad, message in [
+        (_with_lead(plan, serving_txs=(4,)), "names transmitter 4; the network has 3 transmitters"),
+        (dataclasses.replace(plan, active_rxs=(*plan.active_rxs, 5)), "names receiver 5; the network has 4 receivers"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^block 1: {message}$"):
+            lower([plan, bad], (3, 4))
+        assert len(lower([bad])) == 1

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from reference_cover import demanded_subfiles, refine_subfiles
+from traced_memory import traced
 
 from irs_cache_dof.params import ParameterError, SystemParams
 from irs_cache_dof.placement import (
@@ -208,3 +209,16 @@ def test_random_parameter_budgets_hold():
         report = verify_cache_budgets(place_caches(split_library(p)), p)
         assert report.ok, (p, report.messages)
         checked += 1
+
+
+def test_placement_holds_little_more_than_the_caches_it_returns():
+    """The 8x8 partition universe of the benchmark's plan pass (mu_t = 2,
+    mu_r = 3: 12,544 subfiles) is placed at a peak of at most 1.5 times the
+    caches it returns: each node's subfiles are listed, then frozen once.
+    Frozen copies of sets peaked at 1.7 times."""
+    p = SystemParams(k_t=8, k_r=8, n_files=8, f_packets=1, mu_t=2, mu_r=3)
+    uni = split_library(p)
+    assert len(uni.subfiles) == 12_544
+    assignment, kept, peak = traced(lambda: place_caches(uni))
+    assert verify_cache_budgets(assignment, p).ok
+    assert peak <= 1.5 * kept, peak / kept

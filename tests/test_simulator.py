@@ -482,3 +482,38 @@ def test_schedule_with_no_blocks_is_refused():
         run_episode(EX, "thm1", 3, SimOptions(), schedule=empty)
     with pytest.raises(SchedulingError, match="no blocks"):
         estimate_dof_slope(EX, "thm1", 3, (1e4, 1e6), SimOptions(), schedule=empty)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"serving_txs": (4,)}, "block 1: names transmitter 4; the network has 3 transmitters"),
+        ({"intended_rx": 5}, "block 1: names receiver 5; the network has 4 receivers"),
+    ],
+    ids=["transmitter-4-of-3", "receiver-5-of-4"],
+)
+def test_prebuilt_schedule_naming_a_node_past_the_network_is_refused(monkeypatch, edit, message):
+    """Block 1 of the worked example served by transmitter 4 of its 3, or
+    delivering to receiver 5 of its 4 as its lead, is refused naming block 1
+    before any channel is drawn (unchecked, the first ran into a bare
+    IndexError and the second was blamed on block 2 as a shape mismatch)."""
+    from irs_cache_dof import simulator
+
+    schedule = build_schedule(EX, "thm1", SimOptions())
+    plan = schedule.blocks[0]
+    lead = replace(plan.deliveries[0], **edit)
+    bad = replace(plan, deliveries=(lead, *plan.deliveries[1:]), lead_rx=lead.intended_rx)
+    spliced = replace(schedule, blocks=(bad, *schedule.blocks[1:]))
+
+    def no_channels(*args, **kwargs):
+        raise AssertionError("a channel was drawn")
+
+    monkeypatch.setattr(simulator, "sample_channels", no_channels)
+    for run in (
+        lambda: run_episode(EX, "thm1", 3, schedule=spliced),
+        lambda: estimate_dof_slope(EX, "thm1", 3, (1e6, 1e8), schedule=spliced),
+        lambda: simulate_block(bad, EX, 3, SimOptions()),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as refused:
+            run()
+        assert type(refused.value) is ValueError
