@@ -23,7 +23,7 @@ from .channel import (
     SingularChannelError,
     solve_each,
 )
-from .lowering import link_pairs, node_indices
+from .lowering import check_nodes, link_pairs, node_indices
 
 if TYPE_CHECKING:
     from .scheduler import BlockPlan
@@ -101,8 +101,11 @@ def solve_irs_stack(ch: ChannelStack, pairs: np.ndarray) -> tuple[np.ndarray, np
 def solve_irs(ch: ChannelRealization, links: frozenset[tuple[int, int]]) -> tuple[IrsConfig, IrsSolveInfo]:
     """Solve for surface coefficients that cut every 1-based (transmitter,
     receiver) link in ``links``: the one-block case of
-    :func:`solve_irs_stack`, its nodes taken by :func:`lowering.node_indices`."""
-    pairs = link_pairs(node_indices(ch.block_index, [node for tx, rx in links for node in (tx, rx)]))
+    :func:`solve_irs_stack`, its nodes taken by :func:`lowering.node_indices`
+    and checked against the channel's (:func:`lowering.check_nodes`)."""
+    ends = node_indices(ch.block_index, [node for tx, rx in links for node in (tx, rx)])
+    check_nodes(ch.block_index, ends, np.arange(len(ends)) % 2 == 0, ch.direct.shape[::-1])
+    pairs = link_pairs(ends)
     q, residual = solve_irs_stack(ChannelStack.of(ch), pairs[None])
     status = solve_status(len(links), q.shape[1])
     return IrsConfig(q=q[0]), IrsSolveInfo(status, float(residual[0]), len(links), q.shape[1])

@@ -5,7 +5,8 @@ the channel matrices with a plan's node numbers over and over. Lowering
 turns the plans of a schedule once into one integer stack, one row per
 plan (int8 until an entry passes 127, then int16), so those stages run on index
 arrays instead of walking ``Delivery`` objects and hashing ``SubfileId``
-keys. All indices in the stack are 0-based.
+keys; a schedule built from its factors is lowered from them, with no
+plans (:func:`lower_product`). All indices in the stack are 0-based.
 
 Every block of a one-shot schedule has the same shape: it serves
 ``mu_r + mu_t + L`` receivers through ``L + 1`` disjoint groups of ``mu_t``
@@ -124,6 +125,17 @@ def link_pairs(ends: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def check_nodes(block: int, indices: np.ndarray, is_tx: np.ndarray, nodes: tuple[int, int]) -> None:
+    """Raise a ValueError naming block ``block`` and the first of the 0-based
+    ``indices`` past its count in ``nodes`` ``(k_t, k_r)``; ``is_tx`` tells
+    which indices are transmitters."""
+    over = indices >= np.where(is_tx, *nodes)
+    if over.any():
+        at = int(np.argmax(over))
+        kind, count = ("transmitter", nodes[0]) if is_tx[at] else ("receiver", nodes[1])
+        raise ValueError(f"block {block}: names {kind} {indices[at] + 1}; the network has {count} {kind}s")
+
+
 @functools.lru_cache(maxsize=8)
 def _transmitter_at(n_receivers: int, n_served: int, n_ends: int, n_zf: int) -> np.ndarray:
     """Which positions of :func:`_lower`'s node indices (receivers, serving
@@ -147,12 +159,7 @@ def _lower(plan: "BlockPlan", nodes: tuple[int, int] | None) -> tuple[tuple[int,
     served = [*receivers, *(tx for dl in deliveries for tx in dl.serving_txs)]
     indices = node_indices(block, [*served, *chain.from_iterable(links), *plan.zf_rxs])
     if nodes is not None:
-        is_tx = _transmitter_at(len(receivers), len(served), 2 * len(links), len(plan.zf_rxs))
-        over = indices >= np.where(is_tx, *nodes)
-        if over.any():
-            at = int(np.argmax(over))
-            kind, count = ("transmitter", nodes[0]) if is_tx[at] else ("receiver", nodes[1])
-            raise ValueError(f"block {block}: names {kind} {indices[at] + 1}; the network has {count} {kind}s")
+        check_nodes(block, indices, _transmitter_at(len(receivers), len(served), 2 * len(links), len(plan.zf_rxs)), nodes)
     # null_links, PlanStack.n_joint and zf.zf_systems read the deliveries' groups in this order
     order = [plan.lead_rx, *plan.cached_rxs, *plan.zf_rxs, *plan.idle_rxs]
     if receivers != order:
@@ -164,6 +171,30 @@ def _lower(plan: "BlockPlan", nodes: tuple[int, int] | None) -> tuple[tuple[int,
     return header, np.concatenate((indices[: len(served)], cache, indices[len(served) :]))
 
 
+def _sections(header: tuple[int, ...]) -> tuple[tuple, list]:
+    """The shape of each section of a row of ``header``, and its
+    ``(start, stop)`` columns."""
+    d, g, n, _, z = header
+    shapes = ((d,), (d, g), (d, d), (2, n), (z,))
+    return shapes, list(pairwise(accumulate(map(math.prod, shapes), initial=0)))
+
+
+def _stack(header: tuple[int, ...], rows: np.ndarray) -> PlanStack:
+    """The stack of ``rows``, whose links are unsorted ``(tx, rx)`` ends and
+    whose zero-forcing receivers are unsorted: every :data:`_SORT_ROWS`
+    rows, the links are sorted in place by :func:`link_pairs` and the
+    zero-forcing receivers by value; then the rows are made read-only and
+    each section is a view of them."""
+    shapes, ends = _sections(header)
+    (a, b), (c, e) = ends[3:]
+    for first in range(0, len(rows), _SORT_ROWS):
+        part = rows[first : first + _SORT_ROWS]
+        link_pairs(part[:, a:b], out=part[:, a:b].reshape(len(part), 2, header[2]))
+        part[:, c:e].sort(axis=1)
+    rows.setflags(write=False)
+    return PlanStack(header, *(rows[:, a:b].reshape(len(rows), *shape) for (a, b), shape in zip(ends, shapes)))
+
+
 def lower(plans: "Sequence[BlockPlan]", nodes: tuple[int, int] | None = None) -> PlanStack:
     """The plans lowered and stacked, one row per plan, in order. They must
     share one shape: the first plan whose header differs from the first
@@ -172,31 +203,59 @@ def lower(plans: "Sequence[BlockPlan]", nodes: tuple[int, int] | None = None) ->
     past ``k_t`` or a receiver past ``k_r`` raises a ValueError.
 
     Each row is written straight into the stack, which stays int8 until a
-    value passes 127 and is then widened once to int16; every
-    :data:`_SORT_ROWS` rows, their links and zero-forcing receivers are
-    sorted in place."""
+    value passes 127 and is then widened once to int16; then the links and
+    zero-forcing receivers are sorted in place (:func:`_stack`)."""
     if not plans:
         raise ValueError("there are no plans to lower")
     header, values = _lower(plans[0], nodes)
-    d, g, n, _, z = header
-    shapes = ((d,), (d, g), (d, d), (2, n), (z,))
-    ends = list(pairwise(accumulate(map(math.prod, shapes), initial=0)))
-    (a, b), (c, e) = ends[3:]
     rows = np.empty((len(plans), len(values)), dtype=np.int8)
-    for first in range(0, len(plans), _SORT_ROWS):
-        stop = min(first + _SORT_ROWS, len(plans))
-        for at in range(first, stop):
-            shape, values = _lower(plans[at], nodes)
-            if shape != header:
-                raise ShapeMismatchError(
-                    f"block {plans[at].block_index} lowers to header {shape}, not to the {header} of block "
-                    f"{plans[0].block_index}; the blocks of one schedule share one shape"
-                )
-            if rows.dtype == np.int8 and values.max() > np.iinfo(np.int8).max:
-                rows = rows.astype(np.int16)
-            rows[at] = values
-        links = rows[first:stop, a:b]
-        link_pairs(links, out=links.reshape(stop - first, 2, n))
-        rows[first:stop, c:e].sort(axis=1)
-    rows.setflags(write=False)
-    return PlanStack(header, *(rows[:, a:b].reshape(len(plans), *shape) for (a, b), shape in zip(ends, shapes)))
+    for at, plan in enumerate(plans):
+        shape, values = _lower(plan, nodes)
+        if shape != header:
+            raise ShapeMismatchError(
+                f"block {plan.block_index} lowers to header {shape}, not to the {header} of block "
+                f"{plans[0].block_index}; the blocks of one schedule share one shape"
+            )
+        if rows.dtype == np.int8 and values.max() > np.iinfo(np.int8).max:
+            rows = rows.astype(np.int16)
+        rows[at] = values
+    return _stack(header, rows)
+
+
+def lower_product(
+    actives: np.ndarray, groups: np.ndarray, slot: np.ndarray, receivers: np.ndarray, cache: np.ndarray, zf: np.ndarray
+) -> PlanStack:
+    """The stack of a schedule that is a product, computed without plans.
+    Block ``(a, c, e)``, in that nesting order, serves the active set
+    ``actives[a]`` (1-based receivers, increasing, ``(A, n)``) through the
+    groups ``groups[c]`` of coordinate ``c`` (1-based transmitters, one
+    disjoint group per slot, ``(C, L + 1, G)``) as entry ``e`` of a table
+    on positions in the active set says: each delivery's receiver
+    ``receivers[e]`` (``(T, D)``, the deliveries in the order of their
+    slots ``slot``, the first of each slot its own receiver), the cache
+    relation ``cache[e]`` ``(D, D)`` and the zero-forcing receivers
+    ``zf[e]`` ``(T, Z)``. Each slot's group cuts its links to the other
+    slots' own receivers. The rows equal :func:`lower`'s of the same plans."""
+    (n_coords, k, g), (t, d), z = groups.shape, receivers.shape, zf.shape[1]
+    n = k * g * (k - 1)
+    header = (d, g, n, int(np.count_nonzero(slot == 0)) - 1 - z, z)
+    top = max(int(actives.max()), int(groups.max()))
+    if top > _MAX_NODE:  # its index would wrap in int16
+        raise ValueError(f"names node {top}; nodes are integers in 1..{_MAX_NODE}")
+    dtype = np.int8 if top - 1 <= np.iinfo(np.int8).max else np.int16
+    act, tx = (actives - 1).astype(dtype), (groups - 1).astype(dtype)
+    ends = _sections(header)[1]
+    rows = np.empty((len(act) * n_coords * t, ends[-1][1]), dtype=dtype)
+    grid = rows.reshape(len(act), n_coords, t, -1)
+    to_rx, to_tx, to_cache, to_links, to_zf = (slice(*end) for end in ends)
+    grid[..., to_rx] = act[:, None, receivers]
+    grid[..., to_tx] = tx[:, slot].reshape(n_coords, 1, d * g)
+    grid[..., to_cache] = cache.reshape(t, d * d)
+    grid[..., to_zf] = act[:, None, zf]
+    # each slot's transmitters cut their links to the other slots' own receivers
+    owners = receivers[:, np.searchsorted(slot, np.arange(k))]
+    others = owners[:, np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)]
+    links = grid[..., to_links]
+    links[..., 0::2] = np.repeat(tx.reshape(n_coords, k * g), k - 1, axis=1)[:, None]
+    links[..., 1::2] = act[:, None, np.repeat(others, g, axis=1).reshape(t, n)]
+    return _stack(header, rows)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -32,7 +33,7 @@ from .combinatorics import (
     subsets_of_ranks,
     verify_subset_partition,
 )
-from .lowering import PlanStack, lower
+from .lowering import PlanStack, lower, lower_product
 from .params import SystemParams, as_index, as_integer, slot_init
 from .placement import ORDERED_MODE, SUBSET_MODE, SubfileId, SubfileUniverse
 
@@ -110,14 +111,16 @@ class BlockPlan:
 class Schedule:
     """The blocks of a delivery horizon. ``regime`` is the paper's label
     for the schedule (say ``T2-II``) and ``tx_mode`` the placement mode its
-    subfiles are split in; together they name its :class:`Design`."""
+    subfiles are split in; together they name its :class:`Design`.
+    ``blocks`` is a tuple in a schedule built by keyword, and the
+    :class:`BlockPlans` of its factors in one :func:`make_schedule` built."""
 
     regime: str
     tx_mode: str
     params: SystemParams
     demand: DemandVector
     l_size: int
-    blocks: tuple[BlockPlan, ...]
+    blocks: Sequence[BlockPlan]
 
     @property
     def h_blocks(self) -> int:
@@ -125,10 +128,15 @@ class Schedule:
 
     @functools.cached_property
     def lowered(self) -> PlanStack:
-        """The blocks lowered to one integer stack (:func:`lowering.lower`),
-        on first use; building or verifying the schedule lowers nothing. A
-        block that names a node past the network's raises a ValueError."""
-        return lower(self.blocks, (self.params.k_t, self.params.k_r))
+        """The blocks lowered to one integer stack, on first use: from the
+        factors of blocks built for this network (:meth:`BlockPlans.lowered`),
+        else from the plans (:func:`lowering.lower`), where a block that
+        names a node past the network's raises a ValueError. Building or
+        verifying the schedule lowers nothing."""
+        blocks = self.blocks
+        if isinstance(blocks, BlockPlans) and blocks.params == self.params:
+            return blocks.lowered()
+        return lower(blocks, (self.params.k_t, self.params.k_r))
 
     @property
     def design(self) -> Design:
@@ -397,6 +405,81 @@ def _active_table(active: Subset, demand: DemandVector, mu_r: int, mu_t: int, pa
     return table
 
 
+class BlockPlans(Sequence):
+    """The blocks of a schedule as :func:`make_schedule` builds them, kept
+    as its factors: each active set of ``actives``, at each coordinate of
+    ``served`` (each slot's transmitter-side index and serving group),
+    takes each entry of its :func:`_active_table`, in that order.
+
+    ``len`` and :meth:`lowered` come from the factors. Any other read builds
+    every plan once and keeps them, as an episode reads them all. Slices
+    and ``+`` give tuples, and the sequence is ``==`` to, and hashes as,
+    the tuple of its plans."""
+
+    __slots__ = ("params", "demand", "partial", "served", "actives", "_plans")
+
+    def __init__(self, params: SystemParams, demand: DemandVector, partial: bool, served: list, actives: tuple):
+        self.params, self.demand, self.partial, self.served, self.actives = params, demand, partial, served, actives
+        self._plans = None
+
+    def __len__(self) -> int:
+        n, mu_r = len(self.actives[0]), self.params.mu_r
+        entries = math.comb(n - 1, mu_r) * math.comb(n - 1 - mu_r, self.params.mu_t - 1)
+        return len(self.actives) * len(self.served) * entries
+
+    def plans(self) -> tuple[BlockPlan, ...]:
+        """Every block's plan, built on the first call."""
+        if self._plans is None:
+            blocks: list[BlockPlan] = []
+            for active in self.actives:
+                table = _active_table(active, self.demand, self.params.mu_r, self.params.mu_t, self.partial)
+                for slots in self.served:
+                    for groups, specs in table:
+                        deliveries = tuple(
+                            [Delivery(SubfileId(f, slots[s][0], rx, zf, irs), j, slots[s][1]) for f, j, s, rx, zf, irs in specs]
+                        )
+                        blocks.append(BlockPlan(len(blocks) + 1, deliveries, active, *groups))
+            self._plans = tuple(blocks)
+        return self._plans
+
+    def __getitem__(self, at):
+        return self.plans()[at]
+
+    def __iter__(self):
+        return iter(self.plans())
+
+    def __eq__(self, other):
+        if isinstance(other, BlockPlans):
+            other = other.plans()
+        return self.plans() == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.plans())
+
+    def __add__(self, other) -> tuple:
+        return self.plans() + (other.plans() if isinstance(other, BlockPlans) else other)
+
+    def __radd__(self, other) -> tuple:
+        return other + self.plans()
+
+    def __repr__(self) -> str:
+        return repr(self.plans())
+
+    def lowered(self) -> PlanStack:
+        """The stack :func:`lowering.lower` makes of the plans, computed from
+        the factors (:func:`lowering.lower_product`): the active sets share
+        the table of positions of the active set ``1..n``."""
+        mu_t, n = self.params.mu_t, len(self.actives[0])
+        table = _active_table(tuple(range(1, n + 1)), self.demand, self.params.mu_r, mu_t, self.partial)
+        entries = [specs for _, specs in table]
+        receivers = np.array([[j - 1 for _, j, *_ in specs] for specs in entries])
+        cache = np.array([[[a[1] in b[3] for b in specs] for a in specs] for specs in entries])
+        zf = np.array([groups[2] for groups, _ in table], dtype=np.intp).reshape(len(table), mu_t - 1) - 1
+        slot = np.array([s for _, _, s, *_ in entries[0]])
+        groups = np.array([[group for _, group in slots] for slots in self.served])
+        return lower_product(np.array(self.actives), groups, slot, receivers, cache, zf)
+
+
 def make_schedule(
     params: SystemParams,
     demand: DemandVector,
@@ -444,10 +527,10 @@ def make_schedule(
         raise SchedulingError("l_size must be nonnegative")
     partial = mu_r + mu_t + l_size < k_r
     if partial:
-        actives = combinations(params.receivers, mu_r + mu_t + l_size)
+        actives = tuple(combinations(params.receivers, mu_r + mu_t + l_size))
     else:
         l_size = k_r - mu_r - mu_t
-        actives = [tuple(params.receivers)]
+        actives = (tuple(params.receivers),)
     if l_size + 1 > len(rounds[0]):
         raise SchedulingError(
             f"{l_size + 1} disjoint serving groups needed per block but only "
@@ -455,22 +538,13 @@ def make_schedule(
         )
     # each slot's (transmitter-side index, serving group): every round turned by every offset
     served = [(r[k:] + r[:k])[: l_size + 1] for r in rounds for k in range(len(r))]
-    blocks: list[BlockPlan] = []
-    for active in actives:
-        table = _active_table(active, demand, mu_r, mu_t, partial)
-        for slots in served:
-            for groups, specs in table:
-                deliveries = tuple(
-                    [Delivery(SubfileId(f, slots[s][0], rx, zf, irs), j, slots[s][1]) for f, j, s, rx, zf, irs in specs]
-                )
-                blocks.append(BlockPlan(len(blocks) + 1, deliveries, active, *groups))
     return Schedule(
         regime=design.labels[partial],
         tx_mode=design.tx_mode,
         params=params,
         demand=demand,
         l_size=l_size,
-        blocks=tuple(blocks),
+        blocks=BlockPlans(params, demand, partial, served, actives),
     )
 
 

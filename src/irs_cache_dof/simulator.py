@@ -143,15 +143,15 @@ def _decode(y: np.ndarray, own: np.ndarray, cached: np.ndarray, symbols: np.ndar
     return np.where(lost, complex("nan"), estimate), np.where(lost, np.inf, np.hypot(error.real, error.imag))
 
 
-def _one_block(plan: BlockPlan, beams: BeamformerSet, symbols: np.ndarray) -> PlanStack:
+def _one_block(plan: BlockPlan, beams: BeamformerSet, symbols: np.ndarray, nodes: tuple) -> PlanStack:
     """The plan as a stack of one, once ``beams`` and ``symbols`` are
-    checked to fit it."""
+    checked to fit it, and its nodes to fit ``nodes`` ``(k_t, k_r)``."""
     if beams.deliveries is not plan.deliveries and beams.deliveries != plan.deliveries:
         raise ScheduleConsistencyError(
             f"block {plan.block_index}: beamformers are for deliveries {beams.deliveries}, "
             "not this block's serving groups"
         )
-    stack = lower([plan])
+    stack = lower([plan], nodes)
     shape = (stack.n_deliveries, stack.group)
     if beams.weights.shape != shape or len(symbols) != shape[0]:
         raise ScheduleConsistencyError(
@@ -164,8 +164,9 @@ def _one_block(plan: BlockPlan, beams: BeamformerSet, symbols: np.ndarray) -> Pl
 def transmit_block(plan: BlockPlan, beams: BeamformerSet, symbols: np.ndarray, k_t: int) -> np.ndarray:
     """Per-transmitter signals: each transmitter sends the weighted sum of
     the scheduled symbols it carries; everyone else stays silent. The
-    one-block case of the stacked back end."""
-    stack = _one_block(plan, beams, symbols)
+    one-block case of the stacked back end; a transmitter past ``k_t``
+    raises a ValueError."""
+    stack = _one_block(plan, beams, symbols, (k_t, math.inf))
     return _transmit(stack, beams.weights[None], symbols[None], k_t)[0]
 
 
@@ -184,9 +185,9 @@ def receiver_decode(
     their exact contributions, divides by its own aggregate gain, and is
     left with its symbol plus whatever interference survived. Returns the
     estimate and its distance from the sent symbol. The one-block case of
-    the stacked back end.
+    the stacked back end; a node past ``h_eq``'s raises a ValueError.
     """
-    stack = _one_block(plan, beams, symbols)
+    stack = _one_block(plan, beams, symbols, h_eq.shape[::-1])
     receivers = stack.delivery_rx[0].tolist()
     if rx - 1 not in receivers:
         raise ScheduleConsistencyError(f"block {plan.block_index}: receiver {rx} has no delivery in this block")

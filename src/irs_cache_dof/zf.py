@@ -163,6 +163,6 @@ def zero_forcing_weights(plans: PlanStack, h_eq: np.ndarray, blocks: Sequence[in
 
 def beamformers_for_block(plan: BlockPlan, h_eq: np.ndarray, mu_t: int) -> BeamformerSet:
     """Coefficients for every delivery of a block: the one-block case of
-    :func:`zero_forcing_weights`."""
-    weights = zero_forcing_weights(lower([plan]), h_eq[None], (plan.block_index,), mu_t)
+    :func:`zero_forcing_weights`. A node past ``h_eq``'s raises a ValueError."""
+    weights = zero_forcing_weights(lower([plan], h_eq.shape[::-1]), h_eq[None], (plan.block_index,), mu_t)
     return BeamformerSet(plan.deliveries, weights[0])

@@ -23,8 +23,8 @@ from irs_cache_dof.irs import required_nulls, solve_irs
 from irs_cache_dof.lowering import lower
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.scheduler import make_schedule, worst_case_demand
-from irs_cache_dof.simulator import SimOptions, run_episode
-from irs_cache_dof.zf import joint_zf_layout, joint_zf_rows, zf_systems
+from irs_cache_dof.simulator import SimOptions, receiver_decode, run_episode, transmit_block
+from irs_cache_dof.zf import BeamformerSet, beamformers_for_block, joint_zf_layout, joint_zf_rows, zf_systems
 
 T1 = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1, q_elements=6)
 T2 = SystemParams(k_t=4, k_r=4, n_files=4, f_packets=1, mu_t=2, mu_r=1, q_elements=4)
@@ -385,3 +385,53 @@ def test_node_past_the_network_refused_where_it_appears():
         with pytest.raises(ValueError, match=rf"^block 1: {message}$"):
             lower([plan, bad], (3, 4))
         assert len(lower([bad])) == 1
+
+
+def _refused_past_the_network(call, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$") as refused:
+        call()
+    assert type(refused.value) is ValueError
+
+
+def test_one_block_beamformers_refuse_a_node_past_the_channel():
+    """``beamformers_for_block`` takes the network from ``h_eq``: a 4x4
+    serving group (1, 5) is refused as lowering refuses it, not read past
+    the channel (an IndexError), and on the 3x4 worked example, whose
+    single-transmitter weights read no channel, transmitter 4 is refused
+    too."""
+    plan = make_schedule(T2, worst_case_demand(T2), 1, find_subset_partition(2, 2)).blocks[0]
+    bad = _with_lead(plan, serving_txs=(1, 5))
+    _refused_past_the_network(
+        lambda: beamformers_for_block(bad, np.ones((4, 4), dtype=complex), 2),
+        f"block {plan.block_index}: names transmitter 5; the network has 4 transmitters",
+    )
+    bad = _with_lead(_schedule("T1-I")[1].blocks[0], serving_txs=(4,))
+    _refused_past_the_network(
+        lambda: beamformers_for_block(bad, np.ones((4, 3), dtype=complex), 1),
+        "block 1: names transmitter 4; the network has 3 transmitters",
+    )
+
+
+def test_one_block_transmit_and_decode_refuse_a_node_past_the_network():
+    """``transmit_block`` refuses a transmitter past its ``k_t`` and
+    ``receiver_decode`` a node past its ``h_eq``, with beamformers that fit
+    the plan."""
+    bad = _with_lead(_schedule("T1-I")[1].blocks[0], serving_txs=(4,))
+    beams = BeamformerSet(bad.deliveries, np.ones((len(bad.deliveries), 1), dtype=complex))
+    symbols = np.ones(len(bad.deliveries), dtype=complex)
+    message = "block 1: names transmitter 4; the network has 3 transmitters"
+    _refused_past_the_network(lambda: transmit_block(bad, beams, symbols, 3), message)
+    _refused_past_the_network(
+        lambda: receiver_decode(0j, 1, bad, np.ones((4, 3), dtype=complex), beams, symbols), message
+    )
+
+
+@pytest.mark.parametrize(
+    "link, message",
+    [((5, 1), "names transmitter 5; the network has 4 transmitters"), ((1, 9), "names receiver 9; the network has 4 receivers")],
+    ids=["transmitter", "receiver"],
+)
+def test_surface_solve_refuses_a_node_past_the_channel(link, message):
+    ch = sample_block_channels(T2, block=3, seed=5)
+    _refused_past_the_network(lambda: solve_irs(ch, frozenset({link})), f"block 3: {message}")
+    _refused_past_the_network(lambda: solve_irs(ch, frozenset({(1, 2), link})), f"block 3: {message}")
