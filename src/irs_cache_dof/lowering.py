@@ -5,8 +5,9 @@ the channel matrices with a plan's node numbers over and over. Lowering
 turns the plans of a schedule once into one integer stack, one row per
 plan (int8 until an entry passes 127, then int16), so those stages run on index
 arrays instead of walking ``Delivery`` objects and hashing ``SubfileId``
-keys; a schedule built from its factors is lowered from them, with no
-plans (:func:`lower_product`). All indices in the stack are 0-based.
+keys. A schedule built from its factors lowers the plans of one table
+only, then moves those rows to every active set and coordinate
+(:func:`relabel`). All indices in the stack are 0-based.
 
 Every block of a one-shot schedule has the same shape: it serves
 ``mu_r + mu_t + L`` receivers through ``L + 1`` disjoint groups of ``mu_t``
@@ -166,7 +167,16 @@ def _lower(plan: "BlockPlan", nodes: tuple[int, int] | None) -> tuple[tuple[int,
         raise ValueError(
             f"block {block}: delivers to {tuple(receivers)}, not to (lead, *cached, *zf, *idle) {tuple(order)}"
         )
+    # zf.zf_systems weights every joint delivery for the lead's group, which then sends it
     header = (len(deliveries), group, len(links), len(plan.cached_rxs), len(plan.zf_rxs))
+    serving = indices[len(receivers) : len(served)].reshape(len(deliveries), group)
+    apart = (serving[1 : 1 + header[3] + header[4]] != serving[0]).any(axis=1)
+    if apart.any():
+        joint = deliveries[1 + int(np.argmax(apart))]
+        raise ValueError(
+            f"block {block}: serves receiver {joint.intended_rx} by {tuple(joint.serving_txs)}; the lead, cached "
+            f"and zero-forcing receivers share the lead's group {tuple(deliveries[0].serving_txs)}"
+        )
     cache = [a.intended_rx in b.subfile.rx_set for a in deliveries for b in deliveries]
     return header, np.concatenate((indices[: len(served)], cache, indices[len(served) :]))
 
@@ -222,40 +232,31 @@ def lower(plans: "Sequence[BlockPlan]", nodes: tuple[int, int] | None = None) ->
     return _stack(header, rows)
 
 
-def lower_product(
-    actives: np.ndarray, groups: np.ndarray, slot: np.ndarray, receivers: np.ndarray, cache: np.ndarray, zf: np.ndarray
-) -> PlanStack:
-    """The stack of a schedule that is a product, computed without plans.
-    Block ``(a, c, e)``, in that nesting order, serves the active set
-    ``actives[a]`` (1-based receivers, increasing, ``(A, n)``) through the
-    groups ``groups[c]`` of coordinate ``c`` (1-based transmitters, one
-    disjoint group per slot, ``(C, L + 1, G)``) as entry ``e`` of a table
-    on positions in the active set says: each delivery's receiver
-    ``receivers[e]`` (``(T, D)``, the deliveries in the order of their
-    slots ``slot``, the first of each slot its own receiver), the cache
-    relation ``cache[e]`` ``(D, D)`` and the zero-forcing receivers
-    ``zf[e]`` ``(T, Z)``. Each slot's group cuts its links to the other
-    slots' own receivers. The rows equal :func:`lower`'s of the same plans."""
-    (n_coords, k, g), (t, d), z = groups.shape, receivers.shape, zf.shape[1]
-    n = k * g * (k - 1)
-    header = (d, g, n, int(np.count_nonzero(slot == 0)) - 1 - z, z)
+def relabel(stack: PlanStack, actives: np.ndarray, groups: np.ndarray) -> PlanStack:
+    """The stack of blocks ``(a, c, e)``, in that nesting order: row ``e``
+    of ``stack``, lowered on the receivers ``1..n`` and the groups
+    ``groups[0]``, moved to the active set ``actives[a]`` (1-based
+    receivers, increasing, ``(A, n)``) and to coordinate ``c`` of
+    ``groups`` (1-based transmitters, one disjoint group per slot,
+    ``(C, L + 1, G)``). Receiver ``j`` becomes ``actives[a, j]``, each
+    slot's transmitters become the same slot's at coordinate ``c``, and the
+    cache relation is copied; the links and zero-forcing receivers are then
+    sorted again (:func:`_stack`)."""
     top = max(int(actives.max()), int(groups.max()))
     if top > _MAX_NODE:  # its index would wrap in int16
         raise ValueError(f"names node {top}; nodes are integers in 1..{_MAX_NODE}")
     dtype = np.int8 if top - 1 <= np.iinfo(np.int8).max else np.int16
-    act, tx = (actives - 1).astype(dtype), (groups - 1).astype(dtype)
-    ends = _sections(header)[1]
-    rows = np.empty((len(act) * n_coords * t, ends[-1][1]), dtype=dtype)
-    grid = rows.reshape(len(act), n_coords, t, -1)
+    rx = (actives - 1).astype(dtype)
+    tx = np.empty((len(groups), int(groups[0].max())), dtype)  # coordinate 0's transmitter -> coordinate c's
+    tx[:, groups[0].ravel() - 1] = groups.reshape(len(groups), -1) - 1
+    ends = _sections(stack.header)[1]
+    rows = np.empty((len(rx) * len(tx) * len(stack), ends[-1][1]), dtype)
+    grid = rows.reshape(len(rx), len(tx), len(stack), -1)
     to_rx, to_tx, to_cache, to_links, to_zf = (slice(*end) for end in ends)
-    grid[..., to_rx] = act[:, None, receivers]
-    grid[..., to_tx] = tx[:, slot].reshape(n_coords, 1, d * g)
-    grid[..., to_cache] = cache.reshape(t, d * d)
-    grid[..., to_zf] = act[:, None, zf]
-    # each slot's transmitters cut their links to the other slots' own receivers
-    owners = receivers[:, np.searchsorted(slot, np.arange(k))]
-    others = owners[:, np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)]
-    links = grid[..., to_links]
-    links[..., 0::2] = np.repeat(tx.reshape(n_coords, k * g), k - 1, axis=1)[:, None]
-    links[..., 1::2] = act[:, None, np.repeat(others, g, axis=1).reshape(t, n)]
-    return _stack(header, rows)
+    grid[..., to_rx] = rx[:, None, stack.delivery_rx]
+    grid[..., to_tx] = tx[:, stack.serving_tx.reshape(len(stack), -1)]
+    grid[..., to_cache] = stack.cache_mask.reshape(len(stack), -1)
+    grid[..., to_links][..., 0::2] = tx[:, stack.null_pairs[:, 0]]
+    grid[..., to_links][..., 1::2] = rx[:, None, stack.null_pairs[:, 1]]
+    grid[..., to_zf] = rx[:, None, stack.zf_rxs]
+    return _stack(stack.header, rows)

@@ -33,7 +33,7 @@ from .combinatorics import (
     subsets_of_ranks,
     verify_subset_partition,
 )
-from .lowering import PlanStack, lower, lower_product
+from .lowering import PlanStack, lower, relabel
 from .params import SystemParams, as_index, as_integer, slot_init
 from .placement import ORDERED_MODE, SUBSET_MODE, SubfileId, SubfileUniverse
 
@@ -411,10 +411,11 @@ class BlockPlans(Sequence):
     ``served`` (each slot's transmitter-side index and serving group),
     takes each entry of its :func:`_active_table`, in that order.
 
-    ``len`` and :meth:`lowered` come from the factors. Any other read builds
-    every plan once and keeps them, as an episode reads them all. Slices
-    and ``+`` give tuples, and the sequence is ``==`` to, and hashes as,
-    the tuple of its plans."""
+    ``len`` comes from the factors, and :meth:`lowered` from the plans of
+    one table, which it drops. Any other read builds every plan once and
+    keeps them, as an episode reads them all. Slices and ``+`` give
+    tuples, and the sequence is ``==`` to, and hashes as, the tuple of its
+    plans."""
 
     __slots__ = ("params", "demand", "partial", "served", "actives", "_plans")
 
@@ -466,18 +467,13 @@ class BlockPlans(Sequence):
         return repr(self.plans())
 
     def lowered(self) -> PlanStack:
-        """The stack :func:`lowering.lower` makes of the plans, computed from
-        the factors (:func:`lowering.lower_product`): the active sets share
-        the table of positions of the active set ``1..n``."""
-        mu_t, n = self.params.mu_t, len(self.actives[0])
-        table = _active_table(tuple(range(1, n + 1)), self.demand, self.params.mu_r, mu_t, self.partial)
-        entries = [specs for _, specs in table]
-        receivers = np.array([[j - 1 for _, j, *_ in specs] for specs in entries])
-        cache = np.array([[[a[1] in b[3] for b in specs] for a in specs] for specs in entries])
-        zf = np.array([groups[2] for groups, _ in table], dtype=np.intp).reshape(len(table), mu_t - 1) - 1
-        slot = np.array([s for _, _, s, *_ in entries[0]])
+        """The stack :func:`lowering.lower` makes of the plans, relabelled
+        from one table (:func:`lowering.relabel`): the plans of the active
+        set ``1..n`` at the first coordinate are lowered, then dropped."""
+        n = len(self.actives[0])
+        table = BlockPlans(self.params, self.demand, self.partial, self.served[:1], (tuple(range(1, n + 1)),))
         groups = np.array([[group for _, group in slots] for slots in self.served])
-        return lower_product(np.array(self.actives), groups, slot, receivers, cache, zf)
+        return relabel(lower(table.plans()), np.array(self.actives), groups)
 
 
 def make_schedule(

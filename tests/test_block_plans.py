@@ -1,8 +1,8 @@
 """Schedules built by ``make_schedule`` keep their factors: the rows
-lowered from them equal ``lower`` of the plans row for row, ``len``,
-``h_blocks`` and ``lowered`` make no plan, and the plans are built once, on
-the first read, into a sequence that compares, hashes and splices as the
-tuple of a schedule built by keyword."""
+lowered from them equal ``lower`` of the plans row for row, ``len`` and
+``h_blocks`` make no plan and ``lowered`` only the plans of one table, and
+the plans are built once, on the first read, into a sequence that
+compares, hashes and splices as the tuple of a schedule built by keyword."""
 
 import dataclasses
 import pickle
@@ -88,9 +88,14 @@ def test_plans_are_made_once_on_the_first_full_read(made):
     blocks = schedule.blocks
     assert len(blocks) == schedule.h_blocks == 6480 and blocks
     schedule.lowered
-    assert made == []
+    # lowering makes the plans of one table, the active set 1..5 at the first coordinate
+    table = made[:]
+    assert [plan.block_index for plan in table] == list(range(1, 13))
+    assert all(plan.active_rxs == (1, 2, 3, 4, 5) for plan in table)
+    made.clear()
     plans = tuple(blocks)
     assert len(made) == 6480 and all(a is b for a, b in zip(plans, made))
+    assert set(map(id, table)).isdisjoint(map(id, plans))
     assert [plan.block_index for plan in plans] == list(range(1, 6481))
     # later reads return the same objects, and build nothing
     assert blocks[7] is plans[7] and blocks[-1] is plans[-1] and next(iter(blocks)) is plans[0]

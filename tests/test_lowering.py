@@ -23,7 +23,7 @@ from irs_cache_dof.irs import required_nulls, solve_irs
 from irs_cache_dof.lowering import lower
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.scheduler import make_schedule, worst_case_demand
-from irs_cache_dof.simulator import SimOptions, receiver_decode, run_episode, transmit_block
+from irs_cache_dof.simulator import SimOptions, build_schedule, receiver_decode, run_episode, simulate_block, transmit_block
 from irs_cache_dof.zf import BeamformerSet, beamformers_for_block, joint_zf_layout, joint_zf_rows, zf_systems
 
 T1 = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1, q_elements=6)
@@ -259,6 +259,32 @@ def test_deliveries_out_of_order_refused_naming_block(name, order):
     assert message.startswith(f"block 1: delivers to {receivers}, not to (lead, *cached, *zf, *idle) (1, 2, 3, 4)")
 
 
+@pytest.mark.parametrize("at, receiver", [(1, 2), (2, 3)], ids=["cached", "zero-forcing"])
+def test_joint_delivery_served_by_another_group_refused(at, receiver):
+    """The zero-forcing weights of the lead, cached and zero-forcing
+    deliveries are solved for the lead's group, which sends them: block 1
+    of coop_small's network with its cached (or zero-forcing) delivery
+    moved from the lead's group (1, 2) to (5, 6) is refused, by ``lower``,
+    by ``simulate_block`` and by an episode (unchecked, the block delivered
+    3 of 5, with residuals at two other receivers, as if the channel had
+    failed)."""
+    params, options = SystemParams(6, 6, 6, 1, 2, 1, 12), SimOptions(strictness="sufficient")
+    schedule = build_schedule(params, "thm2-ordered", options)
+    plan = schedule.blocks[0]
+    assert (plan.lead_rx, plan.cached_rxs, plan.zf_rxs, plan.deliveries[0].serving_txs) == (1, (2,), (3,), (1, 2))
+    moved = dataclasses.replace(plan.deliveries[at], serving_txs=(5, 6))
+    bad = dataclasses.replace(plan, deliveries=(*plan.deliveries[:at], moved, *plan.deliveries[at + 1 :]))
+    spliced = dataclasses.replace(schedule, blocks=(bad, *schedule.blocks[1:]))
+    message = _refused(bad, lambda: simulate_block(bad, params, 3, options))
+    assert message == (
+        f"block 1: serves receiver {receiver} by (5, 6); the lead, cached and zero-forcing receivers share the "
+        "lead's group (1, 2)"
+    )
+    with pytest.raises(ValueError) as ran:
+        run_episode(params, "thm2-ordered", 3, options, schedule=spliced)
+    assert type(ran.value) is ValueError and str(ran.value) == message
+
+
 @pytest.mark.parametrize("field", ["serving_txs", "intended_rx"])
 def test_nodes_equal_to_an_int_lower_like_it(field):
     """Node 1 given as any value equal to 1 lowers to the stack of 1."""
@@ -378,8 +404,11 @@ def test_node_past_the_network_refused_where_it_appears():
     names), reach past it, naming the block and the node's kind; without
     them the same plans lower."""
     plan = _schedule("T1-I")[1].blocks[0]
+    joint = 1 + len(plan.cached_rxs) + len(plan.zf_rxs)
+    moved = tuple(dataclasses.replace(dl, serving_txs=(4,)) for dl in plan.deliveries[:joint])
+    lead_group = dataclasses.replace(plan, deliveries=(*moved, *plan.deliveries[joint:]))
     for bad, message in [
-        (_with_lead(plan, serving_txs=(4,)), "names transmitter 4; the network has 3 transmitters"),
+        (lead_group, "names transmitter 4; the network has 3 transmitters"),
         (dataclasses.replace(plan, active_rxs=(*plan.active_rxs, 5)), "names receiver 5; the network has 4 receivers"),
     ]:
         with pytest.raises(ValueError, match=rf"^block 1: {message}$"):
