@@ -241,10 +241,18 @@ def relabel(stack: PlanStack, actives: np.ndarray, groups: np.ndarray) -> PlanSt
     ``(C, L + 1, G)``). Receiver ``j`` becomes ``actives[a, j]``, each
     slot's transmitters become the same slot's at coordinate ``c``, and the
     cache relation is copied; the links and zero-forcing receivers are then
-    sorted again (:func:`_stack`)."""
+    sorted again (:func:`_stack`). A node past :data:`_MAX_NODE` raises a
+    ValueError naming the first block that names it."""
     top = max(int(actives.max()), int(groups.max()))
     if top > _MAX_NODE:  # its index would wrap in int16
-        raise ValueError(f"names node {top}; nodes are integers in 1..{_MAX_NODE}")
+        # block (a, c, e) names every receiver of actives[a] and every transmitter of groups[c], so
+        # the first block naming it is (a, 0, 0) or (0, c, 0) for the first a or c that holds it
+        firsts = []
+        for nodes, stride in ((actives, len(groups) * len(stack)), (groups.reshape(len(groups), -1), len(stack))):
+            holds = (nodes == top).any(axis=1)
+            if holds.any():
+                firsts.append(int(np.argmax(holds)) * stride + 1)
+        raise ValueError(f"block {min(firsts)}: names node {top}; nodes are integers in 1..{_MAX_NODE}")
     dtype = np.int8 if top - 1 <= np.iinfo(np.int8).max else np.int16
     rx = (actives - 1).astype(dtype)
     tx = np.empty((len(groups), int(groups[0].max())), dtype)  # coordinate 0's transmitter -> coordinate c's

@@ -53,6 +53,24 @@ class SubfileId:
             if len(groups[0] | groups[1] | groups[2]) != sum(len(g) for g in groups):
                 raise ValueError(f"receiver index groups must be disjoint: {self}")
 
+    @staticmethod
+    def _unchecked(file, tx_index, rx_set, zf_set, irs_set) -> "SubfileId":
+        """The subfile of these fields, made without :meth:`__post_init__`'s
+        check: for receiver groups a ``SubfileId(...)`` of the same groups
+        has already checked."""
+        sub = object.__new__(SubfileId)
+        _set_file(sub, file)
+        _set_tx_index(sub, tx_index)
+        _set_rx_set(sub, rx_set)
+        _set_zf_set(sub, zf_set)
+        _set_irs_set(sub, irs_set)
+        return sub
+
+
+_set_file, _set_tx_index, _set_rx_set, _set_zf_set, _set_irs_set = (
+    SubfileId.__dict__[name].__set__ for name in ("file", "tx_index", "rx_set", "zf_set", "irs_set")
+)
+
 
 @dataclass(frozen=True)
 class SubfileUniverse:

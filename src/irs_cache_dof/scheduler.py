@@ -411,11 +411,13 @@ class BlockPlans(Sequence):
     ``served`` (each slot's transmitter-side index and serving group),
     takes each entry of its :func:`_active_table`, in that order.
 
-    ``len`` comes from the factors, and :meth:`lowered` from the plans of
-    one table, which it drops. Any other read builds every plan once and
-    keeps them, as an episode reads them all. Slices and ``+`` give
-    tuples, and the sequence is ``==`` to, and hashes as, the tuple of its
-    plans."""
+    ``len`` and :attr:`n_deliveries` come from the factors, so
+    :func:`achieved_dof` reads no plan; :meth:`lowered` comes from the
+    plans of one table, which it drops, and :meth:`keys`, which the exact
+    cover reads, from that table's specs with no plan at all. Any other
+    read builds every plan once and keeps them, as an episode reads them
+    all. Slices and ``+`` give tuples, and the sequence is ``==`` to, and
+    hashes as, the tuple of its plans."""
 
     __slots__ = ("params", "demand", "partial", "served", "actives", "_plans")
 
@@ -428,16 +430,25 @@ class BlockPlans(Sequence):
         entries = math.comb(n - 1, mu_r) * math.comb(n - 1 - mu_r, self.params.mu_t - 1)
         return len(self.actives) * len(self.served) * entries
 
+    @property
+    def n_deliveries(self) -> int:
+        """The deliveries of all blocks: each block delivers once to each
+        receiver of its active set."""
+        return len(self) * len(self.actives[0])
+
     def plans(self) -> tuple[BlockPlan, ...]:
-        """Every block's plan, built on the first call."""
+        """Every block's plan, built on the first call. An active set's
+        blocks share its table's receiver groups, so ``SubfileId`` checks
+        them at the first coordinate only."""
         if self._plans is None:
             blocks: list[BlockPlan] = []
             for active in self.actives:
                 table = _active_table(active, self.demand, self.params.mu_r, self.params.mu_t, self.partial)
-                for slots in self.served:
+                for c, slots in enumerate(self.served):
+                    subfile = SubfileId._unchecked if c else SubfileId
                     for groups, specs in table:
                         deliveries = tuple(
-                            [Delivery(SubfileId(f, slots[s][0], rx, zf, irs), j, slots[s][1]) for f, j, s, rx, zf, irs in specs]
+                            [Delivery(subfile(f, slots[s][0], rx, zf, irs), j, slots[s][1]) for f, j, s, rx, zf, irs in specs]
                         )
                         blocks.append(BlockPlan(len(blocks) + 1, deliveries, active, *groups))
             self._plans = tuple(blocks)
@@ -474,6 +485,46 @@ class BlockPlans(Sequence):
         table = BlockPlans(self.params, self.demand, self.partial, self.served[:1], (tuple(range(1, n + 1)),))
         groups = np.array([[group for _, group in slots] for slots in self.served])
         return relabel(lower(table.plans()), np.array(self.actives), groups)
+
+    def keys(self, codec: SubfileKeyCodec, out: np.ndarray) -> bool:
+        """Write every delivery's key under ``codec`` into its row of ``out``,
+        in block order, and return True; or write nothing and return False
+        when some delivery has no key: ``codec`` is for other parameters,
+        another mode or other group sizes, or a factor is out of range.
+
+        The keys come from the specs of the table of the active set ``1..n``
+        (the one :meth:`lowered` lowers), relabelled: receiver ``j`` becomes
+        ``actives[a, j]``, an increasing map, so the relabelled groups stay
+        sorted and :func:`subset_ranks` ranks them; the file digit comes
+        from the demand of that receiver, and the transmitter digit from
+        each coordinate's slot. One :meth:`SubfileKeyCodec.encode` broadcast
+        per chunk of active sets writes the keys in (active set, coordinate,
+        entry, delivery) order, :data:`_KEY_ROWS` keys at a time or one
+        active set's."""
+        p, n = self.params, len(self.actives[0])
+        sizes = (p.mu_r, p.mu_t - 1, n - p.mu_r - p.mu_t if self.partial else 0)  # the table's receiver groups
+        if not len(self) or codec.params != p or codec.sizes != sizes:
+            return False
+        file_of, tx_of = codec.digit_of[:2]
+        files = np.array([file_of(f) for f in self.demand.d], dtype=np.int64)
+        tx = np.array([[tx_of(index) for index, _ in slots] for slots in self.served], dtype=np.int64)
+        actives = np.array(self.actives)
+        if len(files) != p.k_r or (files < 0).any() or (tx < 0).any() or actives.dtype.kind not in "iu":
+            return False
+        if actives.min() < 1 or actives.max() > p.k_r or (np.diff(actives, axis=1) <= 0).any():
+            return False
+        table = _active_table(tuple(range(1, n + 1)), self.demand, p.mu_r, p.mu_t, self.partial)
+        specs = [spec for _, entry in table for spec in entry]
+        at = np.array([spec[1] for spec in specs]) - 1  # each delivery's receiver as a position in the active set
+        tx = tx[:, [spec[2] for spec in specs]]  # each delivery's transmitter digit at each coordinate
+        groups = [np.array([spec[g] for spec in specs], dtype=np.intp) - 1 for g in (3, 4, 5)]  # (delivery, size)
+        step = max(1, _KEY_ROWS // tx.size)
+        for first in range(0, len(actives), step):
+            active = actives[first : first + step]
+            rx = active[:, None, at] - 1
+            ranks = [subset_ranks(active[:, g].reshape(rx.size, g.shape[1]), p.k_r).reshape(rx.shape) for g in groups]
+            codec.encode(files[rx], tx, *ranks, rx, out=out[first * tx.size : (first + len(active)) * tx.size])
+        return True
 
 
 def make_schedule(
@@ -532,8 +583,9 @@ def make_schedule(
             f"{l_size + 1} disjoint serving groups needed per block but only "
             f"{len(rounds[0])} are available"
         )
-    # each slot's (transmitter-side index, serving group): every round turned by every offset
-    served = [(r[k:] + r[:k])[: l_size + 1] for r in rounds for k in range(len(r))]
+    # each slot's (transmitter-side index, serving group): every round turned by every offset, sliced
+    # from the round written twice so that an offset costs its L + 1 slots, not the round's length
+    served = [twice[k : k + l_size + 1] for r in rounds for twice in [r + r] for k in range(len(r))]
     return Schedule(
         regime=design.labels[partial],
         tx_mode=design.tx_mode,
@@ -608,6 +660,14 @@ def _group_starts(rows: np.ndarray) -> np.ndarray:
 
 #: blocks whose deliveries are keyed at once, which bounds the lists of their fields
 _KEY_BLOCKS = 1024
+#: deliveries keyed at once from the factors, which bounds the digit arrays
+_KEY_ROWS = 1 << 16
+
+
+def _n_deliveries(blocks: Sequence[BlockPlan]) -> int:
+    """The deliveries of all blocks: from the factors of built blocks (no
+    plan is read), else counted block by block."""
+    return blocks.n_deliveries if isinstance(blocks, BlockPlans) else sum(len(block.deliveries) for block in blocks)
 
 
 def _key_deliveries(codec: SubfileKeyCodec, blocks: tuple[BlockPlan, ...], rows: np.ndarray) -> np.ndarray:
@@ -637,23 +697,33 @@ def verify_schedule_partition(schedule: Schedule, demanded: SubfileKeys) -> Part
     """Check the exact-cover property: every demanded (subfile, receiver)
     pair is delivered exactly once and nothing else is delivered.
 
-    Each delivery is keyed once with the demanded set's codec. When the keys
-    fit one word and every delivery keys, the sorted delivered keys equal
-    the sorted demanded ones exactly when the cover holds, since the
-    demanded keys are distinct. Otherwise the deliveries' key rows follow
-    the demanded ones in one array, a delivery with a digit out of range
-    given a private key, word 0 ``-1 - id`` (below every codec key) with
-    ``id`` shared by equal pairs. One stable sort of all rows then groups
-    equal ones: a group without a demanded key is undemanded, one without a
-    delivery is missing, one with several deliveries is duplicated.
-    Undemanded and duplicated pairs are the deliveries' own; missing ones
-    are decoded.
+    Each delivery is keyed once with the demanded set's codec: from the
+    factors of blocks built for the schedule's network, when every delivery
+    keys there (:meth:`BlockPlans.keys`, which reads no plan), else from the
+    plans. When the keys fit one word and every delivery keys, the sorted
+    delivered keys equal the sorted demanded ones exactly when the cover
+    holds, since the demanded keys are distinct. Otherwise the deliveries'
+    key rows follow the demanded ones in one array, a delivery with a digit
+    out of range given a private key, word 0 ``-1 - id`` (below every codec
+    key) with ``id`` shared by equal pairs. One stable sort of all rows
+    then groups equal ones: a group without a demanded key is undemanded,
+    one without a delivery is missing, one with several deliveries is
+    duplicated. Undemanded and duplicated pairs are the deliveries' own, or
+    decoded when the factors keyed them all; missing ones are decoded.
     """
     codec, blocks = demanded.codec, schedule.blocks
-    n_deliveries = sum(len(block.deliveries) for block in blocks)
+    n_deliveries = _n_deliveries(blocks)
+    factors = isinstance(blocks, BlockPlans) and blocks.params == schedule.params
+
+    def key(rows):  # whether each delivery keys, or None when the factors keyed them all
+        if factors and blocks.keys(codec, rows):
+            return None
+        return _key_deliveries(codec, blocks, rows)
+
     if codec.width == 1:
         keys = np.zeros((n_deliveries, 1), dtype=np.int64)
-        if _key_deliveries(codec, blocks, keys).all():
+        keyed = key(keys)
+        if keyed is None or keyed.all():
             keys = keys.reshape(n_deliveries)
             keys.sort()
             if np.array_equal(keys, np.sort(demanded.rows[:, 0])):
@@ -662,16 +732,17 @@ def verify_schedule_partition(schedule: Schedule, demanded: SubfileKeys) -> Part
     n_demanded = len(demanded)
     rows = np.zeros((n_demanded + n_deliveries, codec.width), dtype=np.int64)
     rows[:n_demanded] = demanded.rows
-    keyed = _key_deliveries(codec, blocks, rows[n_demanded:])
-    deliveries = [dl for block in blocks for dl in block.deliveries]
+    keyed = key(rows[n_demanded:])
+    if keyed is not None:
+        deliveries = [dl for block in blocks for dl in block.deliveries]
 
-    def pair(i):
-        return deliveries[i].subfile, deliveries[i].intended_rx
+        def pair(i):
+            return deliveries[i].subfile, deliveries[i].intended_rx
 
-    ids: dict[tuple[SubfileId, int], int] = {}
-    unkeyed = np.flatnonzero(~keyed)
-    rows[n_demanded + unkeyed] = 0
-    rows[n_demanded + unkeyed, 0] = [-1 - ids.setdefault(pair(i), len(ids)) for i in unkeyed]
+        ids: dict[tuple[SubfileId, int], int] = {}
+        unkeyed = np.flatnonzero(~keyed)
+        rows[n_demanded + unkeyed] = 0
+        rows[n_demanded + unkeyed, 0] = [-1 - ids.setdefault(pair(i), len(ids)) for i in unkeyed]
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
     starts = _group_starts(rows)
@@ -679,6 +750,8 @@ def verify_schedule_partition(schedule: Schedule, demanded: SubfileKeys) -> Part
     count = np.diff(starts, append=len(rows)) - is_demanded  # deliveries per group
 
     def delivered(at):  # the deliveries at sorted positions ``at``, in ``_pair_key`` order
+        if keyed is None:  # sorted keys of int fields decode in that order
+            return tuple(codec.pairs(rows[at]))
         return tuple(sorted(map(pair, order[at] - n_demanded), key=_pair_key))
 
     missing = tuple(codec.pairs(rows[starts[count == 0]]))
@@ -695,7 +768,7 @@ def achieved_dof(schedule: Schedule, delivered: int | None = None) -> Fraction:
     if not schedule.blocks:
         raise SchedulingError("a schedule with no blocks has no rate")
     if delivered is None:
-        delivered = sum(len(b.deliveries) for b in schedule.blocks)
+        delivered = _n_deliveries(schedule.blocks)
     return Fraction(delivered, schedule.h_blocks)
 
 

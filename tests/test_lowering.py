@@ -236,6 +236,37 @@ def test_node_out_of_range_refused_naming_block_and_value(value):
     assert type(refused.value) is ValueError
 
 
+def test_relabelled_node_past_int16_refused_naming_its_first_block():
+    """Theorem 1 on 32,769 transmitters with L = 0: coordinate c serves
+    transmitter c + 1 alone, so block 32,769 is the first to name
+    transmitter 32,769, whose index would wrap in int16. Lowering from the
+    factors refuses it there, as lowering that block's plan does."""
+    params = SystemParams(32769, 2, 2, 1, 1, 1, 0)
+    schedule = make_schedule(params, worst_case_demand(params), 0)
+    message = "block 32769: names node 32769; nodes are integers in 1..32768"
+    for lowered in (lambda: schedule.lowered, lambda: lower(schedule.blocks[-1:])):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lowered()
+
+
+@pytest.mark.parametrize(
+    "active, group, block",
+    [((1, 2, 3, 32769), None, 10), (None, (2, 1, 32769), 7), ((1, 2, 3, 32769), (2, 1, 32769), 7)],
+    ids=["receiver", "transmitter", "both"],
+)
+def test_relabel_names_the_first_block_of_a_node_past_int16(active, group, block):
+    """The worked example's table (3 entries) relabelled to a second active
+    set, or a third coordinate, that holds node 32,769: block (a, c, e) is
+    number (a * 3 + c) * 3 + e + 1, and it names every receiver of active
+    set a and every transmitter of coordinate c."""
+    _, schedule = _schedule("T1-I")
+    stack = lower(schedule.blocks[:3])
+    actives = np.array([(1, 2, 3, 4), active or (1, 2, 3, 4)])
+    groups = np.array([(1, 2, 3), (2, 3, 1), group or (3, 1, 2)])[..., None]
+    with pytest.raises(ValueError, match=rf"^block {block}: names node 32769; nodes are integers in 1\.\.32768$"):
+        lowering.relabel(stack, actives, groups)
+
+
 @pytest.mark.parametrize(
     "name, order",
     [("T1-I", [3, 2, 1, 0]), ("T2-IB", [1, 0, 2, 3]), ("T2-IB", [3, 1, 2, 0])],
