@@ -17,7 +17,8 @@ cached receivers, zero-forcing receivers — which fixes the length of every
 section of a row. A row holds only what no stage can derive from the rest:
 each delivery's receiver and serving group, the cache relation, the null
 links and the zero-forcing receivers. The zero-forcing systems are gathers
-of these (:func:`zf.zf_systems`).
+of these (:func:`zf.zf_systems`). Beside the rows, not as a section, the stack
+keeps each row's block number: ints, or a ``range`` when relabelled.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ class PlanStack:
     whose arrays are views of these. One plan is a stack of one,
     ``lower([plan])``.
 
+    ``blocks`` holds each row's block number, which keys its draws and
+    names it: a tuple of ints, or ``range(1, h + 1)`` when relabelled.
+
     ``delivery_rx`` holds each delivery's receiver, ``serving_tx`` its
     serving transmitters (one row per delivery, in group order) and
     ``cache_mask`` the cache relation: entry ``(a, b)`` is 1 when delivery
@@ -63,6 +67,7 @@ class PlanStack:
     """
 
     header: tuple[int, ...]
+    blocks: Sequence[int]
     delivery_rx: np.ndarray
     serving_tx: np.ndarray
     cache_mask: np.ndarray
@@ -146,11 +151,11 @@ def _transmitter_at(n_receivers: int, n_served: int, n_ends: int, n_zf: int) -> 
     return np.concatenate((served, np.tile([True, False], n_ends // 2), np.zeros(n_zf, bool)))
 
 
-def _lower(plan: "BlockPlan", nodes: tuple[int, int] | None) -> tuple[tuple[int, ...], np.ndarray]:
-    """The plan's header and its row, its null links as unsorted ``(tx, rx)``
-    ends and its zero-forcing receivers unsorted, which :func:`lower` sorts.
-    With ``nodes`` ``(k_t, k_r)``, a node past its count raises."""
-    deliveries, block, links = plan.deliveries, plan.block_index, plan.null_links
+def _lower(plan: "BlockPlan", block: int, nodes: tuple[int, int] | None) -> tuple[tuple[int, ...], np.ndarray]:
+    """The header and row of ``plan``, block ``block``: its null links as unsorted
+    ``(tx, rx)`` ends and its zero-forcing receivers unsorted, which :func:`lower`
+    sorts. With ``nodes`` ``(k_t, k_r)``, a node past its count raises."""
+    deliveries, links = plan.deliveries, plan.null_links
     group = len(deliveries[0].serving_txs)
     if any(len(dl.serving_txs) != group for dl in deliveries):
         raise ValueError(f"block {block}: serving groups differ in size")
@@ -189,12 +194,12 @@ def _sections(header: tuple[int, ...]) -> tuple[tuple, list]:
     return shapes, list(pairwise(accumulate(map(math.prod, shapes), initial=0)))
 
 
-def _stack(header: tuple[int, ...], rows: np.ndarray) -> PlanStack:
-    """The stack of ``rows``, whose links are unsorted ``(tx, rx)`` ends and
-    whose zero-forcing receivers are unsorted: every :data:`_SORT_ROWS`
-    rows, the links are sorted in place by :func:`link_pairs` and the
-    zero-forcing receivers by value; then the rows are made read-only and
-    each section is a view of them."""
+def _stack(header: tuple[int, ...], blocks: Sequence[int], rows: np.ndarray) -> PlanStack:
+    """The stack of blocks ``blocks`` from their ``rows``, whose links are
+    unsorted ``(tx, rx)`` ends and whose zero-forcing receivers are
+    unsorted: every :data:`_SORT_ROWS` rows, the links are sorted in place
+    by :func:`link_pairs` and the zero-forcing receivers by value; then the
+    rows are made read-only and each section is a view of them."""
     shapes, ends = _sections(header)
     (a, b), (c, e) = ends[3:]
     for first in range(0, len(rows), _SORT_ROWS):
@@ -202,11 +207,13 @@ def _stack(header: tuple[int, ...], rows: np.ndarray) -> PlanStack:
         link_pairs(part[:, a:b], out=part[:, a:b].reshape(len(part), 2, header[2]))
         part[:, c:e].sort(axis=1)
     rows.setflags(write=False)
-    return PlanStack(header, *(rows[:, a:b].reshape(len(rows), *shape) for (a, b), shape in zip(ends, shapes)))
+    return PlanStack(header, blocks, *(rows[:, a:b].reshape(len(rows), *shape) for (a, b), shape in zip(ends, shapes)))
 
 
 def lower(plans: "Sequence[BlockPlan]", nodes: tuple[int, int] | None = None) -> PlanStack:
-    """The plans lowered and stacked, one row per plan, in order. They must
+    """The plans lowered and stacked, one row per plan, in order. First a
+    ValueError names the first plan whose block number equals no
+    nonnegative int (:func:`as_index`); the stack keeps the ints. They must
     share one shape: the first plan whose header differs from the first
     plan's raises :class:`ShapeMismatchError`, and no plans a ValueError.
     With ``nodes`` ``(k_t, k_r)``, the first plan that names a transmitter
@@ -217,19 +224,25 @@ def lower(plans: "Sequence[BlockPlan]", nodes: tuple[int, int] | None = None) ->
     zero-forcing receivers are sorted in place (:func:`_stack`)."""
     if not plans:
         raise ValueError("there are no plans to lower")
-    header, values = _lower(plans[0], nodes)
+    blocks = tuple(as_index(plan.block_index) for plan in plans)
+    for at, (plan, block) in enumerate(zip(plans, blocks)):
+        if block is None or block < 0:
+            raise ValueError(
+                f"the plan at position {at} has block number {plan.block_index!r}; block numbers are nonnegative integers"
+            )
+    header, values = _lower(plans[0], blocks[0], nodes)
     rows = np.empty((len(plans), len(values)), dtype=np.int8)
-    for at, plan in enumerate(plans):
-        shape, values = _lower(plan, nodes)
+    for at, (plan, block) in enumerate(zip(plans, blocks)):
+        shape, values = _lower(plan, block, nodes)
         if shape != header:
             raise ShapeMismatchError(
-                f"block {plan.block_index} lowers to header {shape}, not to the {header} of block "
-                f"{plans[0].block_index}; the blocks of one schedule share one shape"
+                f"block {block} lowers to header {shape}, not to the {header} of block "
+                f"{blocks[0]}; the blocks of one schedule share one shape"
             )
         if rows.dtype == np.int8 and values.max() > np.iinfo(np.int8).max:
             rows = rows.astype(np.int16)
         rows[at] = values
-    return _stack(header, rows)
+    return _stack(header, blocks, rows)
 
 
 def relabel(stack: PlanStack, actives: np.ndarray, groups: np.ndarray) -> PlanStack:
@@ -241,8 +254,8 @@ def relabel(stack: PlanStack, actives: np.ndarray, groups: np.ndarray) -> PlanSt
     ``(C, L + 1, G)``). Receiver ``j`` becomes ``actives[a, j]``, each
     slot's transmitters become the same slot's at coordinate ``c``, and the
     cache relation is copied; the links and zero-forcing receivers are then
-    sorted again (:func:`_stack`). A node past :data:`_MAX_NODE` raises a
-    ValueError naming the first block that names it."""
+    sorted again (:func:`_stack`); the blocks are numbered ``1..h``. A node
+    past :data:`_MAX_NODE` raises a ValueError naming the first block that names it."""
     top = max(int(actives.max()), int(groups.max()))
     if top > _MAX_NODE:  # its index would wrap in int16
         # block (a, c, e) names every receiver of actives[a] and every transmitter of groups[c], so
@@ -267,4 +280,4 @@ def relabel(stack: PlanStack, actives: np.ndarray, groups: np.ndarray) -> PlanSt
     grid[..., to_links][..., 0::2] = tx[:, stack.null_pairs[:, 0]]
     grid[..., to_links][..., 1::2] = rx[:, None, stack.null_pairs[:, 1]]
     grid[..., to_zf] = rx[:, None, stack.zf_rxs]
-    return _stack(stack.header, rows)
+    return _stack(stack.header, range(1, len(rows) + 1), rows)

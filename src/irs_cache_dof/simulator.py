@@ -144,18 +144,17 @@ def _decode(y: np.ndarray, own: np.ndarray, cached: np.ndarray, symbols: np.ndar
 
 
 def _one_block(plan: BlockPlan, beams: BeamformerSet, symbols: np.ndarray, nodes: tuple) -> PlanStack:
-    """The plan as a stack of one, once ``beams`` and ``symbols`` are
-    checked to fit it, and its nodes to fit ``nodes`` ``(k_t, k_r)``."""
+    """The plan as a stack of one, once its nodes are checked to fit
+    ``nodes`` ``(k_t, k_r)``, and ``beams`` and ``symbols`` to fit it."""
+    stack = lower([plan], nodes)
     if beams.deliveries is not plan.deliveries and beams.deliveries != plan.deliveries:
         raise ScheduleConsistencyError(
-            f"block {plan.block_index}: beamformers are for deliveries {beams.deliveries}, "
-            "not this block's serving groups"
+            f"block {stack.blocks[0]}: beamformers are for deliveries {beams.deliveries}, not this block's serving groups"
         )
-    stack = lower([plan], nodes)
     shape = (stack.n_deliveries, stack.group)
     if beams.weights.shape != shape or len(symbols) != shape[0]:
         raise ScheduleConsistencyError(
-            f"block {plan.block_index}: need {shape} weights and {shape[0]} symbols, "
+            f"block {stack.blocks[0]}: need {shape} weights and {shape[0]} symbols, "
             f"got {beams.weights.shape} and {len(symbols)}"
         )
     return stack
@@ -190,7 +189,7 @@ def receiver_decode(
     stack = _one_block(plan, beams, symbols, h_eq.shape[::-1])
     receivers = stack.delivery_rx[0].tolist()
     if rx - 1 not in receivers:
-        raise ScheduleConsistencyError(f"block {plan.block_index}: receiver {rx} has no delivery in this block")
+        raise ScheduleConsistencyError(f"block {stack.blocks[0]}: receiver {rx} has no delivery in this block")
     slot = [receivers.index(rx - 1)]
     own, cached = _gains_and_cached(stack, h_eq[None], beams.weights[None], symbols[None])
     estimate, residual = _decode(np.array([y], dtype=complex), own[0, slot], cached[0, slot], symbols[slot])
@@ -322,13 +321,12 @@ def _back_bytes(params: SystemParams) -> int:
 
 class Chunk(NamedTuple):
     """A run of consecutive blocks of a schedule, as columns with a leading
-    block axis: the plans and their rows of the lowered stack, each block's
-    channel scale and surface residual ``(S,)``, and its symbols ``(S,
-    D)``, transmit signals ``(S, k_t)``, received signals ``(S, k_r)``
-    (noise-free unless the options give a noise variance), and each
-    delivery's own gain and cached sum at its receiver ``(S, D)``."""
+    block axis: their rows of the lowered stack (with their block numbers),
+    each block's channel scale and surface residual ``(S,)``, and its
+    symbols ``(S, D)``, transmit signals ``(S, k_t)``, received signals
+    ``(S, k_r)`` (noise-free unless the options give a noise variance), and
+    each delivery's own gain and cached sum at its receiver ``(S, D)``."""
 
-    plans: Sequence[BlockPlan]
     rows: PlanStack
     scales: np.ndarray
     irs_residuals: np.ndarray
@@ -344,62 +342,56 @@ def _irs_status(stack: PlanStack, params: SystemParams, options: SimOptions) -> 
     return IRS_DISABLED if options.disable_irs else solve_status(stack.null_pairs.shape[2], params.q_elements)
 
 
-def _front(
-    blocks: Sequence[int], stack: PlanStack, params: SystemParams, seed: int, options: SimOptions
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sample the channels of ``blocks``, steer the surface onto each
-    block's null links (or leave it off), and form the equivalent channels
-    and the beamformers, one stacked call per stage: each block's channel
-    scale, surface residual, ``h_eq`` and zero-forcing weights."""
-    ch = sample_channels(params, blocks, seed)
+def _front(stack: PlanStack, params: SystemParams, seed: int, options: SimOptions) -> tuple[np.ndarray, ...]:
+    """Sample the channels of the blocks of ``stack``, steer the surface
+    onto each block's null links (or leave it off), and form the equivalent
+    channels and the beamformers, one stacked call per stage: each block's
+    channel scale, surface residual, ``h_eq`` and zero-forcing weights."""
+    ch = sample_channels(params, stack.blocks, seed)
     # a surface that is off cuts no links: its coefficients and residuals stay 0
     q, residuals = solve_irs_stack(ch, stack.null_pairs[..., : 0 if options.disable_irs else None])
     h_eq = equivalent_channels(ch, q)
     try:
-        weights = zero_forcing_weights(stack, h_eq, ch.blocks, params.mu_t)
+        weights = zero_forcing_weights(stack, h_eq, params.mu_t)
     except SingularChannelError as exc:
         raise SingularChannelError(f"seed {seed}, {exc}") from exc
     return ch.scale, residuals, h_eq, weights
 
 
-def _chunks(
-    plans: Sequence[BlockPlan], stack: PlanStack, params: SystemParams, seed: int, options: SimOptions
-) -> Iterator[Chunk]:
-    """Every block of ``plans`` (lowered to ``stack``), in order, in chunks
-    of the back's size. Each chunk runs its front in pieces of the front's
-    size, which is smaller where a block's systems are large (one block
-    with a 132-element surface), then draws the symbols, transmits,
-    propagates (with each block's stream-2 noise, if any) and
-    cache-subtracts for the whole chunk, one stacked call per stage. With
-    numpy on OpenBLAS every number equals the one-block computation's bit
-    for bit; a singular solve raises the error the block-by-block order
-    meets first."""
+def _chunks(stack: PlanStack, params: SystemParams, seed: int, options: SimOptions) -> Iterator[Chunk]:
+    """Every block of ``stack``, in order, in chunks of the back's size. Each
+    chunk runs its front in pieces of the front's size, which is smaller
+    where a block's systems are large (one block with a 132-element
+    surface), then draws the symbols, transmits, propagates (with each
+    block's stream-2 noise, if any) and cache-subtracts for the whole chunk,
+    one stacked call per stage. With numpy on OpenBLAS every number equals
+    the one-block computation's bit for bit; a singular solve raises the
+    error the block-by-block order meets first."""
     step = max(1, FRONT_CHUNK_BYTES // _back_bytes(params))
     piece = max(1, FRONT_CHUNK_BYTES // _block_bytes(params))
-    for start in range(0, len(plans), step):
-        chunk, rows = plans[start : start + step], stack[start : start + step]
-        blocks = [plan.block_index for plan in chunk]
+    for start in range(0, len(stack), step):
+        rows = stack[start : start + step]
         fronts = []
-        for at in range(0, len(chunk), piece):
-            part = slice(at, at + piece)
+        for at in range(0, len(rows), piece):
+            part = rows[at : at + piece]
             try:
-                fronts.append(_front(blocks[part], rows[part], params, seed, options))
+                fronts.append(_front(part, params, seed, options))
             except SingularChannelError:
                 # the stages ran across blocks: rerun them block by block, so
                 # the error raised is that of the first block (and stage) to fail
-                for one in range(at, min(at + piece, len(chunk))):
-                    _front(blocks[one : one + 1], rows[one : one + 1], params, seed, options)
+                for one in range(len(part)):
+                    _front(part[one : one + 1], params, seed, options)
                 raise
         scales, irs_residuals, h_eq, weights = (np.concatenate(column) for column in zip(*fronts))
-        symbols = _draw_symbols(blocks, rows.n_deliveries, seed)
+        symbols = _draw_symbols(rows.blocks, rows.n_deliveries, seed)
         x = _transmit(rows, weights, symbols, params.k_t)
         y = np.matmul(h_eq, x[:, :, None])[:, :, 0]
         if options.noise_variance > 0.0:
             # unit-variance complex noise: the real parts, then the imaginary parts
-            draws = fill_block_streams(np.empty((len(blocks), 2, params.k_r)), seed, blocks, 2)
+            draws = fill_block_streams(np.empty((len(rows), 2, params.k_r)), seed, rows.blocks, 2)
             y = y + (draws[:, 0] + 1j * draws[:, 1]) * math.sqrt(options.noise_variance / 2.0)
         own, cached = _gains_and_cached(rows, h_eq, weights, symbols)
-        yield Chunk(chunk, rows, scales, irs_residuals, symbols, x, y, own, cached)
+        yield Chunk(rows, scales, irs_residuals, symbols, x, y, own, cached)
 
 
 def _decode_errors(chunk: Chunk) -> np.ndarray:
@@ -418,9 +410,9 @@ def _records(
     delivered = np.count_nonzero(errors < options.success_threshold, axis=1)
     # in the stack's own dtype (int8 up to index 127) receiver 128 would wrap
     columns = (chunk.rows.delivery_rx.astype(np.intp) + 1, errors, chunk.irs_residuals, chunk.scales, delivered)
-    for plan, receivers, residuals, irs_residual, scale, count in zip(chunk.plans, *(c.tolist() for c in columns)):
+    for block, receivers, residuals, irs_residual, scale, count in zip(chunk.rows.blocks, *(c.tolist() for c in columns)):
         yield BlockRecord(
-            block_index=plan.block_index,
+            block_index=block,
             n_nulls=n_nulls,
             q_elements=params.q_elements,
             irs_status=status,
@@ -438,7 +430,7 @@ def simulate_block(
     episode passes in the ``record`` :func:`_records` built for the block,
     which comes back as it is."""
     if record is None:
-        chunk = next(_chunks([plan], lower([plan], (params.k_t, params.k_r)), params, seed, options))
+        chunk = next(_chunks(lower([plan], (params.k_t, params.k_r)), params, seed, options))
         (record,) = _records(chunk, _decode_errors(chunk), _irs_status(chunk.rows, params, options), params, options)
     return record
 
@@ -461,18 +453,19 @@ def run_episode(
     seed = as_seed(seed)
     design = Design(regime)
     schedule = _schedule_for(params, design, options, schedule)
-    plans, stack = schedule.blocks, schedule.lowered
+    stack, plans = schedule.lowered, iter(schedule.blocks)
     status = _irs_status(stack, params, options)
     records, total_delivered, max_decode_error, max_irs_residual = [], 0, 0.0, 0.0
-    for chunk in _chunks(plans, stack, params, seed, options):
+    for chunk in _chunks(stack, params, seed, options):
         errors = _decode_errors(chunk)
-        # one simulate_block call per block, looked up by name (perfbench's traced run wraps it)
-        for plan, record in zip(chunk.plans, _records(chunk, errors, status, params, options)):
-            records.append(simulate_block(plan, params, seed, options, record))
+        # one simulate_block call per block, looked up by name (perfbench's traced run wraps it),
+        # is an episode's only read of its plans
+        for record in _records(chunk, errors, status, params, options):
+            records.append(simulate_block(next(plans), params, seed, options, record))
         total_delivered += int(np.count_nonzero(errors < options.success_threshold))
         max_decode_error = max(max_decode_error, float(errors.max()))
         max_irs_residual = max(max_irs_residual, float(chunk.irs_residuals.max()))
-    total_deliveries = len(plans) * stack.n_deliveries
+    total_deliveries = len(stack) * stack.n_deliveries
     sum_dof = achieved_dof(schedule, total_delivered)
     return EpisodeReport(
         params=params,
@@ -489,7 +482,7 @@ def run_episode(
         sum_dof=sum_dof,
         per_user_dof=sum_dof / params.k_r,
         all_passed=total_delivered == total_deliveries,
-        infeasible_blocks=len(plans) if status == STATUS_INFEASIBLE else 0,
+        infeasible_blocks=len(stack) if status == STATUS_INFEASIBLE else 0,
         max_decode_error=max_decode_error,
         max_irs_residual=max_irs_residual,
     )
@@ -526,7 +519,7 @@ def estimate_dof_slope(
     h = schedule.h_blocks
     rates = np.zeros((len(powers), params.k_r))
     # the rates count unit noise analytically, so the signals stay noise-free
-    for chunk in _chunks(schedule.blocks, schedule.lowered, params, seed, replace(options, noise_variance=0.0)):
+    for chunk in _chunks(schedule.lowered, params, seed, replace(options, noise_variance=0.0)):
         rx = chunk.rows.delivery_rx.astype(np.intp)
         y = np.take_along_axis(chunk.y, rx, axis=1)
         peaks = [float(np.abs(x).max()) for x in chunk.x]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,29 +123,28 @@ def zf_systems(plans: PlanStack, h_eq: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return joint.reshape(n, layout.dim, layout.dim), idle
 
 
-def zero_forcing_weights(plans: PlanStack, h_eq: np.ndarray, blocks: Sequence[int], mu_t: int) -> np.ndarray:
-    """Coefficients for every delivery of each plan of ``plans``, as an
-    ``(S, D, G)`` array, given plan ``s``'s equivalent channel ``h_eq[s]``
-    (the plan is block ``blocks[s]``, which errors name).
+def zero_forcing_weights(stack: PlanStack, h_eq: np.ndarray, mu_t: int) -> np.ndarray:
+    """Coefficients for every delivery of each block of ``stack``, as an
+    ``(S, D, G)`` array, given row ``s``'s equivalent channel ``h_eq[s]``.
 
     Binary selection when serving groups are single transmitters;
-    otherwise, per plan, a joint solve for the lead group and a square
+    otherwise, per block, a joint solve for the lead group and a square
     solve for each idle-receiver group, which reaches its own receiver and
     nulls the zero-forcing ones. Each kind of system is filled by one
     scatter and solved in one stacked call; the first block with a
     singular system raises.
     """
-    n, d, g = len(h_eq), plans.n_deliveries, plans.group
+    n, d, g = len(h_eq), stack.n_deliveries, stack.group
     if mu_t == 1:
         if g != 1:
             raise ValueError("binary selection applies to single-transmitter serving groups")
         return np.ones((n, d, 1), dtype=complex)
-    joint, idle = zf_systems(plans, h_eq)
-    layout = joint_zf_layout(plans.n_joint, g)
+    joint, idle = zf_systems(stack, h_eq)
+    layout = joint_zf_layout(stack.n_joint, g)
     x, joint_ok = _solve(joint, layout.rhs[None, :, None].repeat(n, axis=0))
-    weights = [x.reshape(n, plans.n_joint, g)]
+    weights = [x.reshape(n, stack.n_joint, g)]
     idle_ok = True
-    n_idle = d - plans.n_joint
+    n_idle = d - stack.n_joint
     if n_idle:
         a = idle.reshape(n * n_idle, g, g)
         b = np.zeros((n * n_idle, g, 1), dtype=complex)
@@ -157,12 +156,12 @@ def zero_forcing_weights(plans: PlanStack, h_eq: np.ndarray, blocks: Sequence[in
     if failed.any():
         s = np.flatnonzero(failed)[0]
         kind = "idle-group" if joint_ok[s] else "joint"
-        raise SingularChannelError(f"block {blocks[s]}: {kind} zero-forcing system is singular; the episode aborts")
+        raise SingularChannelError(f"block {stack.blocks[s]}: {kind} zero-forcing system is singular; the episode aborts")
     return np.concatenate(weights, axis=1)
 
 
 def beamformers_for_block(plan: BlockPlan, h_eq: np.ndarray, mu_t: int) -> BeamformerSet:
     """Coefficients for every delivery of a block: the one-block case of
     :func:`zero_forcing_weights`. A node past ``h_eq``'s raises a ValueError."""
-    weights = zero_forcing_weights(lower([plan], h_eq.shape[::-1]), h_eq[None], (plan.block_index,), mu_t)
+    weights = zero_forcing_weights(lower([plan], h_eq.shape[::-1]), h_eq[None], mu_t)
     return BeamformerSet(plan.deliveries, weights[0])

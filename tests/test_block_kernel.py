@@ -225,9 +225,9 @@ def _recorded_chunks(monkeypatch):
             chunks.append(chunk)
             yield chunk
 
-    def recorded_front(plans, *args):
-        pieces.append(len(plans))
-        return real_front(plans, *args)
+    def recorded_front(stack, *args):
+        pieces.append(len(stack))
+        return real_front(stack, *args)
 
     monkeypatch.setattr(simulator, "_chunks", recorded_chunks)
     monkeypatch.setattr(simulator, "_front", recorded_front)
@@ -290,10 +290,10 @@ def test_back_chunks_across_front_chunks_equal_the_reference(monkeypatch, params
             chunks.clear()
             pieces.clear()
             episode = run_episode(params, regime, seed, options, schedule=schedule)
-            assert [len(chunk.plans) for chunk in chunks] == [5, 5, 5, 1]
+            assert [len(chunk.rows) for chunk in chunks] == [5, 5, 5, 1]
             assert pieces == expected_pieces
             for start, chunk in zip(range(0, 16, 5), chunks):
-                assert chunk.plans == plans[start : start + 5]
+                assert list(chunk.rows.blocks) == [plan.block_index for plan in plans[start : start + 5]]
                 assert chunk.rows.delivery_rx.base is schedule.lowered.delivery_rx.base
                 assert np.array_equal(chunk.rows.delivery_rx, schedule.lowered.delivery_rx[start : start + 5])
             for plan, record in zip(plans, episode.blocks, strict=True):

@@ -12,22 +12,25 @@ import pytest
 from hypothesis import given, settings
 from test_schedule_tables import GRID, GRID_IDS, _repeated, _system, small_cases
 
+from irs_cache_dof import simulator
 from irs_cache_dof.analytics import STRICT_Q, SUFFICIENT_Q
 from irs_cache_dof.lowering import lower
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.scheduler import BlockPlan, BlockPlans, DemandVector, Schedule, make_schedule, worst_case_demand
-from irs_cache_dof.simulator import SimOptions, build_schedule
+from irs_cache_dof.simulator import SimOptions, build_schedule, estimate_dof_slope, run_episode, simulate_block
 
 STACK_FIELDS = ("delivery_rx", "serving_tx", "cache_mask", "null_pairs", "zf_rxs")
 
 
 def _assert_rows_equal_the_plans(schedule):
-    """The factor rows equal ``lower`` of the plans: header, values, dtype,
-    and one read-only row buffer that every section views."""
+    """The factor rows equal ``lower`` of the plans: header, block numbers,
+    values, dtype, and one read-only row buffer that every section views.
+    The factor stack keeps its block numbers, ``1..h``, as a range."""
     assert isinstance(schedule.blocks, BlockPlans)
     stack = schedule.lowered
     reference = lower(tuple(schedule.blocks), (schedule.params.k_t, schedule.params.k_r))
     assert stack.header == reference.header and len(schedule.blocks) == len(reference)
+    assert stack.blocks == range(1, len(reference) + 1) and tuple(stack.blocks) == reference.blocks
     buffer, expected = stack.delivery_rx.base, reference.delivery_rx.base
     assert buffer.dtype == expected.dtype and buffer.shape == expected.shape and not buffer.flags.writeable
     for name in STACK_FIELDS:
@@ -103,6 +106,32 @@ def test_plans_are_made_once_on_the_first_full_read(made):
     assert blocks + blocks[:1] == plans + plans[:1] and blocks[:1] + blocks == plans[:1] + plans
     assert type(blocks + blocks[:1]) is tuple and type(blocks[:1] + blocks) is tuple
     assert len(made) == 6480
+
+
+def test_the_block_pipeline_reads_block_numbers_from_the_rows(made, monkeypatch):
+    """A slope estimate on a built schedule makes only the 12 plans that
+    lowering makes, and a block run alone makes none; an episode makes each
+    plan once, only to hand it to its ``simulate_block`` call, in order."""
+    params, regime, strictness = NETWORKS["coop_small"]
+    options = SimOptions(strictness=strictness)
+    slope = estimate_dof_slope(params, regime, 5, (1e3, 1e6), options, build_schedule(params, regime, options))
+    assert len(made) == 12 and len(slope.per_receiver) == params.k_r
+    plan = made[3]
+    made.clear()
+    simulate_block(plan, params, 5, options)
+    assert not made
+    handed, real = [], simulator.simulate_block
+
+    def recorded(plan, *args):
+        handed.append(plan)
+        return real(plan, *args)
+
+    monkeypatch.setattr(simulator, "simulate_block", recorded)
+    report = run_episode(params, regime, 5, options, build_schedule(params, regime, options))
+    assert len(made) == 12 + 6480 and len(handed) == len(report.blocks) == 6480
+    assert all(a is b for a, b in zip(handed, made[12:]))
+    assert [plan.block_index for plan in handed] == [record.block_index for record in report.blocks]
+    assert [record.block_index for record in report.blocks] == list(range(1, 6481))
 
 
 def test_a_factor_schedule_compares_hashes_and_copies_as_by_keyword(made):

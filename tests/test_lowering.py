@@ -23,7 +23,16 @@ from irs_cache_dof.irs import required_nulls, solve_irs
 from irs_cache_dof.lowering import lower
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.scheduler import make_schedule, worst_case_demand
-from irs_cache_dof.simulator import SimOptions, build_schedule, receiver_decode, run_episode, simulate_block, transmit_block
+from irs_cache_dof.simulator import (
+    SimOptions,
+    build_schedule,
+    episode_to_jsonable,
+    estimate_dof_slope,
+    receiver_decode,
+    run_episode,
+    simulate_block,
+    transmit_block,
+)
 from irs_cache_dof.zf import BeamformerSet, beamformers_for_block, joint_zf_layout, joint_zf_rows, zf_systems
 
 T1 = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1, q_elements=6)
@@ -131,26 +140,77 @@ def test_lowering_is_one_small_stack_per_schedule():
     names = [f.name for f in dataclasses.fields(stack)[1:]]
     # five header fields size the five sections a stage reads; nothing derivable is stored
     assert len(stack.header) == 5
-    assert names == ["delivery_rx", "serving_tx", "cache_mask", "null_pairs", "zf_rxs"]
-    # one read-only int8 buffer of one row per plan, which every array views
+    assert names == ["blocks", "delivery_rx", "serving_tx", "cache_mask", "null_pairs", "zf_rxs"]
+    sections = names[1:]
+    # the block numbers are no section: a stack relabelled from the factors numbers its rows 1..h in a range
+    assert stack.blocks == range(1, schedule.h_blocks + 1)
+    # one read-only int8 buffer of one row per plan, which every section views
     buffer = stack.delivery_rx.base
     assert buffer.dtype == np.int8 and len(buffer) == schedule.h_blocks and not buffer.flags.writeable
-    assert all(getattr(stack, name).base is buffer for name in names)
+    assert all(getattr(stack, name).base is buffer for name in sections)
     assert schedule.lowered is stack  # every stage of every episode reads the one stack
-    # a slice of the stack views its rows
+    # a slice of the stack views its rows, and slices their block numbers
     part = stack[3:7]
-    assert len(part) == 4 and part.header == stack.header
-    for name in names:
+    assert len(part) == 4 and part.header == stack.header and part.blocks == range(4, 8)
+    for name in sections:
         assert getattr(part, name).base is buffer
         assert np.array_equal(getattr(part, name), getattr(stack, name)[3:7])
     # one plan lowered alone is its row of the stack
     alone = lower([schedule.blocks[5]])
-    assert alone.header == stack.header
-    for name in names:
+    assert alone.header == stack.header and alone.blocks == (6,)
+    for name in sections:
         assert np.array_equal(getattr(alone, name), getattr(stack, name)[5:6])
     # the stack is not part of the schedule's identity, and a changed schedule is lowered afresh
     copy = dataclasses.replace(schedule)
     assert copy == schedule and "lowered" not in vars(copy)
+
+
+def _renumbered(at, number):
+    """The worked example's keyword-built schedule with the block at
+    position ``at`` renumbered ``number``."""
+    schedule = build_schedule(T1, "thm1", SimOptions())
+    blocks = list(schedule.blocks)
+    blocks[at] = dataclasses.replace(blocks[at], block_index=number)
+    return dataclasses.replace(schedule, blocks=tuple(blocks))
+
+
+@pytest.mark.parametrize("at", [0, 3])
+@pytest.mark.parametrize("number", [1.5, 1.9, -1, "3", None])
+def test_block_number_equal_to_no_nonnegative_int_refused(at, number):
+    """Lowering refuses a block number that no nonnegative int equals, with
+    a plain ValueError naming the plan's position and the number, before it
+    checks anything else; an episode and a slope estimate meet it there."""
+    schedule = _renumbered(at, number)
+    message = rf"^the plan at position {at} has block number {re.escape(repr(number))}; block numbers are nonnegative"
+    bad_node = dataclasses.replace(schedule.blocks[at], lead_rx=0)  # the plan's other checks would refuse it too
+    for run in (
+        lambda: lower(schedule.blocks),
+        lambda: lower([*schedule.blocks[:at], bad_node]),
+        lambda: run_episode(T1, "thm1", 3, schedule=schedule),
+        lambda: estimate_dof_slope(T1, "thm1", 3, (1e3, 1e6), schedule=schedule),
+    ):
+        with pytest.raises(ValueError, match=message) as refused:
+            run()
+        assert type(refused.value) is ValueError
+
+
+@pytest.mark.parametrize("number, block", [(2.0, 2), (True, 1), (Fraction(4), 4), (0, 0)])
+def test_block_number_equal_to_an_int_runs_and_exports_as_that_int(number, block):
+    """A block number equal to a nonnegative int is that int in the stack,
+    and so in every record, exported block and draw of an episode, and in
+    the slope estimate."""
+    schedule, as_int = _renumbered(0, number), _renumbered(0, block)
+    report = run_episode(T1, "thm1", 3, schedule=schedule)
+    assert type(report.blocks[0].block_index) is int and report.blocks[0].block_index == block
+    exported = episode_to_jsonable(report)["blocks"][0]["block"]
+    assert type(exported) is int and exported == block
+    assert report == run_episode(T1, "thm1", 3, schedule=as_int)
+    powers = (1e3, 1e6)
+    assert estimate_dof_slope(T1, "thm1", 3, powers, schedule=schedule) == estimate_dof_slope(
+        T1, "thm1", 3, powers, schedule=as_int
+    )
+    stack = lower(schedule.blocks)
+    assert stack.blocks[:2] == (block, 2) and all(type(b) is int for b in stack.blocks)
 
 
 def test_malformed_plan_refused_when_lowered():
