@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .params import ParameterError, SystemParams, slot_init
+from .params import ParameterError, SystemParams, as_integer, slot_init
 
 STRICT_Q = "strict"
 SUFFICIENT_Q = "sufficient"
@@ -73,6 +73,7 @@ def l_cap(params: SystemParams) -> int:
 def max_feasible_L(q_elements: int, params: SystemParams, mode: str = STRICT_Q) -> int:
     """Largest ``L`` whose element requirement fits the budget, capped by
     the schedule structure; 0 when even one covered receiver is too dear."""
+    q_elements = as_integer(q_elements, "q_elements")
     if q_elements < 0:
         raise ValueError("q_elements must be nonnegative")
     best = 0
@@ -118,6 +119,7 @@ def dof_theorem2(params: SystemParams, l_size: int, mode: str | None = None) -> 
 def dof_theorem(params: SystemParams, l_size: int, mode: str | None = None) -> DofPoint:
     """Achievable sum rate ``min(mu_r + mu_t + L, K_R)`` with an
     ``L``-covering surface: Theorem 1 at ``mu_t = 1``, Theorem 2 above."""
+    l_size = as_integer(l_size, "l_size")
     if not 0 <= l_size <= l_cap(params):
         raise ParameterError(f"l_size {l_size} outside [0, {l_cap(params)}]")
     per_user = Fraction(min(params.mu_r + params.mu_t + l_size, params.k_r), params.k_r)

@@ -15,10 +15,11 @@ transmitters, each group cutting ``mu_t * L`` links. So its plans share one
 header ``(D, G, N, C, Z)`` — deliveries, serving-group size, null links,
 cached receivers, zero-forcing receivers — which fixes the length of every
 section of a row. A row holds only what no stage can derive from the rest:
-each delivery's receiver and serving group, the cache relation, the null
-links and the zero-forcing receivers. The zero-forcing systems are gathers
-of these (:func:`zf.zf_systems`). Beside the rows, not as a section, the stack
-keeps each row's block number: ints, or a ``range`` when relabelled.
+each delivery's receiver and serving group, the cache relation and the null
+links. The zero-forcing receivers are the deliveries' after the lead and the
+cached ones, and the zero-forcing systems are gathers (:func:`zf.zf_systems`).
+Beside the rows, not as a section, the stack keeps each row's block number:
+ints, or a ``range`` when relabelled.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class PlanStack:
     ``cache_mask`` the cache relation: entry ``(a, b)`` is 1 when delivery
     ``a``'s receiver caches delivery ``b``'s subfile. ``null_pairs`` holds
     the cut links sorted by (transmitter, receiver): transmitters in row 0,
-    receivers in row 1. ``zf_rxs`` is the block's zero-forcing receiver
-    group, sorted; the cached group enters only through its size ``C``.
+    receivers in row 1. The cached group enters only through its size ``C``,
+    the zero-forcing one through the deliveries (:attr:`zf_rxs`).
     """
 
     header: tuple[int, ...]
@@ -72,7 +73,6 @@ class PlanStack:
     serving_tx: np.ndarray
     cache_mask: np.ndarray
     null_pairs: np.ndarray
-    zf_rxs: np.ndarray
 
     @property
     def n_deliveries(self) -> int:
@@ -88,6 +88,11 @@ class PlanStack:
         """The lead group's deliveries: the lead's, the cached receivers'
         and the zero-forcing receivers'."""
         return 1 + self.header[3] + self.header[4]
+
+    @property
+    def zf_rxs(self) -> np.ndarray:
+        """Each block's zero-forcing receivers, sorted: those of its deliveries ``1 + C .. C + Z``."""
+        return np.sort(self.delivery_rx[:, self.n_joint - self.header[4] : self.n_joint], axis=1)
 
     def __len__(self) -> int:
         return len(self.delivery_rx)
@@ -143,18 +148,18 @@ def check_nodes(block: int, indices: np.ndarray, is_tx: np.ndarray, nodes: tuple
 
 
 @functools.lru_cache(maxsize=8)
-def _transmitter_at(n_receivers: int, n_served: int, n_ends: int, n_zf: int) -> np.ndarray:
+def _transmitter_at(n_receivers: int, n_served: int, n_ends: int) -> np.ndarray:
     """Which positions of :func:`_lower`'s node indices (receivers, serving
-    transmitters, ``(tx, rx)`` link ends, zero-forcing receivers) hold a
-    transmitter; the others hold a receiver."""
+    transmitters, ``(tx, rx)`` link ends) hold a transmitter; the others
+    hold a receiver."""
     served = np.arange(n_served) >= n_receivers
-    return np.concatenate((served, np.tile([True, False], n_ends // 2), np.zeros(n_zf, bool)))
+    return np.concatenate((served, np.tile([True, False], n_ends // 2)))
 
 
 def _lower(plan: "BlockPlan", block: int, nodes: tuple[int, int] | None) -> tuple[tuple[int, ...], np.ndarray]:
     """The header and row of ``plan``, block ``block``: its null links as unsorted
-    ``(tx, rx)`` ends and its zero-forcing receivers unsorted, which :func:`lower`
-    sorts. With ``nodes`` ``(k_t, k_r)``, a node past its count raises."""
+    ``(tx, rx)`` ends, which :func:`lower` sorts. With ``nodes`` ``(k_t, k_r)``,
+    a node past its count raises."""
     deliveries, links = plan.deliveries, plan.null_links
     group = len(deliveries[0].serving_txs)
     if any(len(dl.serving_txs) != group for dl in deliveries):
@@ -163,10 +168,10 @@ def _lower(plan: "BlockPlan", block: int, nodes: tuple[int, int] | None) -> tupl
         raise ValueError(f"block {block}: need {group - 1} zero-forcing receivers")
     receivers = [dl.intended_rx for dl in deliveries]
     served = [*receivers, *(tx for dl in deliveries for tx in dl.serving_txs)]
-    indices = node_indices(block, [*served, *chain.from_iterable(links), *plan.zf_rxs])
+    indices = node_indices(block, [*served, *chain.from_iterable(links)])
     if nodes is not None:
-        check_nodes(block, indices, _transmitter_at(len(receivers), len(served), 2 * len(links), len(plan.zf_rxs)), nodes)
-    # null_links, PlanStack.n_joint and zf.zf_systems read the deliveries' groups in this order
+        check_nodes(block, indices, _transmitter_at(len(receivers), len(served), 2 * len(links)), nodes)
+    # null_links, PlanStack.n_joint, PlanStack.zf_rxs and zf.zf_systems read the deliveries' groups in this order
     order = [plan.lead_rx, *plan.cached_rxs, *plan.zf_rxs, *plan.idle_rxs]
     if receivers != order:
         raise ValueError(
@@ -189,23 +194,21 @@ def _lower(plan: "BlockPlan", block: int, nodes: tuple[int, int] | None) -> tupl
 def _sections(header: tuple[int, ...]) -> tuple[tuple, list]:
     """The shape of each section of a row of ``header``, and its
     ``(start, stop)`` columns."""
-    d, g, n, _, z = header
-    shapes = ((d,), (d, g), (d, d), (2, n), (z,))
+    d, g, n = header[:3]
+    shapes = ((d,), (d, g), (d, d), (2, n))
     return shapes, list(pairwise(accumulate(map(math.prod, shapes), initial=0)))
 
 
 def _stack(header: tuple[int, ...], blocks: Sequence[int], rows: np.ndarray) -> PlanStack:
     """The stack of blocks ``blocks`` from their ``rows``, whose links are
-    unsorted ``(tx, rx)`` ends and whose zero-forcing receivers are
-    unsorted: every :data:`_SORT_ROWS` rows, the links are sorted in place
-    by :func:`link_pairs` and the zero-forcing receivers by value; then the
-    rows are made read-only and each section is a view of them."""
+    unsorted ``(tx, rx)`` ends: every :data:`_SORT_ROWS` rows, the links are
+    sorted in place by :func:`link_pairs`; then the rows are made read-only
+    and each section is a view of them."""
     shapes, ends = _sections(header)
-    (a, b), (c, e) = ends[3:]
+    a, b = ends[3]
     for first in range(0, len(rows), _SORT_ROWS):
-        part = rows[first : first + _SORT_ROWS]
-        link_pairs(part[:, a:b], out=part[:, a:b].reshape(len(part), 2, header[2]))
-        part[:, c:e].sort(axis=1)
+        part = rows[first : first + _SORT_ROWS, a:b]
+        link_pairs(part, out=part.reshape(len(part), 2, header[2]))
     rows.setflags(write=False)
     return PlanStack(header, blocks, *(rows[:, a:b].reshape(len(rows), *shape) for (a, b), shape in zip(ends, shapes)))
 
@@ -219,9 +222,9 @@ def lower(plans: "Sequence[BlockPlan]", nodes: tuple[int, int] | None = None) ->
     With ``nodes`` ``(k_t, k_r)``, the first plan that names a transmitter
     past ``k_t`` or a receiver past ``k_r`` raises a ValueError.
 
-    Each row is written straight into the stack, which stays int8 until a
-    value passes 127 and is then widened once to int16; then the links and
-    zero-forcing receivers are sorted in place (:func:`_stack`)."""
+    Each plan is lowered once and its row written straight into the stack,
+    which stays int8 until a value passes 127 and is then widened once to
+    int16; then the links are sorted in place (:func:`_stack`)."""
     if not plans:
         raise ValueError("there are no plans to lower")
     blocks = tuple(as_index(plan.block_index) for plan in plans)
@@ -230,10 +233,10 @@ def lower(plans: "Sequence[BlockPlan]", nodes: tuple[int, int] | None = None) ->
             raise ValueError(
                 f"the plan at position {at} has block number {plan.block_index!r}; block numbers are nonnegative integers"
             )
-    header, values = _lower(plans[0], blocks[0], nodes)
-    rows = np.empty((len(plans), len(values)), dtype=np.int8)
     for at, (plan, block) in enumerate(zip(plans, blocks)):
         shape, values = _lower(plan, block, nodes)
+        if not at:  # the first row sizes the stack
+            header, rows = shape, np.empty((len(plans), len(values)), dtype=np.int8)
         if shape != header:
             raise ShapeMismatchError(
                 f"block {block} lowers to header {shape}, not to the {header} of block "
@@ -253,8 +256,8 @@ def relabel(stack: PlanStack, actives: np.ndarray, groups: np.ndarray) -> PlanSt
     ``groups`` (1-based transmitters, one disjoint group per slot,
     ``(C, L + 1, G)``). Receiver ``j`` becomes ``actives[a, j]``, each
     slot's transmitters become the same slot's at coordinate ``c``, and the
-    cache relation is copied; the links and zero-forcing receivers are then
-    sorted again (:func:`_stack`); the blocks are numbered ``1..h``. A node
+    cache relation is copied; the links are then sorted again
+    (:func:`_stack`); the blocks are numbered ``1..h``. A node
     past :data:`_MAX_NODE` raises a ValueError naming the first block that names it."""
     top = max(int(actives.max()), int(groups.max()))
     if top > _MAX_NODE:  # its index would wrap in int16
@@ -273,11 +276,10 @@ def relabel(stack: PlanStack, actives: np.ndarray, groups: np.ndarray) -> PlanSt
     ends = _sections(stack.header)[1]
     rows = np.empty((len(rx) * len(tx) * len(stack), ends[-1][1]), dtype)
     grid = rows.reshape(len(rx), len(tx), len(stack), -1)
-    to_rx, to_tx, to_cache, to_links, to_zf = (slice(*end) for end in ends)
+    to_rx, to_tx, to_cache, to_links = (slice(*end) for end in ends)
     grid[..., to_rx] = rx[:, None, stack.delivery_rx]
     grid[..., to_tx] = tx[:, stack.serving_tx.reshape(len(stack), -1)]
     grid[..., to_cache] = stack.cache_mask.reshape(len(stack), -1)
     grid[..., to_links][..., 0::2] = tx[:, stack.null_pairs[:, 0]]
     grid[..., to_links][..., 1::2] = rx[:, None, stack.null_pairs[:, 1]]
-    grid[..., to_zf] = rx[:, None, stack.zf_rxs]
     return _stack(stack.header, range(1, len(rows) + 1), rows)

@@ -133,10 +133,14 @@ class Schedule:
         else from the plans (:func:`lowering.lower`), where a block that
         names a node past the network's raises a ValueError. Building or
         verifying the schedule lowers nothing."""
-        blocks = self.blocks
-        if isinstance(blocks, BlockPlans) and blocks.params == self.params:
-            return blocks.lowered()
-        return lower(blocks, (self.params.k_t, self.params.k_r))
+        if self._own_factors:
+            return self.blocks.lowered()
+        return lower(self.blocks, (self.params.k_t, self.params.k_r))
+
+    @property
+    def _own_factors(self) -> bool:
+        """Whether the blocks are the factors :func:`make_schedule` built for this network."""
+        return isinstance(self.blocks, BlockPlans) and self.blocks.params == self.params
 
     @property
     def design(self) -> Design:
@@ -570,6 +574,7 @@ def make_schedule(
         raise SchedulingError(
             f"mu_r + mu_t = {mu_r + mu_t} exceeds k_r = {k_r}; the joint decoding group does not fit"
         )
+    l_size = as_integer(l_size, "l_size")
     if l_size < 0:
         raise SchedulingError("l_size must be nonnegative")
     partial = mu_r + mu_t + l_size < k_r
@@ -614,18 +619,6 @@ class PartitionReport:
         if self.duplicates:
             parts.append(f"duplicate delivery of {len(self.duplicates)} subfiles, e.g. {self.duplicates[0]}")
         return "; ".join(parts)
-
-
-class _Digits(dict):
-    """Memo of one digit function over the values a schedule repeats."""
-
-    def __init__(self, digit):
-        super().__init__()
-        self.digit = digit
-
-    def __missing__(self, value):
-        self[value] = self.digit(value)
-        return self[value]
 
 
 def _order_key(value):
@@ -674,9 +667,10 @@ def _key_deliveries(codec: SubfileKeyCodec, blocks: tuple[BlockPlan, ...], rows:
     """Add every delivery's key, in block order, into its row of ``rows``
     (zero on entry), and return whether each delivery keys: one with a
     digit out of range is left a partial row. The blocks are walked once,
-    :data:`_KEY_BLOCKS` at a time, each digit memoized over the values the
-    schedule repeats."""
-    memos = [_Digits(digit_of) for digit_of in codec.digit_of]
+    :data:`_KEY_BLOCKS` at a time, each digit function memoized by
+    :func:`functools.cache` over the values the schedule repeats; an
+    unhashable value raises a TypeError."""
+    memos = [functools.cache(digit_of) for digit_of in codec.digit_of]
     keyed = np.ones(len(rows), dtype=bool)
     stop = 0
     for first in range(0, len(blocks), _KEY_BLOCKS):
@@ -686,7 +680,7 @@ def _key_deliveries(codec: SubfileKeyCodec, blocks: tuple[BlockPlan, ...], rows:
         fields.append(map(attrgetter("intended_rx"), deliveries))
         start, stop = stop, stop + len(deliveries)
         for memo, values, (word, weight) in zip(memos, fields, codec.places):
-            digit = np.fromiter(map(memo.__getitem__, values), np.int64, len(deliveries))
+            digit = np.fromiter(map(memo, values), np.int64, len(deliveries))
             keyed[start:stop] &= digit >= 0
             digit *= weight
             rows[start:stop, word] += digit
@@ -713,10 +707,9 @@ def verify_schedule_partition(schedule: Schedule, demanded: SubfileKeys) -> Part
     """
     codec, blocks = demanded.codec, schedule.blocks
     n_deliveries = _n_deliveries(blocks)
-    factors = isinstance(blocks, BlockPlans) and blocks.params == schedule.params
 
     def key(rows):  # whether each delivery keys, or None when the factors keyed them all
-        if factors and blocks.keys(codec, rows):
+        if schedule._own_factors and blocks.keys(codec, rows):
             return None
         return _key_deliveries(codec, blocks, rows)
 

@@ -1,8 +1,10 @@
 """Closed-form rate formulas, baselines, memory sharing, and sweeps."""
 
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from irs_cache_dof.analytics import (
@@ -11,6 +13,7 @@ from irs_cache_dof.analytics import (
     dof_benchmark_ndt,
     dof_benchmark_oneshot,
     dof_memory_sharing,
+    dof_theorem,
     dof_theorem1,
     dof_theorem2,
     max_feasible_L,
@@ -71,6 +74,31 @@ def test_theorem_preconditions():
         dof_theorem2(P(4, 4, 1, 1), 0)
     with pytest.raises(ParameterError):
         dof_theorem1(P(3, 4, 1, 1), 3)  # beyond min(K_T-1, K_R-1)
+
+
+@pytest.mark.parametrize("value", [True, 1.5, 2.0, "1", None], ids=repr)
+def test_l_size_and_q_elements_of_non_integers_refused(value):
+    """The null count and the element budget are integers: a bool, a float
+    (even an integral one), a string or None is refused naming the argument,
+    not kept, truncated or left to fail inside the formula."""
+    p1, p2 = P(3, 4, 1, 1, 6), P(4, 4, 2, 1, 4)
+    for call, name in [
+        (lambda: dof_theorem(p1, value), "l_size"),
+        (lambda: dof_theorem1(p1, value), "l_size"),
+        (lambda: dof_theorem2(p2, value), "l_size"),
+        (lambda: max_feasible_L(value, p1), "q_elements"),
+    ]:
+        with pytest.raises(ParameterError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            call()
+
+
+def test_numpy_l_size_and_q_elements_are_python_ints():
+    p = P(3, 4, 1, 1, 6)
+    point = dof_theorem(p, np.int64(1))
+    assert type(point.l_size) is int and point == dof_theorem(p, 1)
+    assert type(dof_theorem2(P(4, 4, 2, 1), np.uint8(1)).l_size) is int
+    best = max_feasible_L(np.int64(6), p)
+    assert type(best) is int and best == 2
 
 
 def test_benchmark_oneshot_values():

@@ -19,13 +19,14 @@ from irs_cache_dof.params import SystemParams
 from irs_cache_dof.scheduler import BlockPlan, BlockPlans, DemandVector, Schedule, make_schedule, worst_case_demand
 from irs_cache_dof.simulator import SimOptions, build_schedule, estimate_dof_slope, run_episode, simulate_block
 
-STACK_FIELDS = ("delivery_rx", "serving_tx", "cache_mask", "null_pairs", "zf_rxs")
+STACK_FIELDS = ("delivery_rx", "serving_tx", "cache_mask", "null_pairs")
 
 
 def _assert_rows_equal_the_plans(schedule):
     """The factor rows equal ``lower`` of the plans: header, block numbers,
-    values, dtype, and one read-only row buffer that every section views.
-    The factor stack keeps its block numbers, ``1..h``, as a range."""
+    values, dtype, one read-only row buffer that every section views, and
+    the zero-forcing groups read from the rows. The factor stack keeps its
+    block numbers, ``1..h``, as a range."""
     assert isinstance(schedule.blocks, BlockPlans)
     stack = schedule.lowered
     reference = lower(tuple(schedule.blocks), (schedule.params.k_t, schedule.params.k_r))
@@ -37,6 +38,8 @@ def _assert_rows_equal_the_plans(schedule):
         rows, oracle = getattr(stack, name), getattr(reference, name)
         assert rows.base is buffer, name
         assert rows.dtype == oracle.dtype and rows.shape == oracle.shape and np.array_equal(rows, oracle), name
+    zf, oracle = stack.zf_rxs, reference.zf_rxs
+    assert zf.dtype == oracle.dtype and zf.shape == oracle.shape and np.array_equal(zf, oracle)
     return stack
 
 

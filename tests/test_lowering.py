@@ -138,10 +138,13 @@ def test_lowering_is_one_small_stack_per_schedule():
     schedule = _schedule("T2-II-ordered")[1]
     stack = schedule.lowered
     names = [f.name for f in dataclasses.fields(stack)[1:]]
-    # five header fields size the five sections a stage reads; nothing derivable is stored
+    # five header fields size the four sections a stage reads; nothing derivable is stored
     assert len(stack.header) == 5
-    assert names == ["blocks", "delivery_rx", "serving_tx", "cache_mask", "null_pairs", "zf_rxs"]
+    assert names == ["blocks", "delivery_rx", "serving_tx", "cache_mask", "null_pairs"]
     sections = names[1:]
+    # the zero-forcing group is no section: it is read, sorted, from the deliveries after the lead and cached ones
+    c, z = stack.header[3:]
+    assert np.array_equal(stack.zf_rxs, np.sort(stack.delivery_rx[:, 1 + c : 1 + c + z], axis=1))
     # the block numbers are no section: a stack relabelled from the factors numbers its rows 1..h in a range
     assert stack.blocks == range(1, schedule.h_blocks + 1)
     # one read-only int8 buffer of one row per plan, which every section views
@@ -155,6 +158,7 @@ def test_lowering_is_one_small_stack_per_schedule():
     for name in sections:
         assert getattr(part, name).base is buffer
         assert np.array_equal(getattr(part, name), getattr(stack, name)[3:7])
+    assert np.array_equal(part.zf_rxs, stack.zf_rxs[3:7])
     # one plan lowered alone is its row of the stack
     alone = lower([schedule.blocks[5]])
     assert alone.header == stack.header and alone.blocks == (6,)
@@ -224,6 +228,46 @@ def test_malformed_plan_refused_when_lowered():
     ]:
         with pytest.raises(ValueError, match=rf"^block {plan.block_index}: {message}$"):
             lower([bad])
+
+
+def test_lower_lowers_each_plan_once(monkeypatch):
+    """``lower`` sizes its stack from the first plan's row, so it lowers
+    each plan once, the first included."""
+    lowered, real = [], lowering._lower
+
+    def counted(plan, *args):
+        lowered.append(plan)
+        return real(plan, *args)
+
+    monkeypatch.setattr(lowering, "_lower", counted)
+    plans = _schedule("T2-II-ordered")[1].blocks[:5]
+    for some in (plans[:1], plans):
+        lowered.clear()
+        lower(some)
+        assert list(map(id, lowered)) == list(map(id, some))
+
+
+def test_unsorted_zero_forcing_group_reads_sorted():
+    """A mu_t = 3 plan built by keyword with its two zero-forcing
+    receivers, and their deliveries, in descending order lowers with those
+    deliveries in that order and its zero-forcing group sorted, as the
+    factor stack holds it; every other delivery keeps its row."""
+    params, schedule = _schedule("T2-mu3")
+    plan = schedule.blocks[0]
+    c, z = len(plan.cached_rxs), len(plan.zf_rxs)
+    assert z == 2 and plan.zf_rxs[0] < plan.zf_rxs[1]
+    zf, order = slice(1 + c, 1 + c + z), list(range(len(plan.deliveries)))
+    order[zf] = order[zf][::-1]
+    deliveries = tuple(plan.deliveries[i] for i in order)
+    swapped = dataclasses.replace(plan, zf_rxs=plan.zf_rxs[::-1], deliveries=deliveries)
+    stack, factor = lower([swapped], (params.k_t, params.k_r)), schedule.lowered[:1]
+    assert stack.delivery_rx[0, zf].tolist() == [j - 1 for j in swapped.zf_rxs]
+    assert stack.zf_rxs.tolist() == [[j - 1 for j in plan.zf_rxs]]
+    assert stack.zf_rxs.dtype == factor.zf_rxs.dtype and np.array_equal(stack.zf_rxs, factor.zf_rxs)
+    assert np.array_equal(stack.delivery_rx, factor.delivery_rx[:, order])
+    assert np.array_equal(stack.serving_tx, factor.serving_tx[:, order])
+    assert np.array_equal(stack.cache_mask, factor.cache_mask[:, order][:, :, order])
+    assert np.array_equal(stack.null_pairs, factor.null_pairs)
 
 
 def test_no_plans_refused_when_lowered():

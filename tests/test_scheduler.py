@@ -380,6 +380,21 @@ def test_exhaustive_cover_theorem2_desk_scale():
                     assert ok, ("ordered", mu_t, m, k_r, mu_r)
 
 
+@pytest.mark.parametrize("l_size", [True, 1.5, 2.0, "1", None], ids=repr)
+def test_l_size_of_non_integers_refused(l_size):
+    """A bool would build a schedule whose ``l_size`` is ``True``, and a
+    float, string or None would fail inside the build: each is refused
+    naming the argument."""
+    with pytest.raises(ParameterError, match=rf"^l_size must be an integer, got {re.escape(repr(l_size))}$"):
+        make_schedule(EX, worst_case_demand(EX), l_size)
+
+
+def test_numpy_l_size_builds_the_schedule_of_its_int():
+    schedule = make_schedule(EX, worst_case_demand(EX), np.int64(1))
+    assert type(schedule.l_size) is int and schedule.regime == "T1-II"
+    assert schedule == make_schedule(EX, worst_case_demand(EX), 1)
+
+
 @pytest.mark.parametrize("files", [(True, 2, 3, 4), (1, 2, 3.0, 4), ("1", 2, 3, 4)], ids=["bool", "float", "str"])
 def test_demand_of_non_integers_refused(files):
     with pytest.raises(ParameterError, match=r"^demand must be an integer, got "):
