@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .params import ParameterError, SystemParams, as_integer, slot_init
+from .params import ParameterError, SystemParams, as_count, as_integer, slot_init
 
 STRICT_Q = "strict"
 SUFFICIENT_Q = "sufficient"
@@ -73,9 +73,7 @@ def l_cap(params: SystemParams) -> int:
 def max_feasible_L(q_elements: int, params: SystemParams, mode: str = STRICT_Q) -> int:
     """Largest ``L`` whose element requirement fits the budget, capped by
     the schedule structure; 0 when even one covered receiver is too dear."""
-    q_elements = as_integer(q_elements, "q_elements")
-    if q_elements < 0:
-        raise ValueError("q_elements must be nonnegative")
+    q_elements = as_count(q_elements, "q_elements")
     best = 0
     for l_size in range(1, l_cap(params) + 1):
         if required_elements(l_size, params.mu_t, mode) <= q_elements:

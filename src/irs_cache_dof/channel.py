@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .params import ParameterError, SystemParams, as_integer
+from .params import SystemParams, as_count
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -47,10 +47,7 @@ def solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def as_seed(seed: int) -> int:
     """``seed`` as a Python int, or a :class:`ParameterError` (a
     ``ValueError``) naming it when it is not a nonnegative integer."""
-    value = as_integer(seed, "seed")
-    if value < 0:
-        raise ParameterError(f"seed must be nonnegative, got {seed!r}")
-    return value
+    return as_count(seed, "seed")
 
 
 def block_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:

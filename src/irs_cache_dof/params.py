@@ -19,6 +19,15 @@ def as_integer(value: object, name: str) -> int:
     return int(value)
 
 
+def as_count(value: object, name: str) -> int:
+    """``value`` as a nonnegative Python int (:func:`as_integer`), or a
+    :class:`ParameterError` naming ``name``."""
+    count = as_integer(value, name)
+    if count < 0:
+        raise ParameterError(f"{name} must be nonnegative, got {value!r}")
+    return count
+
+
 def as_index(value: object) -> int | None:
     """The int that ``value`` equals under ``==`` (1 for ``1.0``, ``Fraction(1)`` or ``True``), or
     None: parameters are checked by type (:func:`as_integer`), plan fields by equality."""

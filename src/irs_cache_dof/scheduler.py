@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -34,7 +35,7 @@ from .combinatorics import (
     verify_subset_partition,
 )
 from .lowering import PlanStack, lower, relabel
-from .params import SystemParams, as_index, as_integer, slot_init
+from .params import SystemParams, as_count, as_index, as_integer, slot_init
 from .placement import ORDERED_MODE, SUBSET_MODE, SubfileId, SubfileUniverse
 
 
@@ -574,9 +575,7 @@ def make_schedule(
         raise SchedulingError(
             f"mu_r + mu_t = {mu_r + mu_t} exceeds k_r = {k_r}; the joint decoding group does not fit"
         )
-    l_size = as_integer(l_size, "l_size")
-    if l_size < 0:
-        raise SchedulingError("l_size must be nonnegative")
+    l_size = as_count(l_size, "l_size")
     partial = mu_r + mu_t + l_size < k_r
     if partial:
         actives = tuple(combinations(params.receivers, mu_r + mu_t + l_size))
@@ -651,8 +650,6 @@ def _group_starts(rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-#: blocks whose deliveries are keyed at once, which bounds the lists of their fields
-_KEY_BLOCKS = 1024
 #: deliveries keyed at once from the factors, which bounds the digit arrays
 _KEY_ROWS = 1 << 16
 
@@ -663,94 +660,71 @@ def _n_deliveries(blocks: Sequence[BlockPlan]) -> int:
     return blocks.n_deliveries if isinstance(blocks, BlockPlans) else sum(len(block.deliveries) for block in blocks)
 
 
-def _key_deliveries(codec: SubfileKeyCodec, blocks: tuple[BlockPlan, ...], rows: np.ndarray) -> np.ndarray:
+def _key_deliveries(codec: SubfileKeyCodec, blocks: Sequence[BlockPlan], rows: np.ndarray) -> tuple[np.ndarray, list]:
     """Add every delivery's key, in block order, into its row of ``rows``
-    (zero on entry), and return whether each delivery keys: one with a
-    digit out of range is left a partial row. The blocks are walked once,
-    :data:`_KEY_BLOCKS` at a time, each digit function memoized by
-    :func:`functools.cache` over the values the schedule repeats; an
-    unhashable value raises a TypeError."""
+    (zero on entry), in one pass over the plans, each digit function
+    memoized by :func:`functools.cache` over the values the schedule
+    repeats (an unhashable value raises a TypeError). Return the positions
+    and the (subfile, receiver) pairs of the deliveries with a digit out of
+    range, whose rows are left partial."""
     memos = [functools.cache(digit_of) for digit_of in codec.digit_of]
+    deliveries = [dl for block in blocks for dl in block.deliveries]
+    subfiles = [dl.subfile for dl in deliveries]
+    fields = [map(attrgetter(name), subfiles) for name in ("file", "tx_index", "rx_set", "zf_set", "irs_set")]
+    fields.append(map(attrgetter("intended_rx"), deliveries))
     keyed = np.ones(len(rows), dtype=bool)
-    stop = 0
-    for first in range(0, len(blocks), _KEY_BLOCKS):
-        deliveries = [dl for block in blocks[first : first + _KEY_BLOCKS] for dl in block.deliveries]
-        subfiles = [dl.subfile for dl in deliveries]
-        fields = [map(attrgetter(name), subfiles) for name in ("file", "tx_index", "rx_set", "zf_set", "irs_set")]
-        fields.append(map(attrgetter("intended_rx"), deliveries))
-        start, stop = stop, stop + len(deliveries)
-        for memo, values, (word, weight) in zip(memos, fields, codec.places):
-            digit = np.fromiter(map(memo, values), np.int64, len(deliveries))
-            keyed[start:stop] &= digit >= 0
-            digit *= weight
-            rows[start:stop, word] += digit
-    return keyed
+    for memo, values, (word, weight) in zip(memos, fields, codec.places):
+        digit = np.fromiter(map(memo, values), np.int64, len(rows))
+        keyed &= digit >= 0
+        digit *= weight
+        rows[:, word] += digit
+    unkeyed = np.flatnonzero(~keyed)
+    return unkeyed, [(deliveries[i].subfile, deliveries[i].intended_rx) for i in unkeyed]
 
 
 def verify_schedule_partition(schedule: Schedule, demanded: SubfileKeys) -> PartitionReport:
     """Check the exact-cover property: every demanded (subfile, receiver)
     pair is delivered exactly once and nothing else is delivered.
 
-    Each delivery is keyed once with the demanded set's codec: from the
-    factors of blocks built for the schedule's network, when every delivery
-    keys there (:meth:`BlockPlans.keys`, which reads no plan), else from the
-    plans. When the keys fit one word and every delivery keys, the sorted
+    Each delivery is keyed once with the demanded set's codec, into its row
+    of one array: from the factors of blocks built for the schedule's
+    network, when every delivery keys there
+    (:meth:`BlockPlans.keys`, which reads no plan), else from the plans
+    (:func:`_key_deliveries`). Every demanded pair has a key, so a delivery
+    with a digit out of range is undemanded: its row is dropped and its
+    pair counted, undemanded once and duplicated too when delivered twice.
+    When the keys fit one word and every delivery keys, the sorted
     delivered keys equal the sorted demanded ones exactly when the cover
-    holds, since the demanded keys are distinct. Otherwise the deliveries'
-    key rows follow the demanded ones in one array, a delivery with a digit
-    out of range given a private key, word 0 ``-1 - id`` (below every codec
-    key) with ``id`` shared by equal pairs. One stable sort of all rows
-    then groups equal ones: a group without a demanded key is undemanded,
-    one without a delivery is missing, one with several deliveries is
-    duplicated. Undemanded and duplicated pairs are the deliveries' own, or
-    decoded when the factors keyed them all; missing ones are decoded.
+    holds, since the demanded keys are distinct. Otherwise one lexsort of
+    the demanded and delivered rows groups equal ones: a group without a demanded row is
+    undemanded, one without a delivery is missing, one with several
+    deliveries is duplicated. Their pairs are decoded from the keys, so
+    come in ``_pair_key`` order, and the unkeyed pairs are merged in.
     """
     codec, blocks = demanded.codec, schedule.blocks
-    n_deliveries = _n_deliveries(blocks)
-
-    def key(rows):  # whether each delivery keys, or None when the factors keyed them all
-        if schedule._own_factors and blocks.keys(codec, rows):
-            return None
-        return _key_deliveries(codec, blocks, rows)
-
-    if codec.width == 1:
-        keys = np.zeros((n_deliveries, 1), dtype=np.int64)
-        keyed = key(keys)
-        if keyed is None or keyed.all():
-            keys = keys.reshape(n_deliveries)
-            keys.sort()
-            if np.array_equal(keys, np.sort(demanded.rows[:, 0])):
-                return PartitionReport(ok=True, missing=(), extra=(), duplicates=())
-        del keys
-    n_demanded = len(demanded)
-    rows = np.zeros((n_demanded + n_deliveries, codec.width), dtype=np.int64)
-    rows[:n_demanded] = demanded.rows
-    keyed = key(rows[n_demanded:])
-    if keyed is not None:
-        deliveries = [dl for block in blocks for dl in block.deliveries]
-
-        def pair(i):
-            return deliveries[i].subfile, deliveries[i].intended_rx
-
-        ids: dict[tuple[SubfileId, int], int] = {}
-        unkeyed = np.flatnonzero(~keyed)
-        rows[n_demanded + unkeyed] = 0
-        rows[n_demanded + unkeyed, 0] = [-1 - ids.setdefault(pair(i), len(ids)) for i in unkeyed]
+    keys = np.zeros((_n_deliveries(blocks), codec.width), dtype=np.int64)
+    unkeyed: list[tuple[SubfileId, int]] = []
+    if not (schedule._own_factors and blocks.keys(codec, keys)):
+        at, unkeyed = _key_deliveries(codec, blocks, keys)
+        keys = np.delete(keys, at, axis=0)
+    if codec.width == 1 and not unkeyed:  # the delivered and demanded keys, one sorted column each
+        keys.sort(axis=0)
+        if np.array_equal(keys, np.sort(demanded.rows, axis=0)):
+            return PartitionReport(ok=True, missing=(), extra=(), duplicates=())
+    rows = np.concatenate((demanded.rows, keys))
+    del keys  # the rows hold a copy; free these before the lexsort's arrays
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
     starts = _group_starts(rows)
-    is_demanded = order[starts] < n_demanded
+    is_demanded = order[starts] < len(demanded)
     count = np.diff(starts, append=len(rows)) - is_demanded  # deliveries per group
-
-    def delivered(at):  # the deliveries at sorted positions ``at``, in ``_pair_key`` order
-        if keyed is None:  # sorted keys of int fields decode in that order
-            return tuple(codec.pairs(rows[at]))
-        return tuple(sorted(map(pair, order[at] - n_demanded), key=_pair_key))
-
-    missing = tuple(codec.pairs(rows[starts[count == 0]]))
-    extra = delivered(starts[~is_demanded])
-    duplicates = delivered((starts + is_demanded)[count > 1])
-    return PartitionReport(ok=not (missing or extra or duplicates), missing=missing, extra=extra, duplicates=duplicates)
+    counts = Counter(unkeyed)
+    missing = codec.pairs(rows[starts[count == 0]])
+    extra = codec.pairs(rows[starts[~is_demanded]]) + list(counts)
+    duplicates = codec.pairs(rows[starts[count > 1]]) + [pair for pair, n in counts.items() if n > 1]
+    if counts:
+        extra, duplicates = (sorted(pairs, key=_pair_key) for pairs in (extra, duplicates))
+    return PartitionReport(not (missing or extra or duplicates), tuple(missing), tuple(extra), tuple(duplicates))
 
 
 def achieved_dof(schedule: Schedule, delivered: int | None = None) -> Fraction:

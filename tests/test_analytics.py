@@ -92,6 +92,11 @@ def test_l_size_and_q_elements_of_non_integers_refused(value):
             call()
 
 
+def test_negative_q_elements_refused_as_a_parameter_error():
+    with pytest.raises(ParameterError, match=r"^q_elements must be nonnegative, got -1$"):
+        max_feasible_L(-1, P(3, 4, 1, 1, 6))
+
+
 def test_numpy_l_size_and_q_elements_are_python_ints():
     p = P(3, 4, 1, 1, 6)
     point = dof_theorem(p, np.int64(1))

@@ -218,6 +218,13 @@ def test_negative_seed_rejected(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "schedule-verify"])
+def test_negative_l_size_rejected(tmp_path, capsys, command):
+    code = main([command, *EXAMPLE_FLAGS, "--l-size", "-1", "--out", str(tmp_path / "out.json")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: l_size must be nonnegative")
+
+
 def test_seed_past_64_bits_rejected(tmp_path, capsys):
     out = tmp_path / "episode.json"
     code = main(["simulate", *EXAMPLE_FLAGS, "--seed", str(2**64), "--out", str(out)])

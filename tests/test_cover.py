@@ -198,6 +198,30 @@ def test_equal_values_of_other_types_key_like_their_ints(b, edit):
     assert (SubfileId(1.0, (1,), (2,)), 1) in demanded
 
 
+def test_undemanded_and_duplicated_pairs_that_key_are_reported_decoded():
+    """A delivery moved to file ``2.0`` (undemanded by its receiver) and
+    one delivered twice with ``file`` a float: both key, so both come back
+    decoded from their keys, with int fields, as missing pairs do."""
+    schedule = make_schedule(WORKED, worst_case_demand(WORKED), 2)
+    universe = split_library(WORKED)
+    moved = schedule.blocks[0].deliveries[0]
+    assert moved.intended_rx != 2
+    edited = _with_delivery(schedule, 0, 0, file=2.0)
+    twice = edited.blocks[4].deliveries[1]
+    edited = _with_delivery(edited, 4, 1, file=float(twice.subfile.file))
+    *blocks, last = edited.blocks
+    last = replace(last, deliveries=(*last.deliveries, edited.blocks[4].deliveries[1]))
+    edited = replace(edited, blocks=(*blocks, last))
+    report = verify_schedule_partition(edited, demanded_for_schedule(universe, schedule))
+    assert report == reference_verify_schedule_partition(edited, reference_demanded_for_schedule(universe, schedule))
+    assert report.missing == ((moved.subfile, moved.intended_rx),)
+    assert report.extra == ((replace(moved.subfile, file=2), moved.intended_rx),)
+    assert report.duplicates == ((twice.subfile, twice.intended_rx),)
+    for sub, rx in report.extra + report.duplicates:
+        assert type(sub.file) is int and type(rx) is int
+        assert all(type(value) is int for group in (sub.tx_index, sub.rx_set, sub.zf_set, sub.irs_set) for value in group)
+
+
 @cache
 def _cover_case(name):
     universe, schedule = NETWORKS[name]()

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from test_cover import NETWORKS
 from test_schedule_tables import DESK_IDS, GRID, GRID_IDS, _repeated, _system, small_cases
 
+from irs_cache_dof import scheduler
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.placement import ORDERED_MODE, SUBSET_MODE, SubfileId, split_library
 from irs_cache_dof.scheduler import (
@@ -98,7 +99,8 @@ def test_factor_keys_equal_the_plan_keys_row_for_row(case):
         assert blocks.keys(codec, factor)
     assert not made
     plans = np.zeros((n, codec.width), dtype=np.int64)
-    assert _key_deliveries(codec, tuple(blocks), plans).all()
+    unkeyed, pairs = _key_deliveries(codec, tuple(blocks), plans)
+    assert not len(unkeyed) and not pairs
     assert len(plans) == sum(len(block.deliveries) for block in blocks)
     assert np.array_equal(factor, plans)
 
@@ -170,6 +172,35 @@ def test_a_codec_of_other_parameters_keys_the_plans():
     demanded = demanded_for_schedule(split_library(more_files), make_schedule(more_files, worst_case_demand(more_files), 1))
     report = _assert_reports_alike(schedule, demanded, keyed_from_factors=False)
     assert report.ok
+
+
+@pytest.mark.parametrize("keyed_from", ["factors", "plans"])
+def test_a_failing_one_word_cover_keys_each_delivery_once(monkeypatch, keyed_from):
+    """A schedule missing its last coordinate (factors) or its last block
+    (plans) fails the sorted-column check, and the report that follows
+    reuses those keys: one ``BlockPlans.keys`` or one ``_key_deliveries``
+    call in all."""
+    schedule = make_schedule(T1_II, worst_case_demand(T1_II), 1)
+    demanded = demanded_for_schedule(split_library(T1_II), schedule)
+    assert demanded.codec.width == 1
+    if keyed_from == "factors":
+        broken = replace(schedule, blocks=replace_factors(schedule.blocks, served=schedule.blocks.served[:-1]))
+        owner, name = BlockPlans, "keys"
+    else:
+        broken = replace(schedule, blocks=tuple(schedule.blocks)[:-1])
+        owner, name = scheduler, "_key_deliveries"
+    calls, key = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return key(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    report = verify_schedule_partition(broken, demanded)
+    assert len(calls) == 1
+    assert not report.ok and report.missing and not (report.extra or report.duplicates)
+    monkeypatch.undo()
+    assert report == _object_report(broken, demanded)
 
 
 def test_overlapping_table_groups_raise_what_subfile_id_raises():

@@ -292,10 +292,9 @@ BROKEN_DESIGN = SubsetPartitionSystem(m=2, mu_t=2, classes=(((1, 2), (3, 4)), ((
         (EX, 0, find_subset_partition(2, 2), "needs mu_t >= 2"),
         (T2, 0, BROKEN_DESIGN, "invalid subset-partition system"),
         (NO_ZF_ROOM, 0, enumerate_ordered_partitions(2, 2), "exceeds k_r"),
-        (EX, -1, None, "l_size must be nonnegative"),
         (FEW_TX, 2, None, "3 disjoint serving groups needed"),
     ],
-    ids=["design-shape", "no-design", "design-for-mu_t-1", "invalid-design", "mu-sum", "negative-l", "few-slots"],
+    ids=["design-shape", "no-design", "design-for-mu_t-1", "invalid-design", "mu-sum", "few-slots"],
 )
 def test_make_schedule_preconditions(params, l_size, system, message):
     with pytest.raises(SchedulingError, match=message):
@@ -387,6 +386,12 @@ def test_l_size_of_non_integers_refused(l_size):
     naming the argument."""
     with pytest.raises(ParameterError, match=rf"^l_size must be an integer, got {re.escape(repr(l_size))}$"):
         make_schedule(EX, worst_case_demand(EX), l_size)
+
+
+def test_negative_l_size_refused_as_a_parameter_error():
+    """A negative ``l_size`` is a bad parameter, as a negative seed or budget is."""
+    with pytest.raises(ParameterError, match="l_size must be nonnegative"):
+        make_schedule(EX, worst_case_demand(EX), -1)
 
 
 def test_numpy_l_size_builds_the_schedule_of_its_int():
