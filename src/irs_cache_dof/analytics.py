@@ -176,8 +176,7 @@ def dof_memory_sharing(
         raise ParameterError(f"mu_t {mu_t} outside [1, {k_t}]")
     if not 1 <= mu_r <= k_r - 1:
         raise ParameterError(f"mu_r {mu_r} outside [1, {k_r - 1}]")
-    if l_size < 0:
-        raise ParameterError("l_size must be nonnegative")
+    l_size = as_count(l_size, "l_size")
 
     def corner(mt: int, mr: int) -> Fraction:
         return Fraction(min(mr + mt + l_size, k_r), k_r)

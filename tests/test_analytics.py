@@ -160,6 +160,20 @@ def test_memory_sharing_bilinear_in_both_axes():
     assert a == sum(corners) / 4
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [(True, "must be an integer, got True"), (1.5, "must be an integer, got 1.5"), (-1, "must be nonnegative, got -1")],
+)
+def test_memory_sharing_l_size_must_be_a_count(value, message):
+    with pytest.raises(ParameterError, match=rf"^l_size {message}$"):
+        dof_memory_sharing(4, 4, 1, 1, value)
+
+
+def test_memory_sharing_numpy_l_size_is_a_python_int():
+    point = dof_memory_sharing(4, 4, 1, 1, np.int64(1))
+    assert type(point.l_size) is int and point == dof_memory_sharing(4, 4, 1, 1, 1)
+
+
 def test_memory_sharing_range_checks():
     with pytest.raises(ParameterError):
         dof_memory_sharing(4, 4, 0.5, 1, 0)

@@ -13,7 +13,7 @@ import pytest
 import reference_block
 from reference_block import reference_channels, reference_simulate_block
 
-from irs_cache_dof import channel, simulator
+from irs_cache_dof import channel, irs, simulator
 from irs_cache_dof.analytics import STRICT_Q, SUFFICIENT_Q
 from irs_cache_dof.channel import SingularChannelError, block_rng, equivalent_channel, sample_block_channels
 from irs_cache_dof.irs import required_nulls, solve_irs
@@ -167,6 +167,47 @@ def test_chunked_episode_equals_blocks_one_at_a_time(monkeypatch, name):
             assert record.decode_errors == want.decode_errors
 
 
+#: name -> (parameters, regime, options) of networks whose surface solves take the least-squares path
+_LEAST_SQUARES = {
+    "thm1-minnorm": NETWORKS["thm1-minnorm"],
+    "minnorm-10x10": (SystemParams(10, 10, 10, 1, 1, 1, 60), "thm1", SimOptions(noise_variance=1e-9)),
+    "thm2-strict-infeasible": NETWORKS["thm2-strict-infeasible"],
+}
+
+
+@pytest.mark.parametrize("name", _LEAST_SQUARES)
+def test_least_squares_spans_equal_blocks_one_at_a_time(monkeypatch, name):
+    """With three usable CPUs and chunks of 20 blocks in front pieces of 7,
+    7 and 6 blocks, a thread crossover of 0 solves every piece's
+    least-squares systems in three spans (split inside the piece), and one
+    no system reaches solves them in one; either way every record equals
+    the block run alone and the reference's, bit for bit."""
+    params, regime, options = _LEAST_SQUARES[name]
+    built = build_schedule(params, regime, options)
+    schedule = replace(built, blocks=built.blocks[:60])
+    _chunk_sizes(monkeypatch, front=7, back=20)
+    monkeypatch.setattr(irs, "_usable_cpus", lambda: 3)
+    calls, real = [], irs._in_spans
+
+    def recorded(solve, n_blocks, n_spans):
+        calls.append((n_blocks, n_spans))
+        real(solve, n_blocks, n_spans)
+
+    monkeypatch.setattr(irs, "_in_spans", recorded)
+    for crossover, spans in ((0, 3), (1 << 62, 1)):
+        monkeypatch.setattr(irs, "THREAD_CROSSOVER", crossover)
+        for seed in (0, 7):
+            calls.clear()
+            episode = run_episode(params, regime, seed, options, schedule=schedule)
+            assert (7, spans) in calls and all(n_spans == min(n_blocks, spans) for n_blocks, n_spans in calls)
+            for plan, record in zip(schedule.blocks, episode.blocks, strict=True):
+                assert record == simulate_block(plan, params, seed, options)
+                want = reference_simulate_block(plan, params, seed, options)
+                assert (record.delivered, record.irs_status, record.n_nulls) == (want.delivered, want.irs_status, want.n_nulls)
+                assert (record.irs_residual, record.channel_scale) == (want.irs_residual, want.channel_scale)
+                assert record.decode_errors == want.decode_errors
+
+
 def test_schedule_of_two_lowered_shapes_is_refused():
     """A schedule spliced from an L = 1 and an L = 0 schedule holds blocks
     of two lowered shapes (square null-steering systems and none at all):
@@ -315,7 +356,7 @@ _TOTALS = {
         "exact",
     ),
     "strict-infeasible": NETWORKS["thm2-strict-infeasible"] + ("infeasible",),
-    "minnorm-10x10": (SystemParams(10, 10, 10, 1, 1, 1, 60), "thm1", SimOptions(noise_variance=1e-9), "exact"),
+    "minnorm-10x10": _LEAST_SQUARES["minnorm-10x10"] + ("exact",),
     "zeroed-block": (EX, "thm1", SimOptions(l_size=0), "exact"),
 }
 
