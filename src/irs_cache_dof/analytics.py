@@ -47,6 +47,13 @@ class DofPoint:
             raise ValueError("sum and per-user rates disagree")
 
 
+def as_strictness(mode: str) -> str:
+    """``mode`` if it names a strictness, else a ``ParameterError``."""
+    if mode not in (STRICT_Q, SUFFICIENT_Q):
+        raise ParameterError(f"unknown strictness {mode!r}")
+    return mode
+
+
 def required_elements(l_size: int, mu_t: int, mode: str) -> int:
     """Surface elements needed to support ``l_size`` covered receivers.
 
@@ -56,11 +63,9 @@ def required_elements(l_size: int, mu_t: int, mode: str) -> int:
     what the per-link equations actually require when serving groups have
     ``mu_t > 1`` transmitters.
     """
-    if mode == STRICT_Q:
+    if as_strictness(mode) == STRICT_Q:
         return l_size * (l_size + 1)
-    if mode == SUFFICIENT_Q:
-        return max(mu_t, 1) * l_size * (l_size + 1)
-    raise ValueError(f"unknown strictness mode {mode!r}")
+    return max(mu_t, 1) * l_size * (l_size + 1)
 
 
 def l_cap(params: SystemParams) -> int:
@@ -74,6 +79,7 @@ def max_feasible_L(q_elements: int, params: SystemParams, mode: str = STRICT_Q) 
     """Largest ``L`` whose element requirement fits the budget, capped by
     the schedule structure; 0 when even one covered receiver is too dear."""
     q_elements = as_count(q_elements, "q_elements")
+    as_strictness(mode)
     best = 0
     for l_size in range(1, l_cap(params) + 1):
         if required_elements(l_size, params.mu_t, mode) <= q_elements:
@@ -92,7 +98,7 @@ def _point(scheme: str, params: SystemParams, l_size: int | None, per_user: Frac
         l_size=l_size,
         sum_dof=per_user * params.k_r,
         per_user_dof=per_user,
-        strictness=mode,
+        strictness=None if mode is None else as_strictness(mode),
     )
 
 

@@ -31,6 +31,7 @@ from .analytics import (
     SUFFICIENT_Q,
     SWEEP_AXES,
     SWEEP_FIELDS,
+    as_strictness,
     sweep,
     write_sweep_csv,
 )
@@ -159,8 +160,7 @@ def _settings(command: argparse.ArgumentParser, args: argparse.Namespace) -> dic
     settings.update((dest, getattr(args, dest)) for dest in flags if getattr(args, dest) is not None)
     if not 0 <= settings.get("seed", 0) <= 0xFFFFFFFFFFFFFFFF:
         raise ParameterError("seed must be a nonnegative 64-bit integer")
-    if settings.get("strictness", STRICT_Q) not in (STRICT_Q, SUFFICIENT_Q):
-        raise ParameterError(f"unknown strictness {settings['strictness']!r}")
+    as_strictness(settings.get("strictness", STRICT_Q))
     return settings
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import comb
 from typing import Union
 
 from .combinatorics import OrderedPartitionSystem, Subset, enumerate_ordered_partitions, enumerate_subsets
@@ -74,17 +76,28 @@ _set_file, _set_tx_index, _set_rx_set, _set_zf_set, _set_irs_set = (
 
 @dataclass(frozen=True)
 class SubfileUniverse:
-    """Every subfile of every file, in deterministic enumeration order."""
+    """Every subfile of every file, all fixed by ``mode`` and ``params``."""
 
     mode: str
     params: SystemParams
-    subfiles: tuple[SubfileId, ...]
-    packets_per_subfile: Fraction
+    tx_indices: tuple[TxIndex, ...]
     ordered_system: OrderedPartitionSystem | None = None
 
+    @cached_property
+    def subfiles(self) -> tuple[SubfileId, ...]:
+        """Every subfile in (file, transmitter index, receiver set) order,
+        enumerated on first read."""
+        rx_sets = enumerate_subsets(self.params.k_r, self.params.mu_r)
+        return tuple(
+            SubfileId(file=k, tx_index=t, rx_set=r)
+            for k in range(1, self.params.n_files + 1)
+            for t in self.tx_indices
+            for r in rx_sets
+        )
+
     @property
-    def per_file_count(self) -> int:
-        return len(self.subfiles) // self.params.n_files
+    def packets_per_subfile(self) -> Fraction:
+        return Fraction(self.params.f_packets, len(self.tx_indices) * comb(self.params.k_r, self.params.mu_r))
 
     def tx_members(self, sub: SubfileId) -> Subset:
         """Transmitters caching ``sub`` (also its serving group in delivery)."""
@@ -101,30 +114,12 @@ def split_library(params: SystemParams, mode: str = SUBSET_MODE) -> SubfileUnive
     ordered mode indexes the transmitter side by all ordered group
     arrangements instead (used when no parallel-class design is available).
     """
-    ordered_system = None
     if mode == SUBSET_MODE:
-        tx_indices: list[TxIndex] = list(enumerate_subsets(params.k_t, params.mu_t))
-    elif mode == ORDERED_MODE:
+        return SubfileUniverse(mode, params, tuple(enumerate_subsets(params.k_t, params.mu_t)))
+    if mode == ORDERED_MODE:
         ordered_system = enumerate_ordered_partitions(params.m_groups, params.mu_t)
-        tx_indices = list(range(1, ordered_system.count + 1))
-    else:
-        raise ValueError(f"unknown split mode {mode!r}")
-
-    rx_sets = enumerate_subsets(params.k_r, params.mu_r)
-    subfiles = tuple(
-        SubfileId(file=k, tx_index=t, rx_set=r)
-        for k in range(1, params.n_files + 1)
-        for t in tx_indices
-        for r in rx_sets
-    )
-    pps = Fraction(params.f_packets, len(tx_indices) * len(rx_sets))
-    return SubfileUniverse(
-        mode=mode,
-        params=params,
-        subfiles=subfiles,
-        packets_per_subfile=pps,
-        ordered_system=ordered_system,
-    )
+        return SubfileUniverse(mode, params, tuple(range(1, ordered_system.count + 1)), ordered_system)
+    raise ValueError(f"unknown split mode {mode!r}")
 
 
 @dataclass(frozen=True)

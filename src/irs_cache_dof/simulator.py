@@ -13,7 +13,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .analytics import STRICT_Q, SUFFICIENT_Q, max_feasible_L
+from .analytics import STRICT_Q, as_strictness, max_feasible_L
 from .channel import SingularChannelError, as_seed, equivalent_channels, fill_block_streams, sample_channels
 from .combinatorics import enumerate_ordered_partitions, find_subset_partition
 from .irs import STATUS_INFEASIBLE, solve_irs_stack, solve_status
@@ -62,8 +62,7 @@ class SimOptions:
             raise ParameterError(f"success threshold must be finite and positive, got {threshold}")
         if not isinstance(self.disable_irs, bool):
             raise ParameterError(f"disable_irs must be a bool, got {self.disable_irs!r}")
-        if self.strictness not in (STRICT_Q, SUFFICIENT_Q):
-            raise ParameterError(f"unknown strictness {self.strictness!r}")
+        as_strictness(self.strictness)
         if self.l_size is not None:
             object.__setattr__(self, "l_size", as_integer(self.l_size, "l_size"))
 

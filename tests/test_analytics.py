@@ -34,6 +34,33 @@ def test_required_elements_modes():
     assert required_elements(1, 2, SUFFICIENT_Q) == 4
 
 
+#: one transmitter, so no receiver can be covered and ``max_feasible_L`` never
+#: reaches ``required_elements``
+NO_COVER = SystemParams(1, 2, 2, 1, 1, 1, 6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: required_elements(1, 1, "bogus"),
+        lambda: max_feasible_L(6, NO_COVER, "bogus"),
+        lambda: max_feasible_L(6, P(3, 4, 1, 1), "bogus"),
+        lambda: sweep("q", [0, 6], NO_COVER, "bogus"),
+        lambda: dof_theorem(NO_COVER, 0, "bogus"),
+        lambda: dof_theorem(P(3, 4, 1, 1), 1, "bogus"),
+        lambda: dof_theorem1(P(3, 4, 1, 1), 1, "bogus"),
+        lambda: dof_theorem2(P(4, 4, 2, 1), 1, "bogus"),
+    ],
+    ids=["required_elements", "max_feasible_L-no-cover", "max_feasible_L", "sweep-no-cover",
+         "dof_theorem-no-cover", "dof_theorem", "dof_theorem1", "dof_theorem2"],
+)
+def test_unknown_strictness_refused_as_a_parameter_error(call):
+    """Even where no covered receiver fits and the element count is never
+    asked, an unknown strictness is refused, not returned in a point."""
+    with pytest.raises(ParameterError, match=r"^unknown strictness 'bogus'$"):
+        call()
+
+
 def test_max_feasible_L_worked_example():
     assert max_feasible_L(6, P(3, 4, 1, 1), STRICT_Q) == 2
 

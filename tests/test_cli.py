@@ -98,6 +98,43 @@ def test_missing_config_file(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("k_t = 3", "config file {cfg} is not valid JSON: line 1: Expecting value"),
+        ("[3, 4]", "config file {cfg} must hold a flat JSON object"),
+        ('{"k_r": 4, "mu_t": 1, "mu_r": 1}', "missing required parameters: k_t"),
+        ('{"k_t": 3, "k_r": 4, "mu_t": 1, "mu_r": 1, "strictness": "bogus"}', "unknown strictness 'bogus'"),
+    ],
+    ids=["not-json", "a-list", "no-k_t", "unknown-strictness"],
+)
+def test_malformed_config_file_rejected(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message.format(cfg=cfg)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["partition-find", "--design-mu-t", "2"], "partition-find needs --m and --design-mu-t"),
+        (
+            ["dof-sweep", "--axis", "q", "--axis-start", "0", "--k-t", "6", "--k-r", "6", "--mu-t", "1", "--mu-r", "2"],
+            "custom sweeps need both --axis-start and --axis-stop",
+        ),
+    ],
+    ids=["partition-find-without-m", "dof-sweep-without-axis-stop"],
+)
+def test_missing_companion_flag_rejected(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_schedule_verify_example(tmp_path):
     out = tmp_path / "verify.json"
     code = main(["schedule-verify", *EXAMPLE_FLAGS, "--out", str(out)])

@@ -35,9 +35,14 @@ MANY_FILES = 2**62
 def _network(k_t, k_r, mu_t, mu_r, l_size, system=None, demand=None, n_files=None):
     params = SystemParams(k_t=k_t, k_r=k_r, n_files=n_files or max(k_r, 8), f_packets=1, mu_t=mu_t, mu_r=mu_r)
     schedule = make_schedule(params, demand or worst_case_demand(params), l_size, system)
-    # the reference needs the subfiles of the demanded files only: split the first few
-    universe = split_library(replace(params, n_files=max(k_r, 8)), mode=schedule.tx_mode)
-    return replace(universe, params=params), schedule
+    return split_library(params, mode=schedule.tx_mode), schedule
+
+
+def _few(universe):
+    """``universe`` cut to its first few files: the reference lists subfiles
+    one by one and needs those of the demanded files only."""
+    params = universe.params
+    return split_library(replace(params, n_files=max(params.k_r, 8)), mode=universe.mode)
 
 
 NETWORKS = {
@@ -58,7 +63,7 @@ NETWORKS = {
 @pytest.fixture(params=sorted(NETWORKS), scope="module")
 def network(request):
     universe, schedule = NETWORKS[request.param]()
-    return universe, schedule, reference_demanded_for_schedule(universe, schedule)
+    return universe, schedule, reference_demanded_for_schedule(_few(universe), schedule)
 
 
 def test_demanded_keys_decode_to_the_reference_set(network):
@@ -225,7 +230,7 @@ def test_undemanded_and_duplicated_pairs_that_key_are_reported_decoded():
 @cache
 def _cover_case(name):
     universe, schedule = NETWORKS[name]()
-    return schedule, demanded_for_schedule(universe, schedule), reference_demanded_for_schedule(universe, schedule)
+    return schedule, demanded_for_schedule(universe, schedule), reference_demanded_for_schedule(_few(universe), schedule)
 
 
 def _set_delivery(blocks, b, d, dl):

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 from reference_cover import demanded_subfiles, refine_subfiles
+from test_schedule_tables import GRID, GRID_IDS, _system
 from traced_memory import traced
 
+from irs_cache_dof.combinatorics import enumerate_ordered_partitions, enumerate_subsets
 from irs_cache_dof.params import ParameterError, SystemParams
 from irs_cache_dof.placement import (
     SubfileId,
@@ -14,14 +16,14 @@ from irs_cache_dof.placement import (
     split_library,
     verify_cache_budgets,
 )
-from irs_cache_dof.scheduler import worst_case_demand
+from irs_cache_dof.scheduler import demanded_for_schedule, make_schedule, worst_case_demand
 
 EX = SystemParams(k_t=3, k_r=4, n_files=12, f_packets=12, mu_t=1, mu_r=1, q_elements=6)
 
 
 def test_split_example_network_twelve_subfiles_per_file():
     uni = split_library(EX)
-    assert uni.per_file_count == 12
+    assert len(uni.subfiles) // EX.n_files == 12
     assert len(uni.subfiles) == 12 * 12
     assert uni.packets_per_subfile == 1
 
@@ -29,15 +31,58 @@ def test_split_example_network_twelve_subfiles_per_file():
 def test_split_full_cooperation_single_tx_subset():
     p = SystemParams(k_t=3, k_r=4, n_files=4, f_packets=8, mu_t=3, mu_r=2)
     uni = split_library(p)
-    assert uni.per_file_count == math.comb(4, 2)  # C(3,3) = 1 transmitter index
+    assert len(uni.subfiles) // p.n_files == math.comb(4, 2)  # C(3,3) = 1 transmitter index
     assert all(s.tx_index == (1, 2, 3) for s in uni.subfiles)
 
 
 def test_split_ordered_mode_counts():
     p = SystemParams(k_t=4, k_r=3, n_files=3, f_packets=1, mu_t=2, mu_r=1)
     uni = split_library(p, mode="ordered")
-    assert uni.per_file_count == 6 * 3  # 4!/(2!)^2 arrangements x C(3,1)
+    assert len(uni.subfiles) // p.n_files == 6 * 3  # 4!/(2!)^2 arrangements x C(3,1)
     assert uni.ordered_system is not None
+
+
+def test_split_refuses_an_unknown_mode_and_a_huge_ordered_table_at_split_time():
+    with pytest.raises(ValueError, match=r"^unknown split mode 'bogus'$"):
+        split_library(EX, mode="bogus")
+    guard = r"^ground set of 12 elements exceeds the enumeration guard \(10\); the full ordered-partition table would be huge$"
+    with pytest.raises(ValueError, match=guard):
+        split_library(SystemParams(k_t=12, k_r=12, n_files=12, f_packets=1, mu_t=2, mu_r=1), mode="ordered")
+
+
+def _listed(params, mode):
+    """Every subfile, file by file, then transmitter index by index (subsets
+    or arrangement numbers), then receiver set by receiver set."""
+    if mode == "subset":
+        tx_indices = enumerate_subsets(params.k_t, params.mu_t)
+    else:
+        tx_indices = range(1, enumerate_ordered_partitions(params.m_groups, params.mu_t).count + 1)
+    rx_sets = enumerate_subsets(params.k_r, params.mu_r)
+    return tuple(SubfileId(k, t, r) for k in range(1, params.n_files + 1) for t in tx_indices for r in rx_sets)
+
+
+@pytest.mark.parametrize("design, params, l_size, regime", GRID, ids=GRID_IDS)
+def test_subfiles_are_listed_only_when_read(monkeypatch, design, params, l_size, regime):
+    """Splitting the library and keying the schedule's demanded set make no
+    subfile; the first read of ``subfiles`` lists them all in order, and
+    the second returns the same tuple."""
+    schedule = make_schedule(params, worst_case_demand(params), l_size, _system(design, params))
+    made, init = [], SubfileId.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubfileId, "__init__", counted)
+    universe = split_library(params, mode=schedule.tx_mode)
+    demanded_for_schedule(universe, schedule)
+    assert not made
+    subfiles = universe.subfiles
+    assert len(made) == len(subfiles) and universe.subfiles is subfiles
+    monkeypatch.undo()
+    assert subfiles == _listed(params, schedule.tx_mode)
+    pps = universe.packets_per_subfile
+    assert type(pps) is Fraction and pps == Fraction(params.f_packets, len(subfiles) // params.n_files)
 
 
 def test_placement_budgets_of_example_network():
@@ -114,7 +159,7 @@ def test_uncovered_subfile_detected():
 def test_subfile_count_identity_per_file():
     for p in (EX, SystemParams(k_t=4, k_r=5, n_files=5, f_packets=10, mu_t=2, mu_r=2)):
         uni = split_library(p)
-        assert uni.per_file_count * uni.packets_per_subfile == p.f_packets
+        assert len(uni.subfiles) // p.n_files * uni.packets_per_subfile == p.f_packets
 
 
 def test_per_transmitter_subfile_count_identity():

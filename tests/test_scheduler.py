@@ -4,6 +4,7 @@ import json
 import math
 import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -320,6 +321,22 @@ def test_malformed_demand_refused(demand):
     message = rf"^the demand {re.escape(str(demand))} must name one file in 1\.\.12 for each of the 4 receivers$"
     with pytest.raises(SchedulingError, match=message):
         make_schedule(EX, DemandVector(d=demand), 2)
+
+
+def test_keyword_built_demand_past_the_receivers_refused_by_the_demanded_set():
+    """A schedule built by keyword (here through ``replace``) skips
+    make_schedule's demand check; the demanded set still refuses a receiver
+    the network does not have."""
+    schedule = make_schedule(EX, worst_case_demand(EX), 2)
+    wide = replace(schedule, demand=DemandVector(d=(1, 2, 3, 4, 5)))
+    with pytest.raises(SchedulingError, match=r"^the demand names 5 receivers but the network has 4$"):
+        demanded_for_schedule(split_library(EX), wide)
+
+
+def test_design_of_an_unknown_regime_and_mode_pair_refused():
+    schedule = replace(make_schedule(EX, worst_case_demand(EX), 2), regime="T2-IB")
+    with pytest.raises(SchedulingError, match=r"^no design has regime 'T2-IB' in 'subset' mode$"):
+        schedule.design
 
 
 def test_serving_groups_cache_their_subfiles():

@@ -377,6 +377,23 @@ def test_non_integer_or_bool_rejected_by_params(name, value):
         SystemParams(**{**values, name: value})
 
 
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("k_t", 0, r"k_t must be at least 1"),
+        ("k_r", 1, r"k_r must be at least 2 \(mu_r <= k_r - 1 requires it\)"),
+        ("mu_t", 0, r"mu_t must lie in \[1, k_t\]; got mu_t=0, k_t=3"),
+        ("mu_t", 4, r"mu_t must lie in \[1, k_t\]; got mu_t=4, k_t=3"),
+        ("f_packets", 0, r"f_packets must be at least 1"),
+        ("q_elements", -1, r"q_elements must be nonnegative"),
+    ],
+)
+def test_out_of_range_params_rejected(name, value, message):
+    values = {"k_t": 3, "k_r": 4, "n_files": 12, "f_packets": 12, "mu_t": 1, "mu_r": 1, "q_elements": 6}
+    with pytest.raises(ParameterError, match=rf"^{message}$"):
+        SystemParams(**{**values, name: value})
+
+
 def test_numpy_integer_params_are_taken_as_ints():
     params = SystemParams(*(np.int64(v) for v in (3, 4, 12, 12, 1, 1)), q_elements=np.uint8(6))
     assert params == EX and {type(getattr(params, f.name)) for f in fields(params)} == {int}
