@@ -3,7 +3,6 @@ binary topology matrix derived from it."""
 
 from __future__ import annotations
 
-import functools
 import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -103,16 +102,19 @@ _MASK128 = (1 << 128) - 1
 #: numpy 2.4, rows of 5 uniforms and of 360 normals)
 STREAM_CROSSOVER = 7
 
-#: keeps concurrent fills from interleaving the re-keyed generator's states
-_REKEY_LOCK = threading.Lock()
+#: each thread's re-keyed generator, so concurrent fills share no state
+_REKEYED = threading.local()
 
 
-@functools.cache
 def _rekeyed() -> np.random.Generator:
-    """The one generator :func:`fill_block_streams` re-keys, never handed
-    out. It is built on first use: importing the package does not load
-    ``numpy.random``."""
-    return np.random.Generator(np.random.PCG64(0))
+    """The calling thread's generator that :func:`fill_block_streams`
+    re-keys, never handed out. It is built on the thread's first use:
+    importing the package does not load ``numpy.random``."""
+    try:
+        return _REKEYED.generator
+    except AttributeError:
+        _REKEYED.generator = np.random.Generator(np.random.PCG64(0))
+        return _REKEYED.generator
 
 
 def _hashmix(words: np.ndarray, first: int, rows: int) -> np.ndarray:
@@ -164,9 +166,9 @@ def fill_block_streams(
 
     From :data:`STREAM_CROSSOVER` blocks on, with the seed within 64 bits
     and every block and the stream within 32, the ``SeedSequence`` hashes of
-    all blocks run as one vectorized pass and one ``PCG64`` is re-keyed per
-    block by setting the state its seeding would produce, instead of
-    constructing a generator per block.
+    all blocks run as one vectorized pass and the calling thread's one
+    ``PCG64`` is re-keyed per block by setting the state its seeding would
+    produce, instead of constructing a generator per block.
     """
     if draw not in ("standard_normal", "random"):
         raise ValueError(f"unknown draw {draw!r}")
@@ -181,18 +183,17 @@ def fill_block_streams(
         return out
     generator = _rekeyed()
     fill = getattr(generator, draw)
-    with _REKEY_LOCK:
-        for row, (s0_high, s0_low, s1_high, s1_low) in zip(out, _pcg64_seeds(seed, blocks, stream)):
-            # PCG64's seeding: inc = 2*s1 + 1, then two LCG steps around adding s0
-            inc = ((s1_high << 65) | (s1_low << 1) | 1) & _MASK128
-            state = ((((s0_high << 64) | s0_low) + inc) * _PCG64_MULT + inc) & _MASK128
-            generator.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            fill(out=row)
+    for row, (s0_high, s0_low, s1_high, s1_low) in zip(out, _pcg64_seeds(seed, blocks, stream)):
+        # PCG64's seeding: inc = 2*s1 + 1, then two LCG steps around adding s0
+        inc = ((s1_high << 65) | (s1_low << 1) | 1) & _MASK128
+        state = ((((s0_high << 64) | s0_low) + inc) * _PCG64_MULT + inc) & _MASK128
+        generator.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        fill(out=row)
     return out
 
 

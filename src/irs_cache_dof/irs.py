@@ -11,10 +11,8 @@ reports rather than hides.
 
 from __future__ import annotations
 
-import functools
-import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,19 +30,6 @@ if TYPE_CHECKING:
 
 STATUS_EXACT = "exact"
 STATUS_INFEASIBLE = "infeasible"
-
-#: least-squares pieces of systems with ``n_links * q_count`` of at least
-#: this are solved in spans on threads. LAPACK releases the GIL, but numpy's
-#: per-call overhead holds it, and below this it outweighs the overlap. A
-#: piece of 6 (and of 32) blocks in two spans against one loop (timeit,
-#: 2-vCPU x86-64, numpy 2.4, OpenBLAS 0.3.31):
-#:
-#:     links x elements   2x6    6x12   12x20  20x24  24x30  30x36  56x60
-#:     6 blocks           0.81x  0.89x  0.92x  0.99x  1.93x  1.52x  1.84x
-#:     32 blocks          0.81x  0.86x  0.83x  0.84x  1.23x  1.75x  1.79x
-#:
-#: 24x30 fell to 1.04x in a second run, so the bound sits above it
-THREAD_CROSSOVER = 1000
 
 
 def required_nulls(plan: "BlockPlan") -> frozenset[tuple[int, int]]:
@@ -76,12 +61,11 @@ def solve_irs_stack(ch: ChannelStack, pairs: np.ndarray) -> tuple[np.ndarray, np
     stacked call; with fewer or more, each block takes the least-squares
     path alone. A block whose null set fits the elements gets the
     minimum-norm exact solution, one with more links than elements the
-    least-squares compromise (:func:`solve_status` names the two). From
-    :data:`THREAD_CROSSOVER` on, the blocks are cut into contiguous spans,
-    one per usable CPU, solved side by side by the same per-block code, so
-    every number is the serial loop's bit for bit. An exactly singular
-    system with enough elements is a probability-zero channel event: the
-    first block with one raises, after every span has finished.
+    least-squares compromise (:func:`solve_status` names the two), one
+    ``lstsq`` per block in block order on the calling thread (an episode
+    spreads whole fronts over threads, not these solves). An exactly
+    singular system with enough elements is a probability-zero channel
+    event: the first block with one raises.
     """
     n_blocks, q_count = ch.tx_to_irs.shape[:2]
     n_links = pairs.shape[2]
@@ -99,21 +83,13 @@ def solve_irs_stack(ch: ChannelStack, pairs: np.ndarray) -> tuple[np.ndarray, np
         for b in np.flatnonzero(singular).tolist():
             failed[b] = f"square null-steering system of size {q_count} is singular"
     elif n_links:
-        ranks = np.zeros(n_blocks, dtype=int)
-
-        def solve(span: range) -> None:
-            for b in span:
-                tx, rx = pairs[b]
-                rows = ch.tx_to_irs[b].T[tx] * ch.irs_to_rx[b][rx]
-                rhs = -ch.direct[b][rx, tx]
-                q[b], _, ranks[b], _ = np.linalg.lstsq(rows, rhs, rcond=None)
-                residual[b] = np.abs(rows @ q[b] - rhs).max()
-
-        threads = n_blocks > 1 and n_links * q_count >= THREAD_CROSSOVER
-        _in_spans(solve, n_blocks, min(n_blocks, _usable_cpus()) if threads else 1)
-        if n_links <= q_count:
-            for b in np.flatnonzero(ranks < n_links).tolist():
-                failed[b] = f"null-steering system rank {ranks[b]} < {n_links} equations"
+        for b, (tx, rx) in enumerate(pairs):
+            rows = ch.tx_to_irs[b].T[tx] * ch.irs_to_rx[b][rx]
+            rhs = -ch.direct[b][rx, tx]
+            q[b], _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
+            if n_links <= q_count and rank < n_links:
+                failed[b] = f"null-steering system rank {rank} < {n_links} equations"
+            residual[b] = np.abs(rows @ q[b] - rhs).max()
     if n_links <= q_count:
         # a non-finite q leaves a non-finite residual, which fails the comparison
         for b in np.flatnonzero(~(residual <= 1e-6 * ch.scale)).tolist():
@@ -122,44 +98,6 @@ def solve_irs_stack(ch: ChannelStack, pairs: np.ndarray) -> tuple[np.ndarray, np
         b = min(failed)
         raise SingularChannelError(f"seed {ch.seed}, block {ch.blocks[b]}: {failed[b]}; the episode aborts")
     return q, residual
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity, as on macOS and Windows
-        return os.cpu_count() or 1
-
-
-@functools.cache
-def _pool():
-    """The threads that solve every span but the first, built on first use
-    (so importing the package starts none)."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max(1, _usable_cpus() - 1), thread_name_prefix="irs-lstsq")
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child inherits the pool but none of its threads: its tasks would never run
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def _in_spans(solve: Callable[[range], None], n_blocks: int, n_spans: int) -> None:
-    """``solve(span)`` for each of ``n_spans`` contiguous spans of
-    ``range(n_blocks)``: the first on the calling thread, the others on the
-    pool. Every span finishes before this returns or raises, and an error
-    raised in a span is raised as the lowest such span's."""
-    cuts = [n_blocks * k // n_spans for k in range(n_spans + 1)]
-    futures = [_pool().submit(solve, range(start, stop)) for start, stop in zip(cuts[1:-1], cuts[2:])]
-    try:
-        solve(range(cuts[0], cuts[1]))
-    finally:
-        for future in futures:
-            future.exception()
-    for future in futures:
-        future.result()
 
 
 def solve_irs(ch: ChannelRealization, links: frozenset[tuple[int, int]]) -> tuple[IrsConfig, IrsSolveInfo]:

@@ -137,15 +137,20 @@ class CacheAssignment:
 
 def place_caches(universe: SubfileUniverse) -> CacheAssignment:
     """Fill every cache by the membership rule; demand plays no role here.
-    Each node's subfiles are listed, then frozen once."""
+    Each node's subfiles are listed in universe order, then frozen once.
+    The subfiles of one (file, transmitter index) pair are consecutive and
+    share their caching transmitters, which are read once per pair."""
     params = universe.params
     tx_caches = [[] for _ in range(params.k_t)]
     rx_caches = [[] for _ in range(params.k_r)]
-    for sub in universe.subfiles:
-        for i in universe.tx_members(sub):
-            tx_caches[i - 1].append(sub)
-        for j in sub.rx_set:
-            rx_caches[j - 1].append(sub)
+    subfiles, run = universe.subfiles, comb(params.k_r, params.mu_r)
+    for start in range(0, len(subfiles), run):
+        subs = subfiles[start : start + run]
+        for i in universe.tx_members(subs[0]):
+            tx_caches[i - 1].extend(subs)
+        for sub in subs:
+            for j in sub.rx_set:
+                rx_caches[j - 1].append(sub)
     return CacheAssignment(
         universe=universe,
         tx_caches=tuple(map(frozenset, tx_caches)),

@@ -6,10 +6,13 @@ into an exact delivered-per-block rate.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -297,6 +300,22 @@ def _schedule_for(params: SystemParams, design: Design, options: SimOptions, sch
 #: each is estimated by :func:`_block_bytes` and :func:`_back_bytes`
 FRONT_CHUNK_BYTES = 512 * 1024
 
+#: chunks whose surface solves take the least-squares path (surface on,
+#: links other than elements) with ``links * elements`` of at least this run
+#: their front in spans on threads. LAPACK releases the GIL, but numpy's
+#: per-call overhead holds it, and below this it outweighs the overlap.
+#: Whole fronts of 120 blocks (Theorem 1, mu_r = 1) in two spans against
+#: one, lowest and highest of four alternating runs (2-vCPU x86-64, numpy
+#: 2.4, OpenBLAS 0.3.31 on one thread):
+#:
+#:     links x elements  2x6    6x12   12x20  20x24  30x24  12x84  20x50  30x36  56x60
+#:     lowest            0.67x  0.68x  0.77x  0.75x  1.24x  0.93x  1.20x  1.20x  1.41x
+#:     highest           0.88x  0.88x  0.93x  1.05x  1.67x  1.31x  1.64x  1.62x  1.82x
+#:
+#: two spans lose in every run up to 480 and win in all but one from 720
+#: on (12x84 once read 0.93x), so the bound stays at 1,000
+THREAD_CROSSOVER = 1000
+
 
 def _block_bytes(params: SystemParams) -> int:
     """Bytes one block adds to a front piece: its channel draw and
@@ -357,31 +376,84 @@ def _front(stack: PlanStack, params: SystemParams, seed: int, options: SimOption
     return ch.scale, residuals, h_eq, weights
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity, as on macOS and Windows
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool():
+    """The threads that run every span but the first, built on first use
+    (so importing the package starts none)."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max(1, _usable_cpus() - 1), thread_name_prefix="front-span")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the pool but none of its threads: its tasks would never run
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _in_spans(run: Callable[[PlanStack], list], rows: PlanStack, n_spans: int) -> list[list]:
+    """``run(span)`` for each of ``n_spans`` contiguous spans of ``rows``,
+    in span order: the first on the calling thread, the others on the pool.
+    Every span finishes before this returns or raises, and an error raised
+    in a span is raised as the lowest such span's."""
+    cuts = [len(rows) * k // n_spans for k in range(n_spans + 1)]
+    futures = [_pool().submit(run, rows[start:stop]) for start, stop in zip(cuts[1:-1], cuts[2:])]
+    try:
+        first = run(rows[: cuts[1]])
+    finally:
+        for future in futures:
+            future.exception()
+    return [first, *(future.result() for future in futures)]
+
+
 def _chunks(stack: PlanStack, params: SystemParams, seed: int, options: SimOptions) -> Iterator[Chunk]:
     """Every block of ``stack``, in order, in chunks of the back's size. Each
     chunk runs its front in pieces of the front's size, which is smaller
     where a block's systems are large (one block with a 132-element
     surface), then draws the symbols, transmits, propagates (with each
     block's stream-2 noise, if any) and cache-subtracts for the whole chunk,
-    one stacked call per stage. With numpy on OpenBLAS every number equals
-    the one-block computation's bit for bit; a singular solve raises the
-    error the block-by-block order meets first."""
+    one stacked call per stage.
+
+    When the surface solves take the least-squares path from
+    :data:`THREAD_CROSSOVER` on, a chunk is cut into contiguous spans, one
+    per usable CPU, and each span runs its own front pieces side by side
+    with the others; the columns are joined in block order. Square solves
+    and a surface that is off stay on the calling thread. With numpy on
+    OpenBLAS every number equals the one-block computation's bit for bit;
+    a singular solve raises the error the block-by-block order meets first,
+    once every span has finished."""
     step = max(1, FRONT_CHUNK_BYTES // _back_bytes(params))
     piece = max(1, FRONT_CHUNK_BYTES // _block_bytes(params))
-    for start in range(0, len(stack), step):
-        rows = stack[start : start + step]
-        fronts = []
+    n_links, q_count = stack.null_pairs.shape[2], params.q_elements
+    threads = not options.disable_irs and n_links != q_count and n_links * q_count >= THREAD_CROSSOVER
+    cpus = _usable_cpus() if threads else 1
+
+    def fronts(rows: PlanStack) -> list[tuple[np.ndarray, ...]]:
+        out = []
         for at in range(0, len(rows), piece):
             part = rows[at : at + piece]
             try:
-                fronts.append(_front(part, params, seed, options))
+                out.append(_front(part, params, seed, options))
             except SingularChannelError:
                 # the stages ran across blocks: rerun them block by block, so
                 # the error raised is that of the first block (and stage) to fail
                 for one in range(len(part)):
                     _front(part[one : one + 1], params, seed, options)
                 raise
-        scales, irs_residuals, h_eq, weights = (np.concatenate(column) for column in zip(*fronts))
+        return out
+
+    for start in range(0, len(stack), step):
+        rows = stack[start : start + step]
+        spans = _in_spans(fronts, rows, min(len(rows), cpus))
+        columns = zip(*chain.from_iterable(spans))
+        scales, irs_residuals, h_eq, weights = (np.concatenate(column) for column in columns)
         symbols = _draw_symbols(rows.blocks, rows.n_deliveries, seed)
         x = _transmit(rows, weights, symbols, params.k_t)
         y = np.matmul(h_eq, x[:, :, None])[:, :, 0]

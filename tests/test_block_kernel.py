@@ -2,9 +2,13 @@
 ``reference_block.py``, and the exactness properties the kernel keeps:
 single-draw channels, batched idle-group solves and per-receiver decodes
 equal to their unbatched forms bit for bit, and episodes run chunk by
-chunk through stacked stages, each chunk's front in pieces, equal to
+chunk through stacked stages, each chunk's front in pieces (in spans on
+threads where the surface solves take the least-squares path), equal to
 blocks run one at a time."""
 
+import multiprocessing
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -13,12 +17,13 @@ import pytest
 import reference_block
 from reference_block import reference_channels, reference_simulate_block
 
-from irs_cache_dof import channel, irs, simulator
+from irs_cache_dof import channel, simulator
 from irs_cache_dof.analytics import STRICT_Q, SUFFICIENT_Q
 from irs_cache_dof.channel import SingularChannelError, block_rng, equivalent_channel, sample_block_channels
 from irs_cache_dof.irs import required_nulls, solve_irs
 from irs_cache_dof.lowering import ShapeMismatchError
 from irs_cache_dof.params import SystemParams
+from irs_cache_dof.scheduler import make_schedule, worst_case_demand
 from irs_cache_dof.simulator import (
     SimOptions,
     _symbols_for,
@@ -177,35 +182,179 @@ _LEAST_SQUARES = {
 
 @pytest.mark.parametrize("name", _LEAST_SQUARES)
 def test_least_squares_spans_equal_blocks_one_at_a_time(monkeypatch, name):
-    """With three usable CPUs and chunks of 20 blocks in front pieces of 7,
-    7 and 6 blocks, a thread crossover of 0 solves every piece's
-    least-squares systems in three spans (split inside the piece), and one
-    no system reaches solves them in one; either way every record equals
-    the block run alone and the reference's, bit for bit."""
+    """With three usable CPUs and chunks of 20 blocks, a thread crossover of
+    0 runs each chunk's front in three spans of 6, 7 and 7 blocks, each in
+    front pieces of 4 blocks (so a piece also ends where its span does),
+    and one no system reaches runs it in one span; either way every record
+    equals the block run alone and the reference's, bit for bit."""
     params, regime, options = _LEAST_SQUARES[name]
     built = build_schedule(params, regime, options)
     schedule = replace(built, blocks=built.blocks[:60])
-    _chunk_sizes(monkeypatch, front=7, back=20)
-    monkeypatch.setattr(irs, "_usable_cpus", lambda: 3)
-    calls, real = [], irs._in_spans
+    _chunk_sizes(monkeypatch, front=4, back=20)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 3)
+    calls, real = [], simulator._in_spans
 
-    def recorded(solve, n_blocks, n_spans):
-        calls.append((n_blocks, n_spans))
-        real(solve, n_blocks, n_spans)
+    def recorded(run, rows, n_spans):
+        calls.append((len(rows), n_spans))
+        return real(run, rows, n_spans)
 
-    monkeypatch.setattr(irs, "_in_spans", recorded)
+    monkeypatch.setattr(simulator, "_in_spans", recorded)
     for crossover, spans in ((0, 3), (1 << 62, 1)):
-        monkeypatch.setattr(irs, "THREAD_CROSSOVER", crossover)
+        monkeypatch.setattr(simulator, "THREAD_CROSSOVER", crossover)
         for seed in (0, 7):
             calls.clear()
             episode = run_episode(params, regime, seed, options, schedule=schedule)
-            assert (7, spans) in calls and all(n_spans == min(n_blocks, spans) for n_blocks, n_spans in calls)
+            assert (20, spans) in calls and all(n_spans == min(n_blocks, spans) for n_blocks, n_spans in calls)
             for plan, record in zip(schedule.blocks, episode.blocks, strict=True):
                 assert record == simulate_block(plan, params, seed, options)
                 want = reference_simulate_block(plan, params, seed, options)
                 assert (record.delivered, record.irs_status, record.n_nulls) == (want.delivered, want.irs_status, want.n_nulls)
                 assert (record.irs_residual, record.channel_scale) == (want.irs_residual, want.channel_scale)
                 assert record.decode_errors == want.decode_errors
+
+
+MINNORM = SystemParams(k_t=5, k_r=5, n_files=5, f_packets=1, mu_t=1, mu_r=1, q_elements=10)
+
+
+def minnorm_rows(n_blocks):
+    """The lowered rows of the first ``n_blocks`` blocks of the 5x5, L = 2
+    schedule: 6 links on 10 elements, solved by minimum norm, and all of
+    them one chunk of one front piece at the default sizes."""
+    return make_schedule(MINNORM, worst_case_demand(MINNORM), 2).lowered[:n_blocks]
+
+
+@pytest.fixture
+def two_spans(monkeypatch):
+    """Run the front of every least-squares chunk of two or more blocks in
+    two spans, whatever the host's CPU count."""
+    monkeypatch.setattr(simulator, "THREAD_CROSSOVER", 0)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+
+
+def test_singular_blocks_in_two_spans_raise_the_lower(monkeypatch, two_spans):
+    """Six blocks run their front in spans of blocks 0-2 and 3-5. A
+    transmitter with a zero surface leg in blocks 1 and 4 fails both spans,
+    and the error names block 1, as the serial loop's does; in block 4
+    alone it names 4."""
+    rows = minnorm_rows(6)
+    pairs, real = rows.null_pairs, simulator.sample_channels
+
+    def dead(blocks):
+        leg_of = {rows.blocks[b]: pairs[b, 0, 0] for b in blocks}
+
+        def sample(params, numbers, seed):
+            ch = real(params, numbers, seed)
+            legs = ch.tx_to_irs.copy()
+            for s, block in enumerate(numbers):
+                if block in leg_of:
+                    legs[s, :, leg_of[block]] = 0.0
+            return ch._replace(tx_to_irs=legs)
+
+        return sample
+
+    message = r"^seed 13, block {}: null-steering system rank \d+ < 6 equations; the episode aborts$"
+    for blocks, named in (((1, 4), 1), ((4,), 4)):
+        monkeypatch.setattr(simulator, "sample_channels", dead(blocks))
+        with pytest.raises(SingularChannelError, match=message.format(rows.blocks[named])):
+            list(simulator._chunks(rows, MINNORM, 13, SimOptions()))
+
+
+@pytest.mark.parametrize("failing, raised", [({0}, 0), ({1}, 1), ({0, 1}, 0)], ids=["span-0", "span-1", "both"])
+def test_span_errors_raise_the_lowest_after_every_span_finishes(monkeypatch, two_spans, failing, raised):
+    """``lstsq`` raises on the first block of the failing spans (span 0 on
+    the calling thread, span 1 on the pool, which is slowed): the lowest
+    failing span's error is raised, once every span has stopped, and a span
+    that does not fail solves all its three blocks."""
+    rows = minnorm_rows(6)
+    real, lock, running, finished = np.linalg.lstsq, threading.Lock(), Counter(), Counter()
+
+    def lstsq(rows, rhs, rcond):
+        span = int(threading.current_thread() is not threading.main_thread())
+        with lock:
+            running[span] += 1
+        try:
+            time.sleep(0.02 * span)
+            if span in failing:
+                raise np.linalg.LinAlgError(f"span {span}")
+            return real(rows, rhs, rcond=rcond)
+        finally:
+            with lock:
+                running[span] -= 1
+                finished[span] += 1
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    with pytest.raises(np.linalg.LinAlgError, match=rf"^span {raised}$"):
+        list(simulator._chunks(rows, MINNORM, 13, SimOptions()))
+    assert running == Counter({0: 0, 1: 0})
+    assert finished == Counter({span: 1 if span in failing else 3 for span in (0, 1)})
+
+
+def _chunk_in_child(rows, send):
+    (chunk,) = simulator._chunks(rows, MINNORM, 13, SimOptions())
+    send.send((chunk.irs_residuals.tobytes(), chunk.y.tobytes()))
+    send.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_solves_on_a_pool_of_its_own(two_spans):
+    """A child forked after the pool is built inherits none of its threads;
+    it builds its own and returns the parent's bits, not hanging on tasks
+    no thread would run."""
+    rows = minnorm_rows(6)
+    (chunk,) = simulator._chunks(rows, MINNORM, 13, SimOptions())
+    assert simulator._pool.cache_info().currsize == 1
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_chunk_in_child, args=(rows, send))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child's solve did not return in 60 s"
+        assert receive.recv() == (chunk.irs_residuals.tobytes(), chunk.y.tobytes())
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+
+
+#: name -> (parameters, regime, options) of a network and whether its chunks run in spans
+_SPAN_NETWORKS = {
+    "square-132x132": (SystemParams(14, 14, 14, 1, 1, 2, 132), "thm1", SimOptions(), False),
+    "square-12x12": (SystemParams(6, 6, 6, 1, 2, 1, 12), "thm2-ordered", SimOptions(strictness=SUFFICIENT_Q), False),
+    "surface-off-56x60": (SystemParams(10, 10, 10, 1, 1, 1, 60), "thm1", SimOptions(disable_irs=True), False),
+    "minnorm-56x60": (SystemParams(10, 10, 10, 1, 1, 1, 60), "thm1", SimOptions(), True),
+}
+
+
+@pytest.mark.parametrize("name", _SPAN_NETWORKS)
+def test_only_least_squares_chunks_submit_to_the_pool(monkeypatch, name):
+    """With two usable CPUs and the default thread crossover, the first
+    chunk of irs_square's network (132 links on 132 elements), of
+    coop_small's (square 12x12 solves) and of a network whose 56 links on
+    60 elements would take the least-squares path but whose surface is off
+    submits nothing to the pool; with the surface on, that network's chunk
+    submits its second span, and its columns equal those of one span."""
+    params, regime, options, threaded = _SPAN_NETWORKS[name]
+    rows = build_schedule(params, regime, options).lowered
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+    submitted, real = [], simulator._pool
+
+    class Counted:
+        def submit(self, run, rows):
+            submitted.append(rows.blocks)
+            return real().submit(run, rows)
+
+    monkeypatch.setattr(simulator, "_pool", Counted)
+    chunk = next(simulator._chunks(rows, params, 3, options))
+    assert len(submitted) == threaded and len(chunk.rows) > 1
+    if threaded:
+        assert submitted == [chunk.rows.blocks[len(chunk.rows) // 2 :]]
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 1)
+        alone = next(simulator._chunks(rows, params, 3, options))
+        for got, want in zip(chunk[1:], alone[1:], strict=True):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_schedule_of_two_lowered_shapes_is_refused():

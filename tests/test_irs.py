@@ -1,25 +1,19 @@
 """Null-link derivation and surface coefficient solves."""
 
 import dataclasses
-import multiprocessing
-import threading
-import time
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from irs_cache_dof import irs
 from irs_cache_dof.channel import (
     ChannelRealization,
     SingularChannelError,
     equivalent_channel,
     sample_block_channels,
-    sample_channels,
     zero_irs,
 )
 from irs_cache_dof.combinatorics import find_subset_partition
-from irs_cache_dof.irs import required_nulls, solve_irs, solve_irs_stack
+from irs_cache_dof.irs import required_nulls, solve_irs
 from irs_cache_dof.params import SystemParams
 from irs_cache_dof.placement import split_library
 from irs_cache_dof.scheduler import make_schedule, worst_case_demand
@@ -192,100 +186,3 @@ def test_singular_surface_solve_names_seed_and_block():
     dead[:, min(i for i, _ in nulls) - 1] = 0.0
     with pytest.raises(SingularChannelError, match=rf"^seed 13, block {plan.block_index}: .*; the episode aborts$"):
         solve_irs(dataclasses.replace(ch, tx_to_irs=dead), nulls)
-
-
-MINNORM = SystemParams(k_t=5, k_r=5, n_files=5, f_packets=1, mu_t=1, mu_r=1, q_elements=10)
-
-
-def minnorm_stack(n_blocks):
-    """The seed-13 channels and the null links of the first ``n_blocks``
-    blocks of the 5x5, L = 2 schedule: 6 links on 10 elements, solved by
-    minimum norm."""
-    stack = make_schedule(MINNORM, worst_case_demand(MINNORM), 2).lowered[:n_blocks]
-    return sample_channels(MINNORM, stack.blocks, 13), stack.null_pairs
-
-
-@pytest.fixture
-def two_spans(monkeypatch):
-    """Solve every least-squares stack of two or more blocks in two spans,
-    whatever the host's CPU count."""
-    monkeypatch.setattr(irs, "THREAD_CROSSOVER", 0)
-    monkeypatch.setattr(irs, "_usable_cpus", lambda: 2)
-
-
-def test_singular_blocks_in_two_spans_raise_the_lower(two_spans):
-    """Six blocks solve in spans of blocks 0-2 and 3-5. A transmitter with
-    a zero surface leg in blocks 1 and 4 fails both spans, and the error
-    names block 1, as the serial loop's does; in block 4 alone it names 4."""
-    ch, pairs = minnorm_stack(6)
-
-    def dead(blocks):
-        legs = ch.tx_to_irs.copy()
-        for b in blocks:
-            legs[b, :, pairs[b, 0, 0]] = 0.0
-        return ch._replace(tx_to_irs=legs)
-
-    message = r"^seed 13, block {}: null-steering system rank \d+ < 6 equations; the episode aborts$"
-    for blocks, named in (((1, 4), 1), ((4,), 4)):
-        with pytest.raises(SingularChannelError, match=message.format(ch.blocks[named])):
-            solve_irs_stack(dead(blocks), pairs)
-
-
-@pytest.mark.parametrize("failing, raised", [({0}, 0), ({1}, 1), ({0, 1}, 0)], ids=["span-0", "span-1", "both"])
-def test_span_errors_raise_the_lowest_after_every_span_finishes(monkeypatch, two_spans, failing, raised):
-    """``lstsq`` raises on the first block of the failing spans (span 0 on
-    the calling thread, span 1 on the pool, which is slowed): the lowest
-    failing span's error is raised, once every span has stopped, and a span
-    that does not fail solves all its three blocks."""
-    ch, pairs = minnorm_stack(6)
-    real, lock, running, finished = np.linalg.lstsq, threading.Lock(), Counter(), Counter()
-
-    def lstsq(rows, rhs, rcond):
-        span = int(threading.current_thread() is not threading.main_thread())
-        with lock:
-            running[span] += 1
-        try:
-            time.sleep(0.02 * span)
-            if span in failing:
-                raise np.linalg.LinAlgError(f"span {span}")
-            return real(rows, rhs, rcond=rcond)
-        finally:
-            with lock:
-                running[span] -= 1
-                finished[span] += 1
-
-    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
-    with pytest.raises(np.linalg.LinAlgError, match=rf"^span {raised}$"):
-        solve_irs_stack(ch, pairs)
-    assert running == Counter({0: 0, 1: 0})
-    assert finished == Counter({span: 1 if span in failing else 3 for span in (0, 1)})
-
-
-def _solve_in_child(ch, pairs, send):
-    q, residual = solve_irs_stack(ch, pairs)
-    send.send((q.tobytes(), residual.tobytes()))
-    send.close()
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
-@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_forked_child_solves_on_a_pool_of_its_own(two_spans):
-    """A child forked after the pool is built inherits none of its threads;
-    it builds its own and returns the parent's bits, not hanging on tasks
-    no thread would run."""
-    ch, pairs = minnorm_stack(6)
-    q, residual = solve_irs_stack(ch, pairs)
-    assert irs._pool.cache_info().currsize == 1
-    context = multiprocessing.get_context("fork")
-    receive, send = context.Pipe(duplex=False)
-    child = context.Process(target=_solve_in_child, args=(ch, pairs, send))
-    child.start()
-    try:
-        assert receive.poll(60), "the forked child's solve did not return in 60 s"
-        assert receive.recv() == (q.tobytes(), residual.tobytes())
-    finally:
-        child.join(10)
-        if child.is_alive():
-            child.kill()
-            child.join()
-    assert child.exitcode == 0

@@ -62,8 +62,8 @@ def test_normal_and_uniform_rows_equal_numpy_streams(length):
 
 
 def test_rekey_after_a_partial_draw():
-    """Leftovers in the shared generator (a buffered half word from a 32-bit
-    draw, a stream drawn part way) never reach the next fill."""
+    """Leftovers in the thread's re-keyed generator (a buffered half word
+    from a 32-bit draw, a stream drawn part way) never reach the next fill."""
     seed, stream, blocks = CHUNKS[0]
     want = fill_block_streams(np.empty((8, 9)), seed, blocks, stream)
     channel._rekeyed().integers(0, 2**32, dtype=np.uint32)
@@ -145,7 +145,7 @@ def test_a_chunk_constructs_no_seed_sequence_per_block(monkeypatch):
 
 
 def test_concurrent_fills_do_not_interleave():
-    """Threads re-keying the one shared generator at once each get their own
+    """Threads re-keying their generators at once each get their own
     streams, with the interpreter switching threads as often as it can."""
     jobs = [(seed, list(range(seed, seed + 20))) for seed in range(6)]
     want = {seed: fill_block_streams(np.empty((20, 16)), seed, blocks, 0) for seed, blocks in jobs}
